@@ -5,6 +5,7 @@ then verifies exit codes, file shapes, and selected values against the
 library routines the files are supposed to serialize.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -41,6 +42,51 @@ def write_params(tmp_path, name, obj):
 
 MISO_SMALL = {"eta_steps": 81, "split_steps": 51, "x_steps": 31,
               "num_random": 2000}
+
+# SHA-256 of every file three runs write: becbsc-regions and fme at their
+# defaults, and miso --outer --time-sharing --seed 7 on the MISO_SMALL grid.
+# A change that moves these bytes on purpose records the changed file, the
+# reason and the largest numeric difference, then updates the digest here.
+GOLDEN = {
+    "becbsc-regions": {
+        "c1.csv":
+            "5953ce6259d7e1a4afd45e1ce2d7cc1f0869ed64cff8c535933c3ed62bb30c63",
+        "c2.csv":
+            "844c7753a2b634aeb4768b92b849b02a95b2634511b3b2760a30f974b0c83e79",
+        "id.csv":
+            "5953ce6259d7e1a4afd45e1ce2d7cc1f0869ed64cff8c535933c3ed62bb30c63",
+        "mrs_gerber.csv":
+            "4b921190a2a2e7df3f341b18548c87b6081b60faa5f58af2d7eea7481f4e1165",
+    },
+    "fme": {
+        "fme_projected.json":
+            "15346521e68fe035f60c0f0e601ca614a8591a26443550d124c61f18ea35d572",
+    },
+    "miso": {
+        "cd.csv":
+            "b46d4015b08fc4a5e9946e6eb413cfb8a367093615d1e30054b8668c37b0bac1",
+        "cd_hull.csv":
+            "0eee703bd44df088c67391e2d2e3c899ee30a6ecbfb4a1d43a21baa4e6d32c97",
+        "md_corr.csv":
+            "8eed7dccd6c79e87ee389be7c0517d109782055a1c217e90eb448b653f4cd380",
+        "md_corr_hull.csv":
+            "e197cb7cf451ae101eacfe98be018cff35786404efce175ef6e3528789407e2a",
+        "md_uncorr.csv":
+            "da34999a3409711410c868b9029da9a1bdb3f85a648e8df88c8a9310d1e66cfc",
+        "md_uncorr_hull.csv":
+            "d2ef6ae37dd07f0fbedc1cb006d8b0a47d6e207f53164cabd2f8ee41408ad4c6",
+        "outer.csv":
+            "5aa8e644de07465ea4968ba8513862db6f519aa37ec17bb325807aad90f89138",
+        "outer_c1.csv":
+            "730e097ff1f04aeed3260ac1f420241ff3f476358c9dc9fb85e425edf1973607",
+        "outer_c12.csv":
+            "bcea0741c30dad60ce74e66e14794642db9538f3ddfa930eb070c19a6f295c27",
+        "outer_c2.csv":
+            "730e097ff1f04aeed3260ac1f420241ff3f476358c9dc9fb85e425edf1973607",
+        "outer_cz.csv":
+            "3b437366e4fdf9162a48c6f011e1fb342911ccec2b112d085fd72b64bf886a80",
+    },
+}
 
 
 class TestBecbscRegions:
@@ -307,3 +353,22 @@ class TestHarness:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestGoldenDigests:
+    @staticmethod
+    def argv(name, tmp_path):
+        if name == "miso":
+            params = write_params(tmp_path, "p.json", MISO_SMALL)
+            return ["miso", "--params", params, "--outer", "--time-sharing",
+                    "--seed", "7"]
+        return [name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_outputs_match_golden_digests(self, name, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(self.argv(name, tmp_path) + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted(out.iterdir())}
+        assert digests == GOLDEN[name]
