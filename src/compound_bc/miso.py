@@ -15,11 +15,14 @@ description (one description per candidate channel, time-shared or
 correlated) relaxes the max-min tension and can strictly enlarge the region.
 
 Rates are in bits per real channel use, so every Gaussian expression carries
-a 1/2 log2 prefactor.
+a 1/2 log2 prefactor.  Each rate formula is written once, as a broadcasting
+kernel that the boundary sweeps run over whole parameter grids; the scalar
+scheme APIs are size-1 calls into the same kernel.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,11 +149,6 @@ def _check_power(channel, scheme):
         raise ValueError("p_u + p_v exceeds the channel power budget")
 
 
-def _gains(channel, j, scheme):
-    h = channel.receiver(j)
-    return float(h @ scheme.b_u), float(h @ scheme.b_v)
-
-
 def _need_alpha(scheme):
     if scheme.alpha is None:
         raise ValueError("scheme.alpha is required for this operation")
@@ -158,7 +156,189 @@ def _need_alpha(scheme):
 
 
 # ---------------------------------------------------------------------------
+# the rate kernel: every function here broadcasts over its array arguments
+
+_TINY = 1e-300
+
+
+class SchemeTerms(NamedTuple):
+    """Terms of one (beams, power split) choice that no private slice changes.
+
+    receivers: (h_u, h_v, s, tot) for candidates 1 and 2, the beam gains at
+        that row with s = h_u^2 p_u + N and tot = h_u^2 p_u + h_v^2 p_v + N
+    r2_first: user-2 rate when its stream is encoded first
+    r1_second, r2_second: the corner with the user-1 stream encoded first
+    """
+
+    receivers: tuple
+    p_u: np.ndarray
+    p_v: np.ndarray
+    n: float
+    r2_first: np.ndarray
+    r2_second: np.ndarray
+    r1_second: np.ndarray
+
+
+def scheme_terms(gains, p_u, p_v, n):
+    """SchemeTerms from the beam gains h1u, h1v, h2u, h2v, gu, gv."""
+    receivers = tuple(
+        (hu, hv, hu ** 2 * p_u + n, hu ** 2 * p_u + hv ** 2 * p_v + n)
+        for hu, hv in ((gains["h1u"], gains["h1v"]),
+                       (gains["h2u"], gains["h2v"])))
+    gu, gv = gains["gu"], gains["gv"]
+    r2_first = 0.5 * np.log2((gu ** 2 * p_u + gv ** 2 * p_v + n)
+                             / (gu ** 2 * p_u + n))
+    r2_second = 0.5 * np.log2((gv ** 2 * p_v + n) / n)
+    r1_second = np.minimum(*(0.5 * np.log2(tot / (hv ** 2 * p_v + n))
+                             for _, hv, _, tot in receivers))
+    return SchemeTerms(receivers, p_u, p_v, n, r2_first, r2_second, r1_second)
+
+
+def split_terms(receiver, p_u, p_v, x):
+    """Cancellation center beta_j^x and residual weight I_j^x of one receiver
+    once the slice x of p_u is re-used as a private layer."""
+    hu, hv, s, tot = receiver
+    beta_x = (p_u - x) * hu * hv / s
+    i_x = p_v * s * s / np.maximum((p_u - x) * tot, _TINY)
+    return beta_x, i_x
+
+
+def corr_parabolas(terms, x):
+    """Both receivers' parabolas (a_1, v_1, c_1, a_2, v_2, c_2) with the
+    private layer x re-encoded optimally: rate_j = -1/2 log2(q_j(alpha))."""
+    out = []
+    for rx in terms.receivers:
+        hu, _, s, _ = rx
+        beta_x, i_x = split_terms(rx, terms.p_u, terms.p_v, x)
+        out += [i_x * terms.n / ((hu * hu * x + terms.n) * s), beta_x,
+                terms.n / s]
+    return out
+
+
+def uncorr_parabolas(terms, x, share1):
+    """Parabolas for time-shared private descriptions, candidate 1 active a
+    fraction share1 of the time; weights fold each receiver's private-link
+    term into the envelope."""
+    out = []
+    for rx, share in zip(terms.receivers, (share1, 1.0 - share1)):
+        hu, _, s, _ = rx
+        beta_x, i_x = split_terms(rx, terms.p_u, terms.p_v, x)
+        w = ((hu * hu * x + terms.n) / terms.n) ** (-share)
+        out += [w * i_x / s, beta_x, w * (terms.n + hu * hu * x) / s]
+    return out
+
+
+def parabola_rate(a, v, c, alpha):
+    """-1/2 log2(a (alpha - v)^2 + c), one receiver's rate at alpha."""
+    return -0.5 * np.log2(a * (alpha - v) ** 2 + c)
+
+
+def _minimax_two_vec(a1, v1, c1, a2, v2, c2):
+    """Vectorized two-parabola envelope minimization.
+
+    All arguments broadcast; returns (t_star, value) arrays.
+    """
+    a1, v1, c1, a2, v2, c2 = np.broadcast_arrays(a1, v1, c1, a2, v2, c2)
+    qa = a1 - a2
+    qb = -2.0 * (a1 * v1 - a2 * v2)
+    qc = (a1 * v1 ** 2 + c1) - (a2 * v2 ** 2 + c2)
+    quad = np.abs(qa) > 1e-13 * (a1 + a2 + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = qb * qb - 4.0 * qa * qc
+        root = np.sqrt(np.where(disc >= 0, disc, np.nan))
+        r_plus = np.where(quad, (-qb + root) / (2.0 * qa), np.nan)
+        r_minus = np.where(quad, (-qb - root) / (2.0 * qa), np.nan)
+        linear = np.where(~quad & (np.abs(qb) > 1e-300), -qc / qb, np.nan)
+    cands = np.stack([v1, v2, r_plus, r_minus, linear], axis=-1)
+    cands = np.where(np.isfinite(cands), cands, v1[..., None])
+    q1 = a1[..., None] * (cands - v1[..., None]) ** 2 + c1[..., None]
+    q2 = a2[..., None] * (cands - v2[..., None]) ** 2 + c2[..., None]
+    env = np.maximum(q1, q2)
+    k = np.argmin(env, axis=-1)
+    t_star = np.take_along_axis(cands, k[..., None], axis=-1)[..., 0]
+    value = np.take_along_axis(env, k[..., None], axis=-1)[..., 0]
+    return t_star, value
+
+
+def envelope_rate(paras):
+    """Max-min rate over alpha of two parabolas: (alpha*, rate) arrays."""
+    alpha, env = _minimax_two_vec(*paras)
+    return alpha, -0.5 * np.log2(env)
+
+
+def corr_rate(paras, x, alphas):
+    """Correlated-description R1 at the best of the candidate alphas.
+
+    Both descriptions carry the same Gaussian sample of power x, so each
+    receiver gets its side for free, but revealing the sample costs the
+    correlation penalty 1/2 log2(2 pi e x) inside a sum constraint:
+    R1 <= min_j rate_j(alpha) and 2 R1 <= rate_1 + rate_2 - penalty, with
+    rate_j from corr_parabolas.  alphas holds the candidates on a trailing
+    axis.  Returns (r1, alpha, sum_constraint_active) at the best candidate.
+    """
+    a1, v1, c1, a2, v2, c2 = (np.asarray(p)[..., None] for p in paras)
+    f1 = parabola_rate(a1, v1, c1, alphas)
+    f2 = parabola_rate(a2, v2, c2, alphas)
+    pen = np.where(x > 0,
+                   0.5 * np.log2(2.0 * math.pi * math.e
+                                 * np.maximum(x, _TINY)),
+                   -np.inf)
+    min_branch = np.minimum(f1, f2)
+    sum_branch = 0.5 * (f1 + f2 - pen[..., None])
+    r1 = np.minimum(min_branch, sum_branch)
+    k = np.argmax(r1, axis=-1)[..., None]
+
+    def pick(arr):
+        return np.take_along_axis(arr, k, axis=-1)[..., 0]
+
+    return pick(r1), pick(alphas), pick(sum_branch < min_branch)
+
+
+def corr_optimal(paras, x):
+    """corr_rate over the envelope minimizer and both parabola vertices.
+
+    The min branch is an exact parabola max-min; the sum branch is evaluated
+    on the same candidate set, which keeps the result an achievable inner
+    point even where the sum constraint binds.
+    """
+    alpha, _ = _minimax_two_vec(*paras)
+    return corr_rate(paras, x, np.stack([alpha, paras[1], paras[4]], axis=-1))
+
+
+# ---------------------------------------------------------------------------
 # single-receiver DPC rate primitives
+
+
+def _beam_gains(channel, b_u, b_v):
+    """Gains h1u, h1v, h2u, h2v, gu, gv of one beam pair or of beam stacks."""
+    return {row + side: beam @ vec
+            for row, vec in (("h1", channel.h1), ("h2", channel.h2),
+                             ("g", channel.g))
+            for side, beam in (("u", b_u), ("v", b_v))}
+
+
+def _terms(channel, scheme):
+    # the size-1 kernel call behind every scalar scheme API
+    _check_power(channel, scheme)
+    return scheme_terms(_beam_gains(channel, scheme.b_u, scheme.b_v),
+                        scheme.p_u, scheme.p_v, channel.N)
+
+
+def _receiver(terms, j):
+    if j not in (1, 2):
+        raise ValueError("channel index must be 1 or 2")
+    return terms.receivers[j - 1]
+
+
+def _split_at(terms, j, x):
+    beta_x, i_x = split_terms(_receiver(terms, j), terms.p_u, terms.p_v, x)
+    return float(beta_x), float(i_x)
+
+
+def _rate_at(terms, j, alpha, x):
+    _receiver(terms, j)  # rejects an index other than 1 or 2
+    a, v, c = corr_parabolas(terms, x)[3 * j - 3:3 * j]
+    return float(parabola_rate(a, v, c, alpha))
 
 
 def dpc_coefficients(channel, j, scheme):
@@ -169,16 +349,10 @@ def dpc_coefficients(channel, j, scheme):
     1/2 log2((h_ju^2 p_u + N) / (I_j (alpha - beta_j)^2 + N)).
     Requires p_u > 0.
     """
-    _check_power(channel, scheme)
+    terms = _terms(channel, scheme)
     if scheme.p_u <= 0:
         raise ValueError("dpc_coefficients needs p_u > 0")
-    h_u, h_v = _gains(channel, j, scheme)
-    n = channel.N
-    s = h_u * h_u * scheme.p_u + n
-    total = h_u * h_u * scheme.p_u + h_v * h_v * scheme.p_v + n
-    beta = scheme.p_u * h_u * h_v / s
-    i_coef = (scheme.p_v / scheme.p_u) * s * s / total
-    return beta, i_coef
+    return _split_at(terms, j, 0.0)
 
 
 def dpc_common_rate(channel, j, scheme):
@@ -186,15 +360,10 @@ def dpc_common_rate(channel, j, scheme):
 
     Zero-power streams signal zero rate rather than an error.
     """
-    _check_power(channel, scheme)
+    terms = _terms(channel, scheme)
     if scheme.p_u <= 0:
         return 0.0
-    alpha = _need_alpha(scheme)
-    beta, i_coef = dpc_coefficients(channel, j, scheme)
-    h_u, _ = _gains(channel, j, scheme)
-    n = channel.N
-    s = h_u * h_u * scheme.p_u + n
-    return 0.5 * math.log2(s / (i_coef * (alpha - beta) ** 2 + n))
+    return _rate_at(terms, j, _need_alpha(scheme), 0.0)
 
 
 def split_coefficients(channel, j, scheme):
@@ -202,22 +371,16 @@ def split_coefficients(channel, j, scheme):
 
     Requires 0 <= x < p_u so the remaining first-layer power is positive.
     """
-    _check_power(channel, scheme)
+    terms = _terms(channel, scheme)
     if not 0 <= scheme.x < scheme.p_u:
         raise ValueError("split_coefficients needs 0 <= x < p_u")
-    h_u, h_v = _gains(channel, j, scheme)
-    n = channel.N
-    s = h_u * h_u * scheme.p_u + n
-    total = h_u * h_u * scheme.p_u + h_v * h_v * scheme.p_v + n
-    beta_x = (scheme.p_u - scheme.x) * h_u * h_v / s
-    i_x = (scheme.p_v / (scheme.p_u - scheme.x)) * s * s / total
-    return beta_x, i_x
+    return _split_at(terms, j, scheme.x)
 
 
 def private_link_rate(channel, j, scheme):
     """Rate carried by the private slice x at candidate receiver j."""
     _check_power(channel, scheme)
-    h_u, _ = _gains(channel, j, scheme)
+    h_u = float(channel.receiver(j) @ scheme.b_u)
     n = channel.N
     return 0.5 * math.log2((h_u * h_u * scheme.x + n) / n)
 
@@ -231,19 +394,14 @@ def dpc_private_optimal(channel, j, scheme):
              (I_j^x N (alpha - beta_j^x)^2 / (h_ju^2 x + N) + N)).
     x = p_u is handled as the limit where the first layer carries no power.
     """
-    _check_power(channel, scheme)
+    terms = _terms(channel, scheme)
     alpha = _need_alpha(scheme)
-    h_u, _ = _gains(channel, j, scheme)
-    n = channel.N
-    s = h_u * h_u * scheme.p_u + n
     if scheme.x >= scheme.p_u:
+        _, _, s, _ = _receiver(terms, j)
         if scheme.p_v == 0 or alpha == 0:
-            return 0.5 * math.log2(s / n)
+            return 0.5 * math.log2(s / channel.N)
         return -math.inf
-    beta_x, i_x = split_coefficients(channel, j, scheme)
-    # grouped so the x = 0 case reproduces dpc_common_rate bit for bit
-    bracket = i_x * (alpha - beta_x) ** 2 * (n / (h_u * h_u * scheme.x + n))
-    return 0.5 * math.log2(s / (bracket + n))
+    return _rate_at(terms, j, alpha, scheme.x)
 
 
 def gaussian_mutual_information(cov, a_indices, b_indices):
@@ -275,119 +433,6 @@ def gaussian_mutual_information(cov, a_indices, b_indices):
 
 
 # ---------------------------------------------------------------------------
-# exact minimization of the upper envelope of upward parabolas
-
-
-def _golden_min(fun, lo, hi, tol=1e-12):
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol * (1.0 + abs(a) + abs(b)):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = fun(d)
-    return (a + b) / 2.0
-
-
-def minimax_parabolas(parabolas, refine=True):
-    """Minimize t -> max_j of A_j (t - v_j)^2 + c_j with all A_j >= 0.
-
-    The envelope's minimizer is a vertex of the active parabola or a crossing
-    of two parabolas, so the finite candidate set is exact.  An optional
-    golden-section pass over the bracketing candidates guards the arithmetic.
-    Returns (t_star, value).
-    """
-    paras = [(float(a), float(v), float(c)) for a, v, c in parabolas]
-    if not paras:
-        raise ValueError("need at least one parabola")
-    for a, _, _ in paras:
-        if a < 0:
-            raise ValueError("parabolas must open upward")
-
-    def env(t):
-        return max(a * (t - v) ** 2 + c for a, v, c in paras)
-
-    cands = [v for _, v, _ in paras]
-    for i in range(len(paras)):
-        for j in range(i + 1, len(paras)):
-            ai, vi, ci = paras[i]
-            aj, vj, cj = paras[j]
-            qa = ai - aj
-            qb = -2.0 * (ai * vi - aj * vj)
-            qc = (ai * vi * vi + ci) - (aj * vj * vj + cj)
-            if abs(qa) <= 1e-13 * (ai + aj + 1.0):
-                if abs(qb) > 1e-300:
-                    cands.append(-qc / qb)
-                continue
-            disc = qb * qb - 4.0 * qa * qc
-            if disc >= 0:
-                root = math.sqrt(disc)
-                cands.append((-qb + root) / (2.0 * qa))
-                cands.append((-qb - root) / (2.0 * qa))
-    best_t = min(cands, key=env)
-    best_v = env(best_t)
-    if refine and len(cands) > 1:
-        lo = min(cands)
-        hi = max(cands)
-        t_g = _golden_min(env, lo - 1e-9, hi + 1e-9)
-        if env(t_g) < best_v:
-            best_t, best_v = t_g, env(t_g)
-    return best_t, best_v
-
-
-def minimax_parabolas_grid(parabolas, num=10001):
-    """Grid + golden-section fallback for the same problem, used as a guard."""
-    paras = [(float(a), float(v), float(c)) for a, v, c in parabolas]
-
-    def env(t):
-        return max(a * (t - v) ** 2 + c for a, v, c in paras)
-
-    vs = [v for _, v, _ in paras]
-    lo, hi = min(vs) - 2.0, max(vs) + 2.0
-    grid = np.linspace(lo, hi, num)
-    vals = np.max([a * (grid - v) ** 2 + c for a, v, c in paras], axis=0)
-    k = int(np.argmin(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, num - 1)]
-    t = _golden_min(env, a, b)
-    return t, env(t)
-
-
-def _minimax_two_vec(a1, v1, c1, a2, v2, c2):
-    """Vectorized two-parabola envelope minimization.
-
-    All arguments broadcast; returns (t_star, value) arrays.
-    """
-    a1, v1, c1, a2, v2, c2 = np.broadcast_arrays(a1, v1, c1, a2, v2, c2)
-    qa = a1 - a2
-    qb = -2.0 * (a1 * v1 - a2 * v2)
-    qc = (a1 * v1 ** 2 + c1) - (a2 * v2 ** 2 + c2)
-    quad = np.abs(qa) > 1e-13 * (a1 + a2 + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = qb * qb - 4.0 * qa * qc
-        root = np.sqrt(np.where(disc >= 0, disc, np.nan))
-        r_plus = np.where(quad, (-qb + root) / (2.0 * qa), np.nan)
-        r_minus = np.where(quad, (-qb - root) / (2.0 * qa), np.nan)
-        linear = np.where(~quad & (np.abs(qb) > 1e-300), -qc / qb, np.nan)
-    cands = np.stack([v1, v2, r_plus, r_minus, linear], axis=-1)
-    cands = np.where(np.isfinite(cands), cands, v1[..., None])
-    q1 = a1[..., None] * (cands - v1[..., None]) ** 2 + c1[..., None]
-    q2 = a2[..., None] * (cands - v2[..., None]) ** 2 + c2[..., None]
-    env = np.maximum(q1, q2)
-    k = np.argmin(env, axis=-1)
-    t_star = np.take_along_axis(cands, k[..., None], axis=-1)[..., 0]
-    value = np.take_along_axis(env, k[..., None], axis=-1)[..., 0]
-    return t_star, value
-
-
-# ---------------------------------------------------------------------------
 # common-layer-only corner points and their closed form
 
 
@@ -408,35 +453,13 @@ class CdCorners:
 
 def cd_region(channel, scheme):
     """Both corner points reachable without a private layer."""
-    _check_power(channel, scheme)
-    n = channel.N
-    g_u = float(channel.g @ scheme.b_u)
-    g_v = float(channel.g @ scheme.b_v)
-    gu2, gv2 = g_u * g_u, g_v * g_v
-    p_u, p_v = scheme.p_u, scheme.p_v
-
-    if p_u > 0:
-        paras = []
-        for j in (1, 2):
-            beta, i_coef = dpc_coefficients(channel, j, scheme)
-            h_u, _ = _gains(channel, j, scheme)
-            s = h_u * h_u * p_u + n
-            paras.append((i_coef / s, beta, n / s))
-        alpha, env = minimax_parabolas(paras)
-        r1_first = -0.5 * math.log2(env)
+    terms = _terms(channel, scheme)
+    if scheme.p_u > 0:
+        alpha, r1_first = envelope_rate(corr_parabolas(terms, 0.0))
     else:
         alpha, r1_first = 0.0, 0.0
-    r2_first = 0.5 * math.log2((gu2 * p_u + gv2 * p_v + n) / (gu2 * p_u + n))
-    corner1 = _point(r1_first, r2_first)
-
-    r2_second = 0.5 * math.log2((gv2 * p_v + n) / n)
-    vals = []
-    for j in (1, 2):
-        h_u, h_v = _gains(channel, j, scheme)
-        top = h_u * h_u * p_u + h_v * h_v * p_v + n
-        vals.append(0.5 * math.log2(top / (h_v * h_v * p_v + n)))
-    corner2 = _point(min(vals), r2_second)
-    return CdCorners(corner1, corner2, float(alpha))
+    return CdCorners(_point(r1_first, terms.r2_first),
+                     _point(terms.r1_second, terms.r2_second), float(alpha))
 
 
 def p_of_eta(eta, p_u, p_v, n):
@@ -475,117 +498,45 @@ def md_uncorrelated_point(channel, scheme):
     each candidate channel, active a fraction t (candidate 1) or 1 - t
     (candidate 2) of the time.  The first-user rate is optimized over alpha.
     """
-    _check_power(channel, scheme)
-    n = channel.N
+    terms = _terms(channel, scheme)
     if scheme.p_u <= 0:
         r1 = 0.0
     elif scheme.x >= scheme.p_u:
         # everything private: alpha -> 0 limit, each receiver keeps its share
-        vals = []
-        for j, share in ((1, scheme.t), (2, 1.0 - scheme.t)):
-            h_u, _ = _gains(channel, j, scheme)
-            vals.append(share * 0.5
-                        * math.log2((h_u * h_u * scheme.p_u + n) / n))
-        r1 = min(vals)
+        r1 = min(share * 0.5 * math.log2(s / channel.N)
+                 for (_, _, s, _), share in zip(terms.receivers,
+                                                (scheme.t, 1.0 - scheme.t)))
     else:
-        paras = []
-        for j, share in ((1, scheme.t), (2, 1.0 - scheme.t)):
-            h_u, _ = _gains(channel, j, scheme)
-            s = h_u * h_u * scheme.p_u + n
-            beta_x, i_x = split_coefficients(channel, j, scheme)
-            w = ((h_u * h_u * scheme.x + n) / n) ** (-share)
-            paras.append((w * i_x / s,
-                          beta_x,
-                          w * (n + h_u * h_u * scheme.x) / s))
-        _, env = minimax_parabolas(paras)
-        r1 = -0.5 * math.log2(env)
-    g_u = float(channel.g @ scheme.b_u)
-    g_v = float(channel.g @ scheme.b_v)
-    r2 = 0.5 * math.log2(
-        (g_u * g_u * scheme.p_u + g_v * g_v * scheme.p_v + n)
-        / (g_u * g_u * scheme.p_u + n))
-    return _point(r1, r2)
-
-
-def _correlated_f(channel, j, scheme, alpha):
-    h_u, _ = _gains(channel, j, scheme)
-    n = channel.N
-    s = h_u * h_u * scheme.p_u + n
-    beta_x, i_x = split_coefficients(channel, j, scheme)
-    bracket = i_x * (alpha - beta_x) ** 2 * (n / (h_u * h_u * scheme.x + n))
-    return 0.5 * math.log2(s / (bracket + n))
+        _, r1 = envelope_rate(uncorr_parabolas(terms, scheme.x, scheme.t))
+    return _point(r1, terms.r2_first)
 
 
 def md_correlated_point(channel, scheme):
-    """Rate pair with one pair of fully correlated private descriptions.
-
-    Both candidates' descriptions carry the same Gaussian sample of power x,
-    so each receiver gets its side for free, but revealing the sample costs
-    the correlation penalty 1/2 log2(2 pi e x) inside a sum constraint:
-    R1 <= min_j f_j(alpha, x) and 2 R1 <= f_1 + f_2 - 1/2 log2(2 pi e x).
+    """Rate pair with one pair of fully correlated private descriptions at
+    the scheme's alpha; see corr_rate for the two R1 constraints.
     Returns (point, sum_constraint_active).
     """
-    _check_power(channel, scheme)
+    terms = _terms(channel, scheme)
     alpha = _need_alpha(scheme)
     if not scheme.x > 0:
         raise ValueError("correlated descriptions need x > 0")
     if not scheme.x < scheme.p_u:
         raise ValueError("correlated descriptions need x < p_u")
-    f1 = _correlated_f(channel, 1, scheme, alpha)
-    f2 = _correlated_f(channel, 2, scheme, alpha)
-    penalty = 0.5 * math.log2(2.0 * math.pi * math.e * scheme.x)
-    bound_min = min(f1, f2)
-    bound_sum = 0.5 * (f1 + f2 - penalty)
-    r1 = min(bound_min, bound_sum)
-    sum_active = bound_sum < bound_min
-    n = channel.N
-    g_u = float(channel.g @ scheme.b_u)
-    g_v = float(channel.g @ scheme.b_v)
-    r2 = 0.5 * math.log2(
-        (g_u * g_u * scheme.p_u + g_v * g_v * scheme.p_v + n)
-        / (g_u * g_u * scheme.p_u + n))
-    return _point(r1, r2), sum_active
+    r1, _, sum_active = corr_rate(corr_parabolas(terms, scheme.x), scheme.x,
+                                  np.array([alpha]))
+    return _point(r1, terms.r2_first), bool(sum_active)
 
 
 def md_correlated_optimal(channel, scheme):
-    """md_correlated_point with alpha optimized.
-
-    The min branch is an exact parabola max-min; the sum branch is evaluated
-    on the same candidate set, which keeps the result an achievable inner
-    point even where the sum constraint binds.
+    """md_correlated_point with alpha optimized by corr_optimal.
     Returns (point, alpha, sum_constraint_active).
     """
-    _check_power(channel, scheme)
+    terms = _terms(channel, scheme)
     if not 0 < scheme.x < scheme.p_u:
         raise ValueError("correlated descriptions need 0 < x < p_u")
-    n = channel.N
-    paras = []
-    for j in (1, 2):
-        h_u, _ = _gains(channel, j, scheme)
-        s = h_u * h_u * scheme.p_u + n
-        beta_x, i_x = split_coefficients(channel, j, scheme)
-        paras.append((i_x * n / ((h_u * h_u * scheme.x + n) * s),
-                      beta_x, n / s))
-    alpha_minmax, _ = minimax_parabolas(paras)
-    penalty = 0.5 * math.log2(2.0 * math.pi * math.e * scheme.x)
-    best = (-math.inf, 0.0, False)
-    for alpha in (alpha_minmax, paras[0][1], paras[1][1]):
-        f1 = -0.5 * math.log2(paras[0][0] * (alpha - paras[0][1]) ** 2
-                              + paras[0][2])
-        f2 = -0.5 * math.log2(paras[1][0] * (alpha - paras[1][1]) ** 2
-                              + paras[1][2])
-        bound_min = min(f1, f2)
-        bound_sum = 0.5 * (f1 + f2 - penalty)
-        r1 = min(bound_min, bound_sum)
-        if r1 > best[0]:
-            best = (r1, alpha, bound_sum < bound_min)
-    r1, alpha, sum_active = best
-    g_u = float(channel.g @ scheme.b_u)
-    g_v = float(channel.g @ scheme.b_v)
-    r2 = 0.5 * math.log2(
-        (g_u * g_u * scheme.p_u + g_v * g_v * scheme.p_v + n)
-        / (g_u * g_u * scheme.p_u + n))
-    return _point(r1, r2), float(alpha), bool(sum_active)
+    r1, alpha, sum_active = corr_optimal(corr_parabolas(terms, scheme.x),
+                                         scheme.x)
+    return _point(r1, terms.r2_first), float(alpha), bool(sum_active)
 
 
 # ---------------------------------------------------------------------------
@@ -697,12 +648,7 @@ def _beam_grid(channel, eta_steps, beam_steps):
         b_vs = np.stack([np.cos(vv), np.sin(vv)], axis=1)
         labels = [("theta_u", float(a), "theta_v", float(b))
                   for a, b in zip(uu, vv)]
-    gains = {
-        "h1u": b_us @ channel.h1, "h1v": b_vs @ channel.h1,
-        "h2u": b_us @ channel.h2, "h2v": b_vs @ channel.h2,
-        "gu": b_us @ channel.g, "gv": b_vs @ channel.g,
-    }
-    return gains, labels
+    return _beam_gains(channel, b_us, b_vs), labels
 
 
 def region_boundary(kind, channel, *, eta_steps=401, split_steps=201,
@@ -719,56 +665,18 @@ def region_boundary(kind, channel, *, eta_steps=401, split_steps=201,
     p_total = channel.P if power is None else float(power)
     if not 0 <= p_total <= channel.P + 1e-12:
         raise ValueError("power must lie in [0, channel.P]")
-    n = channel.N
     if p_total == 0:
         return RateCurve2D(np.zeros((1, 2)),
                            meta=[{"p_u": 0.0, "p_v": 0.0}])
 
     gains, labels = _beam_grid(channel, eta_steps, beam_steps)
     splits = np.linspace(0.0, 1.0, split_steps)
-
-    h1u = gains["h1u"][:, None]
-    h1v = gains["h1v"][:, None]
-    h2u = gains["h2u"][:, None]
-    h2v = gains["h2v"][:, None]
-    gu = gains["gu"][:, None]
-    gv = gains["gv"][:, None]
     p_u = p_total * splits[None, :]
     p_v = p_total - p_u
-    tiny = 1e-300
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s1 = h1u ** 2 * p_u + n
-        s2 = h2u ** 2 * p_u + n
-        tot1 = h1u ** 2 * p_u + h1v ** 2 * p_v + n
-        tot2 = h2u ** 2 * p_u + h2v ** 2 * p_v + n
-        r2_first = 0.5 * np.log2((gu ** 2 * p_u + gv ** 2 * p_v + n)
-                                 / (gu ** 2 * p_u + n))
-        r2_second = 0.5 * np.log2((gv ** 2 * p_v + n) / n)
-        r1_second = np.minimum(
-            0.5 * np.log2(tot1 / (h1v ** 2 * p_v + n)),
-            0.5 * np.log2(tot2 / (h2v ** 2 * p_v + n)))
-
-        def corr_parabolas(x):
-            # min-branch parabolas: rate_j = -1/2 log2(q_j(alpha))
-            out = []
-            for hu, hv, s, tot in ((h1u, h1v, s1, tot1),
-                                   (h2u, h2v, s2, tot2)):
-                beta_x = (p_u - x) * hu * hv / s
-                i_x = p_v * s * s / np.maximum((p_u - x) * tot, tiny)
-                out += [i_x * n / ((hu * hu * x + n) * s), beta_x, n / s]
-            return out
-
-        def uncorr_parabolas(x, share1):
-            # weights fold each receiver's private-link term into the envelope
-            out = []
-            for hu, hv, s, tot, share in ((h1u, h1v, s1, tot1, share1),
-                                          (h2u, h2v, s2, tot2, 1.0 - share1)):
-                beta_x = (p_u - x) * hu * hv / s
-                i_x = p_v * s * s / np.maximum((p_u - x) * tot, tiny)
-                w = ((hu * hu * x + n) / n) ** (-share)
-                out += [w * i_x / s, beta_x, w * (n + hu * hu * x) / s]
-            return out
+        terms = scheme_terms({k: g[:, None] for k, g in gains.items()},
+                             p_u, p_v, channel.N)
 
         # x sweep: zero, a log-spaced ladder, and the penalty breakpoint
         fracs = np.concatenate([[0.0],
@@ -778,68 +686,40 @@ def region_boundary(kind, channel, *, eta_steps=401, split_steps=201,
         x_slices.append(np.minimum(CORRELATION_BREAKPOINT,
                                    p_u * (1.0 - 1e-9)))
 
-        grid_shape = tot1.shape  # (beam cells, power splits)
+        grid_shape = terms.r1_second.shape  # (beam cells, power splits)
+        r1_main = np.full(grid_shape, -np.inf)
+        alpha_main = np.zeros(grid_shape)
+        x_main = np.zeros(grid_shape)
+        # md-uncorr records the winning time share; the others share none
+        t_main = np.full(grid_shape, 0.0 if kind == "md-uncorr" else 0.5)
+        sum_main = np.zeros(grid_shape, dtype=bool)
         if kind == "cd":
-            alpha_main, env = _minimax_two_vec(*corr_parabolas(0.0))
-            r1_main = -0.5 * np.log2(env)
-            x_main = np.zeros(grid_shape)
-            t_main = np.full(grid_shape, 0.5)
-            sum_main = np.zeros(grid_shape, dtype=bool)
+            alpha_main, r1_main = envelope_rate(corr_parabolas(terms, 0.0))
         elif kind == "md-uncorr":
-            r1_main = np.full(grid_shape, -np.inf)
-            alpha_main = np.zeros(grid_shape)
-            x_main = np.zeros(grid_shape)
-            t_main = np.zeros(grid_shape)
-            sum_main = np.zeros(grid_shape, dtype=bool)
             for share1 in t_values:
                 for x in x_slices:
-                    alph, env = _minimax_two_vec(*uncorr_parabolas(x, share1))
-                    r1 = -0.5 * np.log2(env)
+                    alph, r1 = envelope_rate(
+                        uncorr_parabolas(terms, x, share1))
                     upd = r1 > r1_main
                     r1_main = np.where(upd, r1, r1_main)
                     alpha_main = np.where(upd, alph, alpha_main)
                     x_main = np.where(upd, x, x_main)
                     t_main = np.where(upd, share1, t_main)
         else:  # md-corr
-            r1_main = np.full(grid_shape, -np.inf)
-            alpha_main = np.zeros(grid_shape)
-            x_main = np.zeros(grid_shape)
-            t_main = np.full(grid_shape, 0.5)
-            sum_main = np.zeros(grid_shape, dtype=bool)
             for x in x_slices:
-                a1, v1, c1, a2, v2, c2 = corr_parabolas(x)
-                alph, _ = _minimax_two_vec(a1, v1, c1, a2, v2, c2)
-                cands = np.stack([alph, v1, v2], axis=-1)
-                q1 = a1[..., None] * (cands - v1[..., None]) ** 2 \
-                    + c1[..., None]
-                q2 = a2[..., None] * (cands - v2[..., None]) ** 2 \
-                    + c2[..., None]
-                f1 = -0.5 * np.log2(q1)
-                f2 = -0.5 * np.log2(q2)
-                pen = np.where(x > 0,
-                               0.5 * np.log2(2.0 * math.pi * math.e
-                                             * np.maximum(x, tiny)),
-                               -np.inf)
-                min_branch = np.minimum(f1, f2)
-                sum_branch = 0.5 * (f1 + f2 - pen[..., None])
-                r1c = np.minimum(min_branch, sum_branch)
-                k = np.argmax(r1c, axis=-1)[..., None]
-                r1 = np.take_along_axis(r1c, k, axis=-1)[..., 0]
-                act = np.take_along_axis(sum_branch < min_branch, k,
-                                         axis=-1)[..., 0]
-                alph_best = np.take_along_axis(cands, k, axis=-1)[..., 0]
+                r1, alph, act = corr_optimal(corr_parabolas(terms, x), x)
                 upd = r1 > r1_main
                 r1_main = np.where(upd, r1, r1_main)
-                alpha_main = np.where(upd, alph_best, alpha_main)
+                alpha_main = np.where(upd, alph, alpha_main)
                 x_main = np.where(upd, x, x_main)
                 sum_main = np.where(upd, act, sum_main)
 
     # zero first-layer power carries no first-user rate
     r1_main = np.where(p_u > 0, r1_main, 0.0)
     r1_main = np.maximum(np.nan_to_num(r1_main, nan=0.0, neginf=0.0), 0.0)
-    r2_first = np.maximum(r2_first, 0.0)
-    r1_second = np.maximum(r1_second, 0.0)
-    r2_second = np.maximum(r2_second, 0.0)
+    r2_first = np.maximum(terms.r2_first, 0.0)
+    r1_second = np.maximum(terms.r1_second, 0.0)
+    r2_second = np.maximum(terms.r2_second, 0.0)
 
     block_a = np.column_stack([r1_main.ravel(), r2_first.ravel()])
     block_b = np.column_stack([r1_second.ravel(), r2_second.ravel()])

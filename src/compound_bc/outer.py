@@ -19,16 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .miso import MisoChannel, _point
+from .miso import MisoChannel
 from .polyhedra import RateCurve2D
+from .search import DEFAULT_SEED
 
-DEFAULT_SEED = 20259
 LN2 = math.log(2.0)
 
 OUTER_FAMILIES = ("c1", "c2", "c12", "cz")
 
-# trace-normalization targets for sampled covariance pairs
-POWER_SPLIT_STEPS = 11
+# R1 grid points of the intersected outer boundary
 GRID_POINTS = 401
 
 
@@ -45,37 +44,6 @@ def _split_fractions():
     coarse = np.linspace(0.0, 1.0, 201)
     up = np.geomspace(1e-7, 1.0, 112)
     return np.unique(np.concatenate([coarse, up, 1.0 - up]))
-
-
-def _sym2(m, name):
-    arr = np.asarray(m, dtype=float)
-    if arr.shape != (2, 2):
-        raise ValueError(f"{name} must be a 2x2 matrix")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    scale = max(float(np.abs(arr).max()), 1.0)
-    if np.abs(arr - arr.T).max() > 1e-9 * scale:
-        raise ValueError(f"{name} must be symmetric")
-    arr = 0.5 * (arr + arr.T)
-    if float(np.linalg.eigvalsh(arr)[0]) < -1e-12 * scale:
-        raise ValueError(f"{name} must be positive semidefinite")
-    return arr
-
-
-@dataclass(frozen=True)
-class CovPair:
-    """Input covariance pair (K_u, K_v), both symmetric 2x2 PSD."""
-
-    k_u: np.ndarray
-    k_v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "k_u", _sym2(self.k_u, "K_u"))
-        object.__setattr__(self, "k_v", _sym2(self.k_v, "K_v"))
-
-    @property
-    def trace_total(self):
-        return float(np.trace(self.k_u) + np.trace(self.k_v))
 
 
 @dataclass(frozen=True)
@@ -96,83 +64,6 @@ class AugmentedChannels:
         return cls(g12=np.column_stack([channel.g, channel.h1, channel.h2]),
                    h1z=np.column_stack([channel.h1, channel.g]),
                    h2z=np.column_stack([channel.h2, channel.g]))
-
-    def hz(self, j):
-        if j == 1:
-            return self.h1z
-        if j == 2:
-            return self.h2z
-        raise ValueError("channel index must be 1 or 2")
-
-
-def _check_cov_power(cov, channel):
-    if cov.trace_total > channel.P * (1.0 + 1e-9) + 1e-12:
-        raise ValueError("trace(K_u + K_v) must not exceed the power budget")
-
-
-def _quad(vec, mat):
-    # PSD up to roundoff, so clamp stray negatives
-    return max(float(vec @ mat @ vec), 0.0)
-
-
-def _stacked_logdet_rate(stack, cov, n):
-    """1/2 log2(det(stack^t cov stack + n I) / n^k) for a 2xk stack."""
-    k = stack.shape[1]
-    m = stack.T @ cov @ stack + n * np.eye(k)
-    sign, logdet = np.linalg.slogdet(m)
-    if sign <= 0:
-        raise ValueError("augmented output covariance must be positive definite")
-    return 0.5 * (logdet / LN2 - k * math.log2(n))
-
-
-def outer_cj_point(j, cov, channel):
-    """Both corner points of the (Y_j, Z) broadcast region for one pair.
-
-    The first point encodes the second user's signal last (its rate pays for
-    the first user's covariance as interference); the second point swaps the
-    roles.
-    """
-    _check_cov_power(cov, channel)
-    h = channel.receiver(j)
-    g = channel.g
-    n = channel.N
-    qu_h = _quad(h, cov.k_u)
-    qv_h = _quad(h, cov.k_v)
-    qu_g = _quad(g, cov.k_u)
-    qv_g = _quad(g, cov.k_v)
-    branch_a = _point(0.5 * math.log2((qu_h + n) / n),
-                      0.5 * math.log2((qu_g + qv_g + n) / (qu_g + n)))
-    branch_b = _point(0.5 * math.log2((qu_h + qv_h + n) / (qv_h + n)),
-                      0.5 * math.log2((qv_g + n) / n))
-    return branch_a, branch_b
-
-
-def outer_c12_point(cov, channel):
-    """Corner of the region where user 2 observes the stacked [Z Y1 Y2]."""
-    _check_cov_power(cov, channel)
-    n = channel.N
-    rates = []
-    for j in (1, 2):
-        h = channel.receiver(j)
-        qu = _quad(h, cov.k_u)
-        qv = _quad(h, cov.k_v)
-        rates.append(0.5 * math.log2((qu + qv + n) / (qv + n)))
-    aug = AugmentedChannels.from_channel(channel)
-    r2 = _stacked_logdet_rate(aug.g12, cov.k_v, n)
-    return _point(min(rates), r2)
-
-
-def outer_cz_point(cov, channel):
-    """Corner of the region where each receiver j observes [Y_j Z]."""
-    _check_cov_power(cov, channel)
-    n = channel.N
-    g = channel.g
-    aug = AugmentedChannels.from_channel(channel)
-    r1 = min(_stacked_logdet_rate(aug.hz(j), cov.k_u, n) for j in (1, 2))
-    qu_g = _quad(g, cov.k_u)
-    qv_g = _quad(g, cov.k_v)
-    r2 = 0.5 * math.log2((qu_g + qv_g + n) / (qu_g + n))
-    return _point(r1, r2)
 
 
 def _beacon_directions(channel):
@@ -289,6 +180,8 @@ def _validated_stacks(channel, ku, kv):
     if ku.shape != kv.shape:
         raise ValueError("K_u and K_v stacks must have matching shapes")
     for name, stack in (("K_u", ku), ("K_v", kv)):
+        if not np.all(np.isfinite(stack)):
+            raise ValueError(f"{name} must be finite")
         scale = np.maximum(np.abs(stack).reshape(len(stack), -1).max(axis=1), 1.0)
         if np.any(np.abs(stack - stack.transpose(0, 2, 1)).reshape(len(stack), -1).max(axis=1)
                   > 1e-9 * scale):

@@ -18,6 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _M64 = (1 << 64) - 1
+# documented default seed: every seeded CLI run and outer-bound sample
+# reproduces its output from it
+DEFAULT_SEED = 20259
 FEAS_TOL = 1e-4
 PENALTY_SCHEDULE = (1e2, 1e4, 1e6)
 
@@ -161,34 +164,6 @@ def maximize(objective, spec: SearchSpec, equality=None,
                             float(res[best]))
     best = int(np.argmax(final_vals))
     return SearchResult(float(final_vals[best]), X[best].copy(), trace, 0.0)
-
-
-def golden_section(f, lo, hi, tol=1e-10, grid=33):
-    """Maximize a scalar function on [lo, hi].
-
-    A coarse grid pass picks the best bracket (guarding against the wrong
-    local peak), then golden-section search shrinks it below `tol`.
-    Returns (argmax, max value).
-    """
-    xs = np.linspace(lo, hi, grid)
-    vals = [f(x) for x in xs]
-    k = int(np.argmax(vals))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, grid - 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 def isotonic_project(values, decreasing=False):

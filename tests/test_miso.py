@@ -16,6 +16,7 @@ from compound_bc.miso import (
     DpcScheme,
     GaussRatePoint,
     MisoChannel,
+    _minimax_two_vec,
     beam_from_angle,
     cd_closed_form,
     cd_region,
@@ -27,8 +28,6 @@ from compound_bc.miso import (
     md_correlated_optimal,
     md_correlated_point,
     md_uncorrelated_point,
-    minimax_parabolas,
-    minimax_parabolas_grid,
     p_of_eta,
     private_link_rate,
     region_boundary,
@@ -59,6 +58,23 @@ def golden_max(fun, lo, hi, iters=200):
             fd = fun(d)
     mid = (a + b) / 2.0
     return mid, fun(mid)
+
+
+def minimax_parabolas_grid(parabolas, num=10001):
+    """Grid + golden-section oracle for t -> max_j A_j (t - v_j)^2 + c_j."""
+    paras = [(float(a), float(v), float(c)) for a, v, c in parabolas]
+
+    def env(t):
+        return max(a * (t - v) ** 2 + c for a, v, c in paras)
+
+    vs = [v for _, v, _ in paras]
+    lo, hi = min(vs) - 2.0, max(vs) + 2.0
+    grid = np.linspace(lo, hi, num)
+    vals = np.max([a * (grid - v) ** 2 + c for a, v, c in paras], axis=0)
+    k = int(np.argmin(vals))
+    t, neg = golden_max(lambda s: -env(s), grid[max(k - 1, 0)],
+                        grid[min(k + 1, num - 1)])
+    return t, -neg
 
 
 def random_channel(rng):
@@ -267,33 +283,33 @@ class TestPrivateOptimal:
 
 
 class TestMinimaxParabolas:
+    """The two-parabola envelope kernel behind every max-min over alpha."""
+
     def test_single_parabola_vertex(self):
-        t, v = minimax_parabolas([(2.0, 1.5, 0.25)])
+        t, v = _minimax_two_vec(2.0, 1.5, 0.25, 2.0, 1.5, 0.25)
         assert t == pytest.approx(1.5)
         assert v == pytest.approx(0.25)
 
     def test_two_parabolas_cross_at_symmetric_point(self):
-        t, v = minimax_parabolas([(1.0, -1.0, 0.0), (1.0, 1.0, 0.0)])
+        t, v = _minimax_two_vec(1.0, -1.0, 0.0, 1.0, 1.0, 0.0)
         assert t == pytest.approx(0.0, abs=1e-12)
         assert v == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_grid_oracle(self):
+        # one batched call, as the boundary sweeps make it
         rng = np.random.default_rng(SEED + 3)
-        for _ in range(60):
-            count = int(rng.integers(1, 5))
-            paras = [(rng.uniform(0, 4), rng.uniform(-3, 3),
-                      rng.uniform(0.01, 2)) for _ in range(count)]
-            _, v1 = minimax_parabolas(paras)
-            _, v2 = minimax_parabolas_grid(paras)
-            assert v1 == pytest.approx(v2, abs=1e-9)
-            assert v1 <= v2 + 1e-12  # analytic candidates are exact
-
-    def test_rejects_downward_parabola(self):
-        with pytest.raises(ValueError, match="upward"):
-            minimax_parabolas([(-1.0, 0.0, 0.0)])
+        a = rng.uniform(0, 4, (2, 60))
+        v = rng.uniform(-3, 3, (2, 60))
+        c = rng.uniform(0.01, 2, (2, 60))
+        _, values = _minimax_two_vec(a[0], v[0], c[0], a[1], v[1], c[1])
+        for k, got in enumerate(values):
+            _, want = minimax_parabolas_grid(
+                [(a[j, k], v[j, k], c[j, k]) for j in (0, 1)])
+            assert got == pytest.approx(want, abs=1e-9)
+            assert got <= want + 1e-12  # analytic candidates are exact
 
     def test_constant_parabolas(self):
-        t, v = minimax_parabolas([(0.0, 0.0, 0.7), (0.0, 3.0, 0.4)])
+        t, v = _minimax_two_vec(0.0, 0.0, 0.7, 0.0, 3.0, 0.4)
         assert v == pytest.approx(0.7)
 
 

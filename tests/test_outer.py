@@ -20,15 +20,13 @@ from compound_bc.miso import (
 from compound_bc.outer import (
     OUTER_FAMILIES,
     AugmentedChannels,
-    CovPair,
     DofEstimate,
+    _family_samples,
+    _validated_stacks,
     beacon_cov_pairs,
     constituent_curves,
     dof_slopes,
     matched_cov_pairs,
-    outer_c12_point,
-    outer_cj_point,
-    outer_cz_point,
     outer_region,
     random_cov_pairs,
     sample_cov_pairs,
@@ -59,7 +57,17 @@ def random_pair(rng, channel):
     frac = rng.uniform(0.1, 0.9)
     k_u = random_full_rank_cov(rng, frac * channel.P)
     k_v = random_full_rank_cov(rng, (1.0 - frac) * channel.P)
-    return CovPair(k_u, k_v)
+    return k_u, k_v
+
+
+def family_rates(channel, k_u, k_v):
+    """Constituent rate rows of one covariance pair, from the sampling kernel.
+
+    c1 and c2 hold two rows (user-2 signal encoded last, then first); c12 and
+    cz hold one.
+    """
+    return _family_samples(channel, np.asarray(k_u, dtype=float)[None],
+                           np.asarray(k_v, dtype=float)[None])
 
 
 def mi_vector_observation(k_signal, rows, noise_cov):
@@ -72,30 +80,46 @@ def mi_vector_observation(k_signal, rows, noise_cov):
 
 
 class TestCovPair:
+    """Validation of (K_u, K_v) stacks where they enter the outer bound."""
+
     def test_valid_pair_and_trace(self):
-        pair = CovPair(np.eye(2), 2.0 * np.eye(2))
-        assert pair.trace_total == pytest.approx(6.0)
+        # a pair inside the budget passes unchanged: pairs are never scaled up
+        ch = fig_channel()
+        ku, kv = _validated_stacks(ch, np.eye(2), 2.0 * np.eye(2))
+        assert np.array_equal(ku, np.eye(2)[None])
+        assert np.array_equal(kv, 2.0 * np.eye(2)[None])
+        assert np.trace(ku[0]) + np.trace(kv[0]) == pytest.approx(6.0)
 
     def test_shape_rejected(self):
-        with pytest.raises(ValueError, match="2x2"):
-            CovPair(np.eye(3), np.eye(2))
+        with pytest.raises(ValueError, match="matching shapes"):
+            constituent_curves(fig_channel(), np.zeros((2, 2, 2)),
+                               np.zeros((1, 2, 2)))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            CovPair(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))
+            constituent_curves(fig_channel(),
+                               np.array([[[1.0, 0.5], [0.0, 1.0]]]),
+                               np.eye(2)[None])
 
     def test_indefinite_rejected(self):
-        with pytest.raises(ValueError, match="semidefinite"):
-            CovPair(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
+        with pytest.raises(ValueError, match="K_v must be positive semi"):
+            constituent_curves(fig_channel(), np.zeros((1, 2, 2)),
+                               np.array([[[1.0, 2.0], [2.0, 1.0]]]))
 
     def test_tiny_negative_eigenvalue_tolerated(self):
         eps = 1e-14
-        pair = CovPair(np.diag([1.0, -eps]), np.zeros((2, 2)))
-        assert pair.trace_total == pytest.approx(1.0 - eps)
+        ku, _ = _validated_stacks(fig_channel(), np.diag([1.0, -eps]),
+                                  np.zeros((2, 2)))
+        assert np.trace(ku[0]) == pytest.approx(1.0 - eps)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            CovPair(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.eye(2))
+        ch = fig_channel()
+        for bad in (np.inf, np.nan):
+            k = np.array([[[bad, 0.0], [0.0, 1.0]]])
+            with pytest.raises(ValueError, match="K_u must be finite"):
+                constituent_curves(ch, k, np.eye(2)[None])
+            with pytest.raises(ValueError, match="K_v must be finite"):
+                constituent_curves(ch, np.eye(2)[None], k)
 
 
 class TestAugmentedChannels:
@@ -105,138 +129,120 @@ class TestAugmentedChannels:
         assert np.array_equal(aug.g12, np.column_stack([ch.g, ch.h1, ch.h2]))
         assert np.array_equal(aug.h1z, np.column_stack([ch.h1, ch.g]))
         assert np.array_equal(aug.h2z, np.column_stack([ch.h2, ch.g]))
-        assert np.array_equal(aug.hz(1), aug.h1z)
-        assert np.array_equal(aug.hz(2), aug.h2z)
-
-    def test_bad_index(self):
-        aug = AugmentedChannels.from_channel(fig_channel())
-        with pytest.raises(ValueError, match="1 or 2"):
-            aug.hz(3)
 
 
 class TestPerReceiverRegion:
     def test_zero_covariances_sit_at_origin(self):
         ch = fig_channel()
-        zero = CovPair(np.zeros((2, 2)), np.zeros((2, 2)))
-        for j in (1, 2):
-            for pt in outer_cj_point(j, zero, ch):
-                assert pt.r1 == 0.0 and pt.r2 == 0.0
-        assert outer_c12_point(zero, ch).as_array().tolist() == [0.0, 0.0]
-        assert outer_cz_point(zero, ch).as_array().tolist() == [0.0, 0.0]
+        rates = family_rates(ch, np.zeros((2, 2)), np.zeros((2, 2)))
+        assert set(rates) == set(OUTER_FAMILIES)
+        for pts in rates.values():
+            assert np.array_equal(pts, np.zeros_like(pts))
 
     def test_point_to_point_rate(self):
         ch = MisoChannel(h1=np.array([1.0, 0.0]), h2=np.array([0.0, 1.0]),
                          g=np.array([1.0, 1.0]) / math.sqrt(2.0), P=10.0, N=1.0)
-        pair = CovPair(ch.P * np.outer([1.0, 0.0], [1.0, 0.0]), np.zeros((2, 2)))
-        first, second = outer_cj_point(1, pair, ch)
-        assert first.r1 == pytest.approx(0.5 * math.log2((ch.P + ch.N) / ch.N),
+        k_u = ch.P * np.outer([1.0, 0.0], [1.0, 0.0])
+        first, second = family_rates(ch, k_u, np.zeros((2, 2)))["c1"]
+        assert first[0] == pytest.approx(0.5 * math.log2((ch.P + ch.N) / ch.N),
                                          abs=1e-12)
-        assert first.r2 == 0.0
+        assert first[1] == 0.0
         # swapped encoding order: user 1 pays for nothing, user 2 sends nothing
-        assert second.r1 == pytest.approx(first.r1, abs=1e-12)
-        assert second.r2 == 0.0
+        assert second[0] == pytest.approx(first[0], abs=1e-12)
+        assert second[1] == 0.0
 
     def test_branches_match_information_oracle(self):
         rng = np.random.default_rng(SEED)
         for _ in range(25):
             ch = skew_channel()
-            pair = random_pair(rng, ch)
+            k_u, k_v = random_pair(rng, ch)
+            rates = family_rates(ch, k_u, k_v)
             for j in (1, 2):
                 h = ch.receiver(j)
-                first, second = outer_cj_point(j, pair, ch)
+                first, second = rates[f"c{j}"]
                 # first branch: user 1 clean, user 2 sees user 1 as noise
-                want_r1 = mi_vector_observation(
-                    pair.k_u, h[:, None], np.array([[ch.N]]))
-                noisy = np.array([[float(ch.g @ pair.k_u @ ch.g) + ch.N]])
-                want_r2 = mi_vector_observation(pair.k_v, ch.g[:, None], noisy)
-                assert first.r1 == pytest.approx(want_r1, abs=1e-9)
-                assert first.r2 == pytest.approx(want_r2, abs=1e-9)
+                want_r1 = mi_vector_observation(k_u, h[:, None],
+                                                np.array([[ch.N]]))
+                noisy = np.array([[float(ch.g @ k_u @ ch.g) + ch.N]])
+                want_r2 = mi_vector_observation(k_v, ch.g[:, None], noisy)
+                assert first[0] == pytest.approx(want_r1, abs=1e-9)
+                assert first[1] == pytest.approx(want_r2, abs=1e-9)
                 # second branch: the roles swap
-                noisy = np.array([[float(h @ pair.k_v @ h) + ch.N]])
-                want_r1 = mi_vector_observation(pair.k_u, h[:, None], noisy)
+                noisy = np.array([[float(h @ k_v @ h) + ch.N]])
+                want_r1 = mi_vector_observation(k_u, h[:, None], noisy)
                 want_r2 = mi_vector_observation(
-                    pair.k_v, ch.g[:, None], np.array([[ch.N]]))
-                assert second.r1 == pytest.approx(want_r1, abs=1e-9)
-                assert second.r2 == pytest.approx(want_r2, abs=1e-9)
-
-    def test_over_budget_rejected(self):
-        ch = fig_channel()
-        pair = CovPair(ch.P * np.eye(2), ch.P * np.eye(2))
-        with pytest.raises(ValueError, match="budget"):
-            outer_cj_point(1, pair, ch)
-        with pytest.raises(ValueError, match="budget"):
-            outer_c12_point(pair, ch)
-        with pytest.raises(ValueError, match="budget"):
-            outer_cz_point(pair, ch)
+                    k_v, ch.g[:, None], np.array([[ch.N]]))
+                assert second[0] == pytest.approx(want_r1, abs=1e-9)
+                assert second[1] == pytest.approx(want_r2, abs=1e-9)
 
 
 class TestEnhancedRegions:
     def test_no_second_user_power_kills_c12_rate(self):
         ch = fig_channel()
-        pair = CovPair(ch.P * 0.5 * np.eye(2), np.zeros((2, 2)))
-        pt = outer_c12_point(pair, ch)
-        assert pt.r2 == 0.0
-        assert pt.r1 > 0.0
+        rates = family_rates(ch, ch.P * 0.5 * np.eye(2), np.zeros((2, 2)))
+        r1, r2 = rates["c12"][0]
+        assert r2 == 0.0
+        assert r1 > 0.0
 
     def test_no_first_user_power_kills_rates(self):
         ch = fig_channel()
-        pair = CovPair(np.zeros((2, 2)), ch.P * 0.5 * np.eye(2))
-        assert outer_c12_point(pair, ch).r1 == 0.0
-        assert outer_cz_point(pair, ch).r1 == 0.0
+        rates = family_rates(ch, np.zeros((2, 2)), ch.P * 0.5 * np.eye(2))
+        assert rates["c12"][0, 0] == 0.0
+        assert rates["cz"][0, 0] == 0.0
 
     def test_c12_rank_one_determinant(self):
         # the 3x3 determinant collapses to 1 + trace for rank-1 K_v
         ch = skew_channel()
         ghat = ch.g / np.linalg.norm(ch.g)
         t = 3.0
-        pair = CovPair(np.zeros((2, 2)), t * np.outer(ghat, ghat))
+        k_v = t * np.outer(ghat, ghat)
         stack = np.column_stack([ch.g, ch.h1, ch.h2])
         w = stack.T @ ghat
         want = 0.5 * math.log2(1.0 + t * float(w @ w) / ch.N)
-        assert outer_c12_point(pair, ch).r2 == pytest.approx(want, abs=1e-12)
+        got = family_rates(ch, np.zeros((2, 2)), k_v)["c12"][0, 1]
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_c12_matches_information_oracle(self):
         rng = np.random.default_rng(SEED + 1)
         for _ in range(25):
             ch = skew_channel()
-            pair = random_pair(rng, ch)
-            pt = outer_c12_point(pair, ch)
+            k_u, k_v = random_pair(rng, ch)
+            r1, r2 = family_rates(ch, k_u, k_v)["c12"][0]
             stack = np.column_stack([ch.g, ch.h1, ch.h2])
-            want_r2 = mi_vector_observation(pair.k_v, stack, ch.N * np.eye(3))
+            want_r2 = mi_vector_observation(k_v, stack, ch.N * np.eye(3))
             want_r1 = min(
                 mi_vector_observation(
-                    pair.k_u, ch.receiver(j)[:, None],
-                    np.array([[float(ch.receiver(j) @ pair.k_v
+                    k_u, ch.receiver(j)[:, None],
+                    np.array([[float(ch.receiver(j) @ k_v
                                      @ ch.receiver(j)) + ch.N]]))
                 for j in (1, 2))
-            assert pt.r2 == pytest.approx(want_r2, abs=1e-9)
-            assert pt.r1 == pytest.approx(want_r1, abs=1e-9)
+            assert r2 == pytest.approx(want_r2, abs=1e-9)
+            assert r1 == pytest.approx(want_r1, abs=1e-9)
 
     def test_cz_matches_information_oracle(self):
         rng = np.random.default_rng(SEED + 2)
         for _ in range(25):
             ch = skew_channel()
-            pair = random_pair(rng, ch)
-            pt = outer_cz_point(pair, ch)
+            k_u, k_v = random_pair(rng, ch)
+            r1, r2 = family_rates(ch, k_u, k_v)["cz"][0]
             want_r1 = min(
                 mi_vector_observation(
-                    pair.k_u, np.column_stack([ch.receiver(j), ch.g]),
+                    k_u, np.column_stack([ch.receiver(j), ch.g]),
                     ch.N * np.eye(2))
                 for j in (1, 2))
-            noisy = np.array([[float(ch.g @ pair.k_u @ ch.g) + ch.N]])
-            want_r2 = mi_vector_observation(pair.k_v, ch.g[:, None], noisy)
-            assert pt.r1 == pytest.approx(want_r1, abs=1e-9)
-            assert pt.r2 == pytest.approx(want_r2, abs=1e-9)
+            noisy = np.array([[float(ch.g @ k_u @ ch.g) + ch.N]])
+            want_r2 = mi_vector_observation(k_v, ch.g[:, None], noisy)
+            assert r1 == pytest.approx(want_r1, abs=1e-9)
+            assert r2 == pytest.approx(want_r2, abs=1e-9)
 
     def test_cz_clean_second_user_when_k_u_avoids_g(self):
         ch = fig_channel()
         gperp = np.array([-ch.g[1], ch.g[0]])
         gperp /= np.linalg.norm(gperp)
         k_v = 4.0 * np.outer(ch.g, ch.g) / float(ch.g @ ch.g)
-        pair = CovPair(5.0 * np.outer(gperp, gperp), k_v)
-        pt = outer_cz_point(pair, ch)
+        got = family_rates(ch, 5.0 * np.outer(gperp, gperp), k_v)["cz"][0, 1]
         want = 0.5 * math.log2((float(ch.g @ k_v @ ch.g) + ch.N) / ch.N)
-        assert pt.r2 == pytest.approx(want, abs=1e-12)
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestSampling:

@@ -3,7 +3,6 @@ import pytest
 
 from compound_bc.search import (
     SearchSpec,
-    golden_section,
     isotonic_project,
     maximize,
     mix64,
@@ -78,22 +77,6 @@ def test_maximize_errors():
         SearchSpec(dim=1, restarts=0)
     with pytest.raises(ValueError):
         SearchSpec(dim=1, kind="mystery")
-
-
-def test_golden_section_basic():
-    # argmax of a smooth peak is only identifiable to about sqrt(eps)
-    x, fx = golden_section(np.sin, 0.0, np.pi)
-    assert x == pytest.approx(np.pi / 2, abs=1e-6)
-    assert fx == pytest.approx(1.0, abs=1e-12)
-
-
-def test_golden_section_picks_higher_peak():
-    def f(x):
-        return np.exp(-(x - 0.2) ** 2 / 1e-3) + 2 * np.exp(-(x - 0.8) ** 2 / 1e-3)
-
-    x, fx = golden_section(f, 0.0, 1.0, grid=101)
-    assert x == pytest.approx(0.8, abs=1e-6)
-    assert fx == pytest.approx(2.0, abs=1e-9)
 
 
 def test_isotonic_project():
