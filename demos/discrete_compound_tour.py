@@ -22,6 +22,7 @@ from compound_bc.becbsc import (
     strict_inclusion_ratio_test,
 )
 from compound_bc.lines import d_a_curve
+from compound_bc.search import DEFAULT_SEED
 
 
 def h2(x):
@@ -44,7 +45,7 @@ def maybe_write(out, name, header, rows):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=None, help="directory for CSV dumps")
-    ap.add_argument("--seed", type=int, default=20259)
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = ap.parse_args()
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -22,6 +22,7 @@ from compound_bc.miso import (
     strictness_uncorrelated_check,
 )
 from compound_bc.outer import dof_slopes, matched_cov_pairs, outer_region
+from compound_bc.search import DEFAULT_SEED
 
 GRIDS = dict(eta_steps=81, split_steps=51, x_steps=31)
 
@@ -40,7 +41,7 @@ def maybe_write(out, name, curve):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=None, help="directory for CSV dumps")
-    ap.add_argument("--seed", type=int, default=20259)
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ap.add_argument("--snr-db", type=float, default=10.0)
     args = ap.parse_args()
     if args.out:

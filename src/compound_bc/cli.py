@@ -16,7 +16,6 @@ printed at 12 significant digits so repeat runs are byte-identical.
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -24,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .becbsc import (
+    DEFAULT_PARAMS,
     BecBscParams,
     alpha0_solve,
     capacity_c1,
@@ -49,13 +49,12 @@ from .polyhedra import (
     prune_redundant,
     sample_valuation,
 )
+from .search import DEFAULT_SEED
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# documented default seed: every seeded subcommand reproduces its files
-DEFAULT_SEED = 20259
 DEFAULT_ALPHA_STEPS = 201
 DEFAULT_RATE_POINTS = 25
 DEFAULT_X_POINTS = 21
@@ -89,26 +88,6 @@ def _stage(operation):
     except (FloatingPointError, ZeroDivisionError, EmptyRegionError,
             RuntimeError, np.linalg.LinAlgError) as exc:
         raise NumericFailure(operation, exc) from exc
-
-
-def _apply_thread_cap():
-    raw = os.environ.get("COMPOUND_BC_THREADS")
-    if raw is None:
-        return
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise ValueError(f"COMPOUND_BC_THREADS must be an integer, got {raw!r}")
-    if limit < 1:
-        raise ValueError(f"COMPOUND_BC_THREADS must be >= 1, got {limit}")
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=limit)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, str(limit))
 
 
 def _fmt(value):
@@ -180,8 +159,9 @@ def _budget_value(args, cfg):
 # becbsc-regions
 
 def _becbsc_params(cfg):
-    return BecBscParams(_pick(cfg, "p", 0.1), _pick(cfg, "p1", 0.13),
-                        _pick(cfg, "e2", 0.46))
+    p, p1, e2 = DEFAULT_PARAMS
+    return BecBscParams(_pick(cfg, "p", p), _pick(cfg, "p1", p1),
+                        _pick(cfg, "e2", e2))
 
 
 def _region_bounds(region):
@@ -251,9 +231,6 @@ def cmd_becbsc_da(args):
         gaps = d_a_curve(a, params, rates,
                          search_budget=None if budget is None else (budget, 160),
                          seed=seed)
-    _write_csv(out / "da.csv", ("R1", "d_a"), list(zip(rates, gaps)))
-    k = int(np.argmin(gaps))
-    print(f"min(d_a) = {_fmt(gaps[k])} at R1 = {_fmt(rates[k])}")
 
     with _stage("supporting-line study"):
         x_max = 1.0 - binary_entropy(params.p)
@@ -262,6 +239,12 @@ def cmd_becbsc_da(args):
         t_a = sample_t_a(a, params, xs, search_budget=t_budget, seed=seed)
         t_1 = t1_closed(params, xs)
         t_0 = t0_closed(params, xs)
+
+    # both stages finish before any file is written, so a failing run
+    # leaves no partial output set
+    _write_csv(out / "da.csv", ("R1", "d_a"), list(zip(rates, gaps)))
+    k = int(np.argmin(gaps))
+    print(f"min(d_a) = {_fmt(gaps[k])} at R1 = {_fmt(rates[k])}")
     _write_csv(out / "t_curves.csv", ("x", "t_a", "t_1", "t_0"),
                list(zip(xs, t_a, t_1, t_0)))
     return EXIT_OK
@@ -544,7 +527,6 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _apply_thread_cap()
         return args.func(args)
     except NumericFailure as exc:
         print(str(exc), file=sys.stderr)

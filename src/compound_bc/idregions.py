@@ -16,6 +16,7 @@ concrete joint distribution.
 
 import numpy as np
 
+from .becbsc import DEFAULT_PARAMS
 from .info import make_bec, make_bsc
 from .polyhedra import (
     InfoExpr,
@@ -30,9 +31,7 @@ from .polyhedra import (
 
 # default discrete compound instance: user 2 sees a fixed BSC(p) while user 1
 # sees either a degraded BSC(p1) or a BEC(e2)
-DEFAULT_P = 0.1
-DEFAULT_P1 = 0.13
-DEFAULT_E2 = 0.46
+DEFAULT_P, DEFAULT_P1, DEFAULT_E2 = DEFAULT_PARAMS
 
 
 def _own_y_rows(y):

@@ -204,6 +204,7 @@ class TestBecbscDa:
         assert cli.main(["becbsc-da", "--params", params, "--budget", "1",
                          "--out", str(tmp_path)]) == 3
         assert "supporting-line study" in capsys.readouterr().err
+        assert not (tmp_path / "da.csv").exists()
 
     def test_weight_outside_unit_interval_rejected(self, tmp_path):
         params = write_params(tmp_path, "p.json", {"a": 1.5})
@@ -338,14 +339,6 @@ class TestFme:
 
 
 class TestHarness:
-    def test_thread_cap_must_be_positive_integer(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("COMPOUND_BC_THREADS", "zero")
-        assert cli.main(["becbsc-regions", "--out", str(tmp_path),
-                         "--alpha-steps", "5"]) == 2
-        monkeypatch.setenv("COMPOUND_BC_THREADS", "1")
-        assert cli.main(["becbsc-regions", "--out", str(tmp_path),
-                         "--alpha-steps", "5"]) == 0
-
     def test_unknown_subcommand_exits_two(self, capsys):
         assert cli.main(["no-such-command"]) == 2
         capsys.readouterr()
