@@ -43,8 +43,9 @@ def write_params(tmp_path, name, obj):
 MISO_SMALL = {"eta_steps": 81, "split_steps": 51, "x_steps": 31,
               "num_random": 2000}
 
-# SHA-256 of every file three runs write: becbsc-regions and fme at their
-# defaults, and miso --outer --time-sharing --seed 7 on the MISO_SMALL grid.
+# SHA-256 of every file four runs write: becbsc-regions, becbsc-da and fme at
+# their defaults, and miso --outer --time-sharing --seed 7 on the MISO_SMALL
+# grid.
 # A change that moves these bytes on purpose records the changed file, the
 # reason and the largest numeric difference, then updates the digest here.
 GOLDEN = {
@@ -57,6 +58,12 @@ GOLDEN = {
             "5953ce6259d7e1a4afd45e1ce2d7cc1f0869ed64cff8c535933c3ed62bb30c63",
         "mrs_gerber.csv":
             "4b921190a2a2e7df3f341b18548c87b6081b60faa5f58af2d7eea7481f4e1165",
+    },
+    "becbsc-da": {
+        "da.csv":
+            "072df505af381c5ae7d8c125cdbbe5a46838ac09190e9be9222493156c554ca2",
+        "t_curves.csv":
+            "facdee6d427e31bf9e8366384605d5af6566db34309913e395f7a33ec0b0f009",
     },
     "fme": {
         "fme_projected.json":
