@@ -101,17 +101,19 @@ def _fmt(value):
     return f"{v:.12g}"
 
 
+def _writable(path):
+    # the output directory appears with the first file, so a run that
+    # fails before writing leaves nothing behind
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _writable(path).write_text("\n".join(lines) + "\n")
     print(f"wrote {path} ({len(rows)} rows)")
-
-
-def _out_dir(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _load_params(args):
@@ -177,7 +179,7 @@ def cmd_becbsc_regions(args):
     steps = args.alpha_steps if args.alpha_steps is not None else DEFAULT_ALPHA_STEPS
     if steps < 2:
         raise ValueError(f"--alpha-steps must be >= 2, got {steps}")
-    out = _out_dir(args)
+    out = Path(args.out)
     alphas = np.linspace(0.0, 0.5, steps)
 
     c1_rows, c2_rows, id_rows, mg_rows = [], [], [], []
@@ -222,7 +224,7 @@ def cmd_becbsc_da(args):
     x_points = _pick(cfg, "x_points", DEFAULT_X_POINTS, int)
     if rate_points < 2 or x_points < 2:
         raise ValueError("rate_points and x_points must be >= 2")
-    out = _out_dir(args)
+    out = Path(args.out)
 
     with _stage("budget-gap curve"):
         alpha0 = alpha0_solve(params)
@@ -310,7 +312,7 @@ def cmd_miso(args):
     seed = _seed_value(args, cfg)
     grid = _grid_kwargs(cfg)
     num_random = _pick(cfg, "num_random", 10000, int)
-    out = _out_dir(args)
+    out = Path(args.out)
     print(f"channel: h1={channel.h1.tolist()} h2={channel.h2.tolist()} "
           f"g={channel.g.tolist()} P={_fmt(channel.P)} N={_fmt(channel.N)}")
 
@@ -391,12 +393,11 @@ def cmd_fme(args):
     else:
         eliminate = []
 
-    out = _out_dir(args)
-    target = out / "fme_projected.json"
+    target = Path(args.out) / "fme_projected.json"
     seed = _seed_value(args, {})
 
     if not eliminate:
-        system.save(target)
+        system.save(_writable(target))
         print("no variables to eliminate; system written unchanged")
         print(f"inequalities: {len(system.ineqs)} before, {len(system.ineqs)} after")
         print(f"wrote {target}")
@@ -412,7 +413,7 @@ def cmd_fme(args):
 
     if not projected.rate_vars:
         conditions = [iq for iq in projected.ineqs if _classify_row(iq) == "feasibility"]
-        projected.save(target)
+        projected.save(_writable(target))
         print("all rate variables eliminated; feasibility is a constant of the"
               f" atom valuation ({len(conditions)} residual conditions)")
         for iq in conditions:
@@ -449,7 +450,7 @@ def cmd_fme(args):
           f" {len(pruned.ineqs)} after pruning")
     for iq in pruned.ineqs:
         print(f"  {iq}")
-    pruned.save(target)
+    pruned.save(_writable(target))
     print(f"wrote {target}")
     return EXIT_OK
 

@@ -14,8 +14,9 @@ This module estimates t_a three ways and cross-checks them:
 
 * `brute_force_weighted`: seeded random-restart search with the budget
   equality enforced by a ramped quadratic penalty (a lower estimate).
-* `F_a` / `t_a_upper` / `SupportingLineEval`: the majorant envelope sampled
-  on a multiplier grid (an upper estimate, up to search noise in F_a).
+* `evaluate_supporting_lines` / `SupportingLineEval`: the majorant envelope
+  sampled on a multiplier grid (an upper estimate, up to search noise in
+  F_a).
 * `t1_closed` / `t0_closed` / `F0_closed`: exact formulas at the edge
   weights a = 1 and a = 0.
 
@@ -23,7 +24,9 @@ This module estimates t_a three ways and cross-checks them:
 (rate -> budget).  Where the gap is strictly positive, decoding tuned to the
 actual channel instance reaches rates that no single worst-case code does.
 
-All searches are deterministic given their seed.
+All searches are deterministic given their seed.  The searches of a
+multiplier band or a budget sweep are independent; they run as groups of
+batched `search.maximize` calls, at most `_BATCH_ROWS` rows per call.
 """
 
 from dataclasses import dataclass
@@ -46,6 +49,9 @@ ENVELOPE_BUDGET = (32, 160)
 LAMBDA_MAX = 10.0
 LAMBDA_STEP = 0.01
 THETA_BOUND = 12.0
+# rows (groups x restarts) per batched search call; a search wider than this
+# runs alone
+_BATCH_ROWS = 2048
 # weight of the linear pull toward designs whose balancing conditional is a
 # genuine probability; dominates any mutual-information gain (all <= 1 + lam)
 _PULL = 100.0
@@ -99,11 +105,32 @@ def _theta_design(theta) -> AuxDesign:
                      tuple(float(v) for v in bx[0]))
 
 
-def _search_spec(search_budget, seed):
+def _search_spec(search_budget, seeds):
     restarts, iterations = search_budget
     bounds = [(-THETA_BOUND, THETA_BOUND)] * 6
-    return SearchSpec(dim=6, kind="box", bounds=bounds, restarts=restarts,
-                      iterations=iterations, seed=seed)
+    return SearchSpec(dim=6, bounds=bounds, restarts=restarts,
+                      iterations=iterations, seed=seeds)
+
+
+def _batched_points(objective, values, search_budget, seeds, equality=None):
+    """Argmax points of one seeded search per group value, shape (K, 6).
+
+    objective(theta, v) and equality(theta, v) score a group-major batch
+    with `v` the group values repeated once per restart.  Groups run in
+    batches of at most `_BATCH_ROWS` rows (at least one group each).
+    """
+    restarts = search_budget[0]
+    size = max(1, _BATCH_ROWS // restarts)
+    points = np.empty((len(seeds), 6))
+    for start in range(0, len(seeds), size):
+        v = np.repeat(values[start:start + size], restarts)
+        batch_equality = None if equality is None \
+            else (lambda theta: equality(theta, v))
+        spec = _search_spec(search_budget, seeds[start:start + size])
+        results = maximize(lambda theta: objective(theta, v), spec,
+                           equality=batch_equality)
+        points[start:start + size] = [r.point for r in results]
+    return points
 
 
 def _check_weight(a):
@@ -119,6 +146,30 @@ def _check_budget_x(params, x):
     return x_max
 
 
+def _budget_search(a, xs, params, search_budget, seeds):
+    """`brute_force_weighted` for every budget target in xs, one search each.
+
+    Returns the weighted values, the exact budgets I(X;Z|Q) and the raw
+    argmax points.
+    """
+    def objective(theta, _):
+        pq, bx, excess = _design_fields(theta)
+        i1, i2, _ = _mutual_informations(pq, bx, params)
+        return a * i1 + (1.0 - a) * i2 - _PULL * excess
+
+    def residual(theta, x):
+        pq, bx, excess = _design_fields(theta)
+        _, _, ixz = _mutual_informations(pq, bx, params)
+        # inflated so clipped designs can never pass the feasibility filter
+        return np.abs(ixz - x) + 10.0 * excess
+
+    points = _batched_points(objective, xs, search_budget, seeds,
+                             equality=residual)
+    pq, bx, _ = _design_fields(points)
+    i1, i2, ixz = _mutual_informations(pq, bx, params)
+    return a * i1 + (1.0 - a) * i2, ixz, points
+
+
 def brute_force_weighted(a, x, params: BecBscParams,
                          search_budget=DEFAULT_BUDGET, seed=0):
     """Best found a*I(Q;Y1) + (1-a)*I(Q;Y2) with I(X;Z|Q) pinned to x.
@@ -130,55 +181,30 @@ def brute_force_weighted(a, x, params: BecBscParams,
     """
     _check_weight(a)
     _check_budget_x(params, x)
-
-    def objective(theta):
-        pq, bx, excess = _design_fields(theta)
-        i1, i2, _ = _mutual_informations(pq, bx, params)
-        return a * i1 + (1.0 - a) * i2 - _PULL * excess
-
-    def residual(theta):
-        pq, bx, excess = _design_fields(theta)
-        _, _, ixz = _mutual_informations(pq, bx, params)
-        # inflated so clipped designs can never pass the feasibility filter
-        return np.abs(ixz - x) + 10.0 * excess
-
-    result = maximize(objective, _search_spec(search_budget, seed),
-                      equality=residual)
-    pq, bx, _ = _design_fields(result.point)
-    i1, i2, _ = _mutual_informations(pq, bx, params)
-    return float(a * i1[0] + (1.0 - a) * i2[0]), _theta_design(result.point)
+    values, _, points = _budget_search(a, np.array([float(x)]), params,
+                                       search_budget, [seed])
+    return float(values[0]), _theta_design(points[0])
 
 
-def _lagrangian_search(a, lam, params, search_budget, seed):
-    """Unconstrained max of the weighted sum plus lam*I(X;Z|Q).
+def _lagrangian_search(a, lambdas, params, search_budget, seeds):
+    """Unconstrained max of the weighted sum plus lam*I(X;Z|Q) per multiplier.
 
-    Returns (value, raw argmax point).
+    F_a(lam) = max over unconstrained designs (X uniform, |Q| <= 4) of
+    a*I(Q;Y1) + (1-a)*I(Q;Y2) + lam*I(X;Z|Q), so F_a(lam) - lam*x >= t_a(x)
+    for every x; convex in lam as a pointwise max of linear functions.  One
+    seeded search per multiplier; returns (values, raw argmax points).
     """
-    _check_weight(a)
-    if lam < 0:
-        raise ValueError(f"multiplier must be nonnegative, got {lam}")
+    lambdas = np.asarray(lambdas, dtype=float)
 
-    def objective(theta):
+    def objective(theta, lam):
         pq, bx, excess = _design_fields(theta)
         i1, i2, ixz = _mutual_informations(pq, bx, params)
         return a * i1 + (1.0 - a) * i2 + lam * ixz - _PULL * excess
 
-    result = maximize(objective, _search_spec(search_budget, seed))
-    pq, bx, _ = _design_fields(result.point)
+    points = _batched_points(objective, lambdas, search_budget, seeds)
+    pq, bx, _ = _design_fields(points)
     i1, i2, ixz = _mutual_informations(pq, bx, params)
-    value = float(a * i1[0] + (1.0 - a) * i2[0] + lam * ixz[0])
-    return value, result.point
-
-
-def F_a(a, lam, params: BecBscParams, search_budget=DEFAULT_BUDGET, seed=0):
-    """Intercept of the affine majorant with slope -lam.
-
-    F_a(lam) = max over unconstrained designs (X uniform, |Q| <= 4) of
-    a*I(Q;Y1) + (1-a)*I(Q;Y2) + lam*I(X;Z|Q), so F_a(lam) - lam*x >= t_a(x)
-    for every x.  Convex in lam as a pointwise max of linear functions.
-    """
-    value, _ = _lagrangian_search(a, lam, params, search_budget, seed)
-    return value
+    return a * i1 + (1.0 - a) * i2 + lambdas * ixz, points
 
 
 @dataclass(frozen=True)
@@ -263,11 +289,13 @@ def evaluate_supporting_lines(a, params: BecBscParams, lambda_grid=None,
                               seed=0, canonical=2001) -> SupportingLineEval:
     """Sample F_a over a multiplier grid and build the induced envelope.
 
-    Each multiplier gets its own seeded search.  The pool of every argmax
-    design found anywhere on the grid, plus `canonical` exact family
-    members (0 disables them), is re-scored at every multiplier; both
-    steps only tighten the sampled maxima toward the true F_a.
+    Multiplier k gets its own search seeded with mix64(seed, k).  The pool
+    of every argmax design found anywhere on the grid, plus `canonical`
+    exact family members (0 disables them), is re-scored at every
+    multiplier; both steps only tighten the sampled maxima toward the true
+    F_a.
     """
+    _check_weight(a)
     lambdas = default_lambda_grid() if lambda_grid is None \
         else np.asarray(lambda_grid, dtype=float)
     if lambdas.ndim != 1 or lambdas.size == 0 or np.any(lambdas < 0):
@@ -275,10 +303,8 @@ def evaluate_supporting_lines(a, params: BecBscParams, lambda_grid=None,
             "lambda grid must be a nonempty 1-d array of nonnegative values")
     if xs is None:
         xs = np.linspace(0.0, 1.0 - binary_entropy(params.p), 65)
-    points = np.empty((lambdas.size, 6))
-    for k, lam in enumerate(lambdas):
-        _, points[k] = _lagrangian_search(a, float(lam), params,
-                                          search_budget, mix64(seed, k))
+    seeds = [mix64(seed, k) for k in range(lambdas.size)]
+    _, points = _lagrangian_search(a, lambdas, params, search_budget, seeds)
     pq, bx, _ = _design_fields(points)
     if canonical:
         cq, cb = canonical_designs(int(canonical))
@@ -288,28 +314,6 @@ def evaluate_supporting_lines(a, params: BecBscParams, lambda_grid=None,
     weighted = a * i1 + (1.0 - a) * i2
     f_values = _pool_f_values(lambdas, weighted, ixz)
     return SupportingLineEval(float(a), lambdas, f_values, np.asarray(xs, float))
-
-
-_ENVELOPE_CACHE = {}
-
-
-def t_a_upper(a, x, params: BecBscParams, lambda_grid=None,
-              search_budget=ENVELOPE_BUDGET, seed=0):
-    """Envelope estimate min over the grid of F_a(lam) - lam*x.
-
-    Upper-bounds t_a(x) up to the search noise in the sampled F_a values.
-    Scalar x gives a float, array x an array.  Grid F values are cached per
-    (a, params, grid, budget, seed) so sweeping x is cheap.
-    """
-    lambdas = default_lambda_grid() if lambda_grid is None \
-        else np.asarray(lambda_grid, dtype=float)
-    key = (float(a), params, lambdas.tobytes(), tuple(search_budget), int(seed))
-    lines = _ENVELOPE_CACHE.get(key)
-    if lines is None:
-        lines = evaluate_supporting_lines(a, params, lambdas,
-                                          search_budget=search_budget, seed=seed)
-        _ENVELOPE_CACHE[key] = lines
-    return lines.envelope(x)
 
 
 def _bisect_increasing(f, targets, lo=0.0, hi=0.5, steps=80):
@@ -373,21 +377,14 @@ def F0_closed(params: BecBscParams, lam):
 
 def sample_t_a(a, params: BecBscParams, xs, search_budget=DEFAULT_BUDGET,
                seed=0):
-    """Brute-force t_a at each budget in xs, one seeded search per point."""
+    """Brute-force t_a at each budget in xs; budget i's search is seeded
+    with mix64(seed, i)."""
+    _check_weight(a)
+    _check_budget_x(params, xs)
     xs = np.asarray(xs, dtype=float)
-    vals = np.empty(xs.size)
-    for i, x in enumerate(xs.ravel()):
-        vals[i], _ = brute_force_weighted(a, float(x), params,
-                                          search_budget, mix64(seed, i))
-    return vals.reshape(xs.shape)
-
-
-def _design_budget(design, params):
-    """Exact I(X;Z|Q) of an AuxDesign (valid for any X marginal)."""
-    pq = np.asarray(design.pq, dtype=float)[None, :]
-    bx = np.asarray(design.bx, dtype=float)[None, :]
-    _, _, ixz = _mutual_informations(pq, bx, params)
-    return float(ixz[0])
+    seeds = [mix64(seed, i) for i in range(xs.size)]
+    values, _, _ = _budget_search(a, xs.ravel(), params, search_budget, seeds)
+    return values.reshape(xs.shape)
 
 
 def _brute_curve_points(a, params, xs, search_budget, seed):
@@ -397,13 +394,13 @@ def _brute_curve_points(a, params, xs, search_budget, seed):
     target removes the bias the feasibility tolerance would otherwise
     leave in the sampled curve.  Pairs are returned sorted by budget.
     """
-    pts = np.empty((len(xs), 2))
-    for i, x in enumerate(xs):
-        value, design = brute_force_weighted(a, float(x), params,
-                                             search_budget, mix64(seed, i))
-        pts[i] = (_design_budget(design, params), value)
-    order = np.argsort(pts[:, 0])
-    return pts[order, 0], pts[order, 1]
+    _check_weight(a)
+    _check_budget_x(params, xs)
+    xs = np.asarray(xs, dtype=float)
+    seeds = [mix64(seed, i) for i in range(xs.size)]
+    values, budgets, _ = _budget_search(a, xs, params, search_budget, seeds)
+    order = np.argsort(budgets)
+    return budgets[order], values[order]
 
 
 def invert_decreasing(xs, t_values, rates):

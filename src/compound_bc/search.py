@@ -1,18 +1,22 @@
 """Seeded derivative-free maximization utilities.
 
 The main routine is a random-restart hill climb with coordinate-wise adaptive
-steps.  Restarts are independent: restart r draws its noise from a Philox
-generator keyed by a 64-bit mix of (master seed, r), and the final reduction
-over restarts is a pure max, so execution order never matters.  All restarts
-are advanced together as one numpy batch for speed.
+steps.  It runs K independent searches (groups) of R restarts each as one
+(K*R, dim) numpy batch in group-major order: rows k*R .. k*R + R - 1 belong to
+group k.  The group count is the number of seeds in `SearchSpec.seed`; an
+integer seed is one group.  Restart r of the group with seed s draws its
+initial point and noise from a Philox generator keyed by mix64(s, r), and each
+group's result is a pure max over its own restarts, so a group's result never
+depends on which other groups share its batch or on execution order.
 
 Equality constraints are handled by a quadratic penalty whose weight ramps up
-over stages; candidates are filtered for feasibility (|residual| <= 1e-4 by
-default) only at the very end.
+over stages (the same stages for every group); candidates are filtered for
+feasibility (|residual| <= 1e-4 by default) only at the very end.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,17 +58,18 @@ def sigmoid(z):
 class SearchSpec:
     """Search domain descriptor.
 
-    kind is one of "box", "simplex-softmax", "psd-cholesky".  For "box" the
-    iterates are clipped to `bounds` (a (dim, 2) array); the other kinds are
-    unconstrained real vectors that the objective maps onto its domain.
+    With `bounds` (a (dim, 2) array) the iterates start uniform in the box
+    and are clipped to it; without, they are unconstrained real vectors that
+    start normal with scale `init_scale` and the objective maps onto its
+    domain.  `seed` is one integer (one search) or a sequence of integers
+    (one search per entry); `restarts` and `iterations` are per search.
     """
 
     dim: int
-    kind: str = "box"
     bounds: np.ndarray | None = None
     restarts: int = 20
     iterations: int = 300
-    seed: int = 0
+    seed: int | Sequence[int] = 0
     init_scale: float = 3.0
     step0: float = 1.0
     decay: float = 0.95
@@ -72,10 +77,15 @@ class SearchSpec:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restart count must be at least 1")
-        if self.kind not in ("box", "simplex-softmax", "psd-cholesky"):
-            raise ValueError(f"unknown search kind {self.kind!r}")
-        if self.kind == "box" and self.bounds is not None:
+        if len(self.seeds) == 0:
+            raise ValueError("seed sequence must hold at least one seed")
+        if self.bounds is not None:
             self.bounds = np.asarray(self.bounds, dtype=float).reshape(self.dim, 2)
+
+    @property
+    def seeds(self) -> tuple:
+        """One seed per group: (seed,) for an integer seed."""
+        return (self.seed,) if np.ndim(self.seed) == 0 else tuple(self.seed)
 
 
 @dataclass
@@ -87,29 +97,36 @@ class SearchResult:
 
 
 def _initial_points(spec: SearchSpec):
-    """Per-restart initial points and the full per-restart noise tensors."""
-    boxed = spec.kind == "box" and spec.bounds is not None
-    inits = np.empty((spec.restarts, spec.dim))
-    noise = np.empty((spec.restarts, spec.iterations))
-    for r in range(spec.restarts):
-        rng = np.random.Generator(np.random.Philox(key=mix64(spec.seed, r)))
-        if boxed:
-            lo, hi = spec.bounds[:, 0], spec.bounds[:, 1]
-            inits[r] = lo + (hi - lo) * rng.random(spec.dim)
-        else:
-            inits[r] = rng.normal(0.0, spec.init_scale, size=spec.dim)
-        noise[r] = rng.standard_normal(spec.iterations)
+    """Initial points and noise tensors of every restart, group-major."""
+    rows = len(spec.seeds) * spec.restarts
+    inits = np.empty((rows, spec.dim))
+    noise = np.empty((rows, spec.iterations))
+    row = 0
+    for seed in spec.seeds:
+        for r in range(spec.restarts):
+            rng = np.random.Generator(np.random.Philox(key=mix64(seed, r)))
+            if spec.bounds is not None:
+                lo, hi = spec.bounds[:, 0], spec.bounds[:, 1]
+                inits[row] = lo + (hi - lo) * rng.random(spec.dim)
+            else:
+                inits[row] = rng.normal(0.0, spec.init_scale, size=spec.dim)
+            noise[row] = rng.standard_normal(spec.iterations)
+            row += 1
     return inits, noise
 
 
 def maximize(objective, spec: SearchSpec, equality=None,
-             penalty_schedule=PENALTY_SCHEDULE, feas_tol=FEAS_TOL) -> SearchResult:
-    """Random-restart coordinate-perturbation maximization.
+             penalty_schedule=PENALTY_SCHEDULE, feas_tol=FEAS_TOL):
+    """Random-restart coordinate-perturbation maximization of K groups.
 
-    objective(X) takes an (n, dim) batch and returns (n,) values; equality, if
-    given, returns the (n,) constraint residuals to drive to zero.  Returns
-    the best feasible point found.  Deterministic for a fixed spec.seed.
+    objective(X) takes the (K*R, dim) group-major batch and returns (K*R,)
+    values; equality, if given, returns the (K*R,) constraint residuals to
+    drive to zero.  Per-group parameters reach the callbacks as arrays
+    repeated once per restart (np.repeat(values, R)).  Returns each group's
+    best feasible point: one SearchResult for an integer spec.seed, a list
+    of K for a sequence.  Deterministic for fixed seeds.
     """
+    groups, restarts = len(spec.seeds), spec.restarts
     X, noise = _initial_points(spec)
     schedule = list(penalty_schedule) if equality is not None else [0.0]
 
@@ -121,12 +138,12 @@ def maximize(objective, spec: SearchSpec, equality=None,
         return vals
 
     cur = penalized(X, schedule[0])
-    if not np.any(np.isfinite(cur)):
+    if not np.all(np.isfinite(cur).reshape(groups, restarts).any(axis=1)):
         raise ValueError("objective is non-finite at every restart's initial point")
     cur = np.where(np.isfinite(cur), cur, -np.inf)
 
-    steps = np.full((spec.restarts, spec.dim), spec.step0)
-    trace = np.empty(spec.iterations)
+    steps = np.full((groups * restarts, spec.dim), spec.step0)
+    trace = np.empty((groups, spec.iterations))
     stage_len = -(-spec.iterations // len(schedule))  # ceil division
     it = 0
     for stage, w in enumerate(schedule):
@@ -137,7 +154,7 @@ def maximize(objective, spec: SearchSpec, equality=None,
             c = it % spec.dim
             prop = X.copy()
             prop[:, c] += steps[:, c] * noise[:, it]
-            if spec.kind == "box" and spec.bounds is not None:
+            if spec.bounds is not None:
                 np.clip(prop[:, c], spec.bounds[c, 0], spec.bounds[c, 1],
                         out=prop[:, c])
             vals = penalized(prop, w)
@@ -146,24 +163,29 @@ def maximize(objective, spec: SearchSpec, equality=None,
             X[better] = prop[better]
             cur = np.where(better, vals, cur)
             steps[~better, c] *= spec.decay
-            trace[it] = cur.max()
+            trace[:, it] = cur.reshape(groups, restarts).max(axis=1)
             it += 1
 
     final_vals = np.asarray(objective(X), dtype=float)
     final_vals = np.where(np.isfinite(final_vals), final_vals, -np.inf)
+    res = np.zeros(groups * restarts)
     if equality is not None:
         res = np.asarray(equality(X), dtype=float)
         feasible = np.isfinite(res) & (np.abs(res) <= feas_tol)
-        if not np.any(feasible):
+        stuck = np.flatnonzero(~feasible.reshape(groups, restarts).any(axis=1))
+        if stuck.size:
+            k = stuck[0]
+            closest = np.nanmin(np.abs(res[k * restarts:(k + 1) * restarts]))
             raise RuntimeError(
                 f"no restart reached constraint tolerance {feas_tol:g} "
-                f"(closest residual {np.nanmin(np.abs(res)):.3g})")
+                f"(closest residual {closest:.3g})")
         final_vals = np.where(feasible, final_vals, -np.inf)
-        best = int(np.argmax(final_vals))
-        return SearchResult(float(final_vals[best]), X[best].copy(), trace,
-                            float(res[best]))
-    best = int(np.argmax(final_vals))
-    return SearchResult(float(final_vals[best]), X[best].copy(), trace, 0.0)
+    best = np.argmax(final_vals.reshape(groups, restarts), axis=1) \
+        + restarts * np.arange(groups)
+    results = [SearchResult(float(final_vals[i]), X[i].copy(), trace[k],
+                            float(res[i]))
+               for k, i in enumerate(best)]
+    return results[0] if np.ndim(spec.seed) == 0 else results
 
 
 def isotonic_project(values, decreasing=False):

@@ -404,7 +404,7 @@ def test_11_structural_properties_hold():
         notes.append("information measures")
 
     # seeded searches must replay byte for byte
-    spec = SearchSpec(dim=3, kind="simplex-softmax", restarts=6,
+    spec = SearchSpec(dim=3, restarts=6,
                       iterations=150, seed=7)
 
     def f(X):

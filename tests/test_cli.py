@@ -213,6 +213,15 @@ class TestBecbscDa:
         assert "supporting-line study" in capsys.readouterr().err
         assert not (tmp_path / "da.csv").exists()
 
+    def test_failing_run_leaves_no_out_directory(self, tmp_path, capsys):
+        params = write_params(tmp_path, "p.json",
+                              {"a": 1.0, "rate_points": 3, "x_points": 3})
+        out = tmp_path / "da_out"
+        assert cli.main(["becbsc-da", "--params", params, "--budget", "1",
+                         "--out", str(out)]) == 3
+        capsys.readouterr()
+        assert not out.exists()
+
     def test_weight_outside_unit_interval_rejected(self, tmp_path):
         params = write_params(tmp_path, "p.json", {"a": 1.5})
         assert cli.main(["becbsc-da", "--params", params,

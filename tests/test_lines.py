@@ -6,8 +6,8 @@ import pytest
 from compound_bc.becbsc import BecBscParams, alpha0_solve
 from compound_bc.lines import (
     F0_closed,
-    F_a,
     SupportingLineEval,
+    _lagrangian_search,
     brute_force_weighted,
     canonical_designs,
     d_a_curve,
@@ -19,7 +19,6 @@ from compound_bc.lines import (
     t0_closed,
     t1_closed,
     t1_inverse,
-    t_a_upper,
 )
 
 
@@ -183,22 +182,23 @@ def test_sample_t_a_returns_one_value_per_budget():
 
 def test_F_a_at_zero_multiplier_is_the_unconstrained_peak():
     a = 0.7
-    value = F_a(a, 0.0, PARAMS, search_budget=(300, 300), seed=6)
+    values, _ = _lagrangian_search(a, [0.0], PARAMS, (300, 300), [6])
     expected = a * (1 - h2(PARAMS.p1)) + (1 - a) * (1 - PARAMS.e2)
-    assert value == pytest.approx(expected, abs=5e-3)
+    assert values[0] == pytest.approx(expected, abs=5e-3)
 
 
 def test_F_a_matches_closed_intercepts_on_the_second_instance():
-    for lam in (0.5, 2.0):
-        value = F_a(0.0, lam, PARAMS, search_budget=(300, 300), seed=7)
+    lams = (0.5, 2.0)
+    values, _ = _lagrangian_search(0.0, lams, PARAMS, (300, 300), [7, 7])
+    for lam, value in zip(lams, values):
         assert value == pytest.approx(F0_closed(PARAMS, lam), abs=5e-3)
     with pytest.raises(ValueError, match="nonnegative"):
-        F_a(0.5, -1.0, PARAMS, search_budget=SMALL)
+        evaluate_supporting_lines(0.5, PARAMS, [-1.0], search_budget=SMALL)
 
 
 def test_F_a_is_midpoint_convex_up_to_search_noise():
-    vals = [F_a(0.4, lam, PARAMS, search_budget=(300, 300), seed=8)
-            for lam in (0.2, 0.6, 1.0)]
+    vals, _ = _lagrangian_search(0.4, (0.2, 0.6, 1.0), PARAMS, (300, 300),
+                                 [8, 8, 8])
     assert vals[1] <= (vals[0] + vals[2]) / 2 + 5e-3
 
 
@@ -208,30 +208,30 @@ def test_F_a_is_midpoint_convex_up_to_search_noise():
 
 def test_upper_curve_reproduces_second_instance_chord_exactly():
     grid = np.array([0.0, 0.5, KINK, 2.0])
+    ev = evaluate_supporting_lines(0.0, PARAMS, grid, search_budget=(8, 100),
+                                   seed=1)
     for x in (0.0, 0.2, 0.45):
-        upper = t_a_upper(0.0, x, PARAMS, lambda_grid=grid,
-                          search_budget=(8, 100), seed=1)
-        assert upper == pytest.approx(t0_closed(PARAMS, x), abs=1e-9)
+        assert ev.envelope(x) == pytest.approx(t0_closed(PARAMS, x), abs=1e-9)
 
 
 def test_upper_curve_dominates_direct_search():
     grid = np.arange(0.0, 3.0001, 0.05)
     a = 0.65
+    ev = evaluate_supporting_lines(a, PARAMS, grid, search_budget=(16, 120),
+                                   seed=2)
     for x in (0.1, 0.25, 0.45):
-        upper = t_a_upper(a, x, PARAMS, lambda_grid=grid,
-                          search_budget=(16, 120), seed=2)
         direct, _ = brute_force_weighted(a, x, PARAMS,
                                          search_budget=(400, 400), seed=12)
-        assert direct <= upper + 5e-3
+        assert direct <= ev.envelope(x) + 5e-3
 
 
-def test_upper_curve_cache_returns_identical_values():
+def test_upper_curve_repeat_calls_return_identical_envelopes():
     grid = default_lambda_grid()[:301]
-    first = t_a_upper(0.5, 0.2, PARAMS, lambda_grid=grid,
-                      search_budget=(4, 60), seed=3)
-    second = t_a_upper(0.5, 0.2, PARAMS, lambda_grid=grid,
-                       search_budget=(4, 60), seed=3)
-    assert first == second
+    first, second = (evaluate_supporting_lines(0.5, PARAMS, grid,
+                                               search_budget=(4, 60), seed=3)
+                     for _ in range(2))
+    assert first.envelope(0.2) == second.envelope(0.2)
+    assert np.array_equal(first.f_values, second.f_values)
 
 
 def test_evaluate_supporting_lines_envelope_is_decreasing():
