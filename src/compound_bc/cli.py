@@ -312,6 +312,9 @@ def cmd_miso(args):
     seed = _seed_value(args, cfg)
     grid = _grid_kwargs(cfg)
     num_random = _pick(cfg, "num_random", 10000, int)
+    if num_random < 0 or num_random != _pick(cfg, "num_random", 10000):
+        raise ValueError("parameter 'num_random' must be a nonnegative"
+                         f" integer, got {cfg['num_random']!r}")
     out = Path(args.out)
     print(f"channel: h1={channel.h1.tolist()} h2={channel.h2.tolist()} "
           f"g={channel.g.tolist()} P={_fmt(channel.P)} N={_fmt(channel.N)}")

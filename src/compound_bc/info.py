@@ -21,10 +21,8 @@ PMF_TOL = 1e-12
 
 def _xlog2x(p):
     p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
-    mask = p > 0
-    out[mask] = p[mask] * np.log2(p[mask])
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0, p * np.log2(p), 0.0)
 
 
 def entropy(p) -> float:

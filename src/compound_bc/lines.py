@@ -141,8 +141,10 @@ def _check_weight(a):
 def _check_budget_x(params, x):
     x_max = 1.0 - binary_entropy(params.p)
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > x_max + 1e-12):
-        raise ValueError(f"budget x={x} outside [0, {x_max:.6g}]")
+    bad = (arr < 0.0) | (arr > x_max + 1e-12)
+    if np.any(bad):
+        raise ValueError(
+            f"budget x={float(arr[bad][0])} outside [0, {x_max:.6g}]")
     return x_max
 
 
@@ -152,14 +154,22 @@ def _budget_search(a, xs, params, search_budget, seeds):
     Returns the weighted values, the exact budgets I(X;Z|Q) and the raw
     argmax points.
     """
+    # maximize calls residual(P) right after objective(P) on the same array,
+    # so the objective keeps its budgets for that one residual call
+    kept = {}
+
     def objective(theta, _):
         pq, bx, excess = _design_fields(theta)
-        i1, i2, _ = _mutual_informations(pq, bx, params)
+        i1, i2, ixz = _mutual_informations(pq, bx, params)
+        kept.update(theta=theta, ixz=ixz, excess=excess)
         return a * i1 + (1.0 - a) * i2 - _PULL * excess
 
     def residual(theta, x):
-        pq, bx, excess = _design_fields(theta)
-        _, _, ixz = _mutual_informations(pq, bx, params)
+        if kept.pop("theta", None) is theta:
+            ixz, excess = kept["ixz"], kept["excess"]
+        else:
+            pq, bx, excess = _design_fields(theta)
+            _, _, ixz = _mutual_informations(pq, bx, params)
         # inflated so clipped designs can never pass the feasibility filter
         return np.abs(ixz - x) + 10.0 * excess
 
@@ -336,8 +346,7 @@ def t1_closed(params: BecBscParams, x):
     increasing in p_x on [0, 1/2]).  Vectorized in x.
     """
     xs = np.asarray(x, dtype=float)
-    for v in np.atleast_1d(xs):
-        _check_budget_x(params, v)
+    _check_budget_x(params, xs)
     h_p = binary_entropy(params.p)
     p_x = _bisect_increasing(
         lambda m: binary_entropy(binary_convolve(params.p, m)) - h_p, xs)

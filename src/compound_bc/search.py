@@ -46,12 +46,9 @@ def softmax(z, axis=-1):
 
 def sigmoid(z):
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) <= 1 never overflows; each branch is the stable form on its side
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass
@@ -122,7 +119,9 @@ def maximize(objective, spec: SearchSpec, equality=None,
     objective(X) takes the (K*R, dim) group-major batch and returns (K*R,)
     values; equality, if given, returns the (K*R,) constraint residuals to
     drive to zero.  Per-group parameters reach the callbacks as arrays
-    repeated once per restart (np.repeat(values, R)).  Returns each group's
+    repeated once per restart (np.repeat(values, R)).  Every equality(P)
+    call comes right after an objective(P) call on the same, unmodified
+    array object, so the pair may share one evaluation.  Returns each group's
     best feasible point: one SearchResult for an integer spec.seed, a list
     of K for a sequence.  Deterministic for fixed seeds.
     """

@@ -299,6 +299,18 @@ class TestMiso:
         assert cli.main(["miso", "--params", params,
                          "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("num_random", [-1, 2.5])
+    def test_bad_sample_count_rejected_before_any_output(self, tmp_path,
+                                                         capsys, num_random):
+        params = write_params(tmp_path, "p.json",
+                              {"eta_steps": 21, "split_steps": 11,
+                               "x_steps": 11, "num_random": num_random})
+        out = tmp_path / "miso_out"
+        assert cli.main(["miso", "--outer", "--params", params,
+                         "--out", str(out)]) == 2
+        assert "num_random" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_outer_runs_byte_identical(self, tmp_path):
         params = write_params(tmp_path, "p.json", MISO_SMALL)
         for sub in ("a", "b"):

@@ -4,11 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
 from compound_bc.info import (
+    PMF_TOL,
     ChannelOrdering,
     DMChannel,
     JointDist,
     Pmf,
+    _xlog2x,
     binary_convolve,
     binary_entropy,
     cascade,
@@ -62,6 +68,73 @@ def test_binary_entropy_symmetry_and_vectorization():
     assert isinstance(binary_entropy(np.array(0.25)), float)
     with pytest.raises(ValueError):
         binary_entropy(1.5)
+
+
+# The masked bodies that `_xlog2x` and `binary_entropy` had before the
+# mask-free rewrite, kept as bit-exact reference oracles.
+
+def xlog2x_masked(p):
+    p = np.asarray(p, dtype=float)
+    out = np.zeros_like(p)
+    mask = p > 0
+    out[mask] = p[mask] * np.log2(p[mask])
+    return out
+
+
+def binary_entropy_masked(x):
+    x = np.asarray(x, dtype=float)
+    if np.any((x < -PMF_TOL) | (x > 1 + PMF_TOL)):
+        raise ValueError("binary_entropy argument outside [0, 1]")
+    x = np.clip(x, 0.0, 1.0)
+    out = -xlog2x_masked(x) - xlog2x_masked(1.0 - x)
+    return float(out) if out.ndim == 0 else out
+
+
+EDGE_VALUES = [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-310,
+               1.0 - 2.0 ** -53, 0.5]
+
+
+def kernel_inputs(elements):
+    """Float arrays of shape (), (n,), (n, 4) or (3, n) mixing edge values."""
+    values = st.one_of(st.sampled_from(EDGE_VALUES), elements)
+    shapes = st.one_of(st.just(()), st.integers(1, 12).map(lambda n: (n,)),
+                       st.integers(1, 6).map(lambda n: (n, 4)),
+                       st.integers(1, 6).map(lambda n: (3, n)))
+    return shapes.flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=kernel_inputs(st.one_of(st.floats(0.0, 1.0), st.floats())))
+def test_xlog2x_is_bitwise_the_masked_kernel(p):
+    got = _xlog2x(p)
+    assert got.shape == p.shape
+    assert np.array_equal(got, xlog2x_masked(p), equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(xlog2x_masked(p)))
+    # strided views take the same path as contiguous arrays
+    if p.ndim == 2:
+        assert np.array_equal(_xlog2x(p[:, ::2]), xlog2x_masked(p[:, ::2]),
+                              equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=kernel_inputs(st.floats(-PMF_TOL, 1.0 + PMF_TOL)))
+def test_binary_entropy_is_bitwise_the_masked_kernel(x):
+    got = binary_entropy(x)
+    expected = binary_entropy_masked(x)
+    assert type(got) is type(expected)
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=kernel_inputs(st.floats(0.0, 1.0)), bad=st.one_of(
+    st.floats(max_value=-2 * PMF_TOL, allow_nan=False),
+    st.floats(min_value=1 + 2 * PMF_TOL, allow_nan=False)))
+def test_binary_entropy_rejects_values_outside_the_unit_interval(x, bad):
+    with pytest.raises(ValueError, match="outside"):
+        binary_entropy(np.append(x, bad))
+    with pytest.raises(ValueError, match="outside"):
+        binary_entropy(bad)
 
 
 def test_binary_convolve():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from compound_bc import lines
 from compound_bc.becbsc import BecBscParams, alpha0_solve
 from compound_bc.lines import (
     F0_closed,
@@ -55,6 +56,16 @@ def test_t1_closed_endpoints_and_roundtrip():
     assert np.all(np.diff(vals) < 0)
     with pytest.raises(ValueError, match="outside"):
         t1_closed(PARAMS, 1.5 * X_MAX)
+
+
+def test_t1_closed_names_the_first_out_of_range_budget():
+    xs = np.linspace(0.0, X_MAX, 9)
+    xs[5] = 1.25 * X_MAX
+    xs[7] = -0.5
+    with pytest.raises(ValueError, match=f"x={xs[5]} outside"):
+        t1_closed(PARAMS, xs)
+    with pytest.raises(ValueError, match="x=-0.5 outside"):
+        t1_closed(PARAMS, xs[6:].reshape(1, 3))
 
 
 def test_t1_inverse_roundtrip():
@@ -167,6 +178,68 @@ def test_brute_force_rejects_bad_arguments():
         brute_force_weighted(0.5, X_MAX + 0.01, PARAMS, search_budget=SMALL)
     with pytest.raises(ValueError, match="weight"):
         brute_force_weighted(1.2, 0.1, PARAMS, search_budget=SMALL)
+
+
+def _count_design_fields(monkeypatch):
+    calls = []
+    real = lines._design_fields
+
+    def counting(theta):
+        calls.append(len(np.atleast_2d(theta)))
+        return real(theta)
+
+    monkeypatch.setattr(lines, "_design_fields", counting)
+    return calls
+
+
+def test_constrained_step_evaluates_each_batch_once(monkeypatch):
+    baseline = brute_force_weighted(1.0, 0.1, PARAMS,
+                                    search_budget=(16, 60), seed=0)
+    calls = _count_design_fields(monkeypatch)
+    value, design = brute_force_weighted(1.0, 0.1, PARAMS,
+                                         search_budget=(16, 60), seed=0)
+    # iterations + 4 objective batches (start, two stage starts, final
+    # filter), the argmax re-score and the AuxDesign; the residual of each
+    # batch reuses the objective's evaluation
+    assert len(calls) <= 60 + 6
+    assert (value, design) == baseline
+
+
+def test_residual_recomputes_unless_given_the_scored_array(monkeypatch):
+    x = 0.1
+    probes = []
+
+    def probing_maximize(objective, spec, equality=None, **kwargs):
+        rng = np.random.default_rng(3)
+        P = rng.uniform(-4.0, 4.0, (spec.restarts, 6))
+        Q = rng.uniform(-4.0, 4.0, (spec.restarts, 6))
+
+        def fresh(theta):
+            pq, bx, excess = real_fields(theta)
+            _, _, ixz = lines._mutual_informations(pq, bx, PARAMS)
+            return np.abs(ixz - x) + 10.0 * excess
+
+        calls = _count_design_fields(monkeypatch)
+        objective(P)
+        assert len(calls) == 1
+        assert np.array_equal(equality(P), fresh(P))  # shared evaluation
+        assert len(calls) == 1
+        assert np.array_equal(equality(P), fresh(P))  # kept values used once
+        assert len(calls) == 2
+        objective(P)
+        assert np.array_equal(equality(P.copy()), fresh(P))  # another object
+        objective(P)
+        assert np.array_equal(equality(Q), fresh(Q))  # another batch
+        probes.append(len(calls))
+        monkeypatch.undo()
+        return real_maximize(objective, spec, equality=equality, **kwargs)
+
+    real_maximize, real_fields = lines.maximize, lines._design_fields
+    monkeypatch.setattr(lines, "maximize", probing_maximize)
+    value, _ = brute_force_weighted(1.0, x, PARAMS, search_budget=(16, 60),
+                                    seed=0)
+    assert probes == [6]
+    assert np.isfinite(value)
 
 
 def test_sample_t_a_returns_one_value_per_budget():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from compound_bc.search import (
     SearchSpec,
@@ -28,6 +29,39 @@ def test_softmax_sigmoid():
     sg = sigmoid(z)
     assert sg[0] == 0.0 and sg[2] == 1.0 and sg[1] == 0.5
     assert np.all(np.isfinite(softmax(z)))
+
+
+def sigmoid_masked(z):
+    """The masked body `sigmoid` had before the mask-free rewrite (oracle)."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                 np.inf, -np.inf, 745.2, -745.2, 36.8, -36.8]
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=st.one_of(
+    st.just(()), st.integers(1, 12).map(lambda n: (n,)),
+    st.integers(1, 6).map(lambda n: (n, 4)),
+    st.integers(1, 6).map(lambda n: (3, n))).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=st.one_of(
+            st.sampled_from(SIGMOID_EDGES),
+            st.floats(-800.0, 800.0), st.floats()))))
+def test_sigmoid_is_bitwise_the_masked_kernel(z):
+    got = sigmoid(z)
+    assert got.shape == z.shape
+    assert np.array_equal(got, sigmoid_masked(z), equal_nan=True)
+    if z.ndim == 2:
+        view = z[::2, 1:]
+        assert np.array_equal(sigmoid(view), sigmoid_masked(view),
+                              equal_nan=True)
 
 
 def test_maximize_concave_box():
