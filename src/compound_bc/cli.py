@@ -135,7 +135,7 @@ def _pick(cfg, key, fallback, cast=float):
     value = cfg.get(key, fallback)
     try:
         return cast(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"parameter {key!r} must be {cast.__name__}, got {value!r}")
 
 
@@ -312,6 +312,8 @@ def cmd_miso(args):
     seed = _seed_value(args, cfg)
     grid = _grid_kwargs(cfg)
     num_random = _pick(cfg, "num_random", 10000, int)
+    # checked before the first sweep so a bad count writes no CSV; the int
+    # cast must not have dropped a fraction
     if num_random < 0 or num_random != _pick(cfg, "num_random", 10000):
         raise ValueError("parameter 'num_random' must be a nonnegative"
                          f" integer, got {cfg['num_random']!r}")

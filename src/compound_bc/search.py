@@ -121,9 +121,9 @@ def maximize(objective, spec: SearchSpec, equality=None,
     drive to zero.  Per-group parameters reach the callbacks as arrays
     repeated once per restart (np.repeat(values, R)).  Every equality(P)
     call comes right after an objective(P) call on the same, unmodified
-    array object, so the pair may share one evaluation.  Returns each group's
-    best feasible point: one SearchResult for an integer spec.seed, a list
-    of K for a sequence.  Deterministic for fixed seeds.
+    array object, so the pair may share one evaluation.  Returns each
+    group's best feasible point: one SearchResult for an integer
+    spec.seed, a list of K for a sequence.  Deterministic for fixed seeds.
     """
     groups, restarts = len(spec.seeds), spec.restarts
     X, noise = _initial_points(spec)

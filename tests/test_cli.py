@@ -299,7 +299,7 @@ class TestMiso:
         assert cli.main(["miso", "--params", params,
                          "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("num_random", [-1, 2.5])
+    @pytest.mark.parametrize("num_random", [-1, 2.5, float("inf")])
     def test_bad_sample_count_rejected_before_any_output(self, tmp_path,
                                                          capsys, num_random):
         params = write_params(tmp_path, "p.json",

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -124,6 +123,7 @@ def test_binary_entropy_is_bitwise_the_masked_kernel(x):
     expected = binary_entropy_masked(x)
     assert type(got) is type(expected)
     assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 @settings(max_examples=100, deadline=None)
