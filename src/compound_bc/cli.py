@@ -132,26 +132,32 @@ def _load_params(args):
 
 
 def _pick(cfg, key, fallback, cast=float):
+    """cfg[key] (or the fallback) as `cast`; an int key takes no fraction
+    and no infinity or NaN, which an int cast would drop or fail on."""
     value = cfg.get(key, fallback)
     try:
-        return cast(value)
+        picked = cast(value)
+        if cast is int and isinstance(value, float) and picked != value:
+            raise ValueError
+        return picked
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"parameter {key!r} must be {cast.__name__}, got {value!r}")
 
 
 def _seed_value(args, cfg):
-    seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
-    seed = int(seed)
+    seed = args.seed if args.seed is not None \
+        else _pick(cfg, "seed", DEFAULT_SEED, int)
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed
 
 
 def _budget_value(args, cfg):
-    budget = args.budget if args.budget is not None else cfg.get("budget")
+    budget = args.budget
     if budget is None:
-        return None
-    budget = int(budget)
+        if cfg.get("budget") is None:
+            return None
+        budget = _pick(cfg, "budget", None, int)
     if budget < 1:
         raise ValueError(f"optimizer budget must be >= 1, got {budget}")
     return budget
@@ -281,7 +287,8 @@ def _grid_kwargs(cfg):
         steps = cfg["beam_steps"]
         if not (isinstance(steps, (list, tuple)) and len(steps) == 2):
             raise ValueError("beam_steps must be a two-element list")
-        kwargs["beam_steps"] = (int(steps[0]), int(steps[1]))
+        kwargs["beam_steps"] = tuple(
+            _pick({"beam_steps": n}, "beam_steps", None, int) for n in steps)
     return kwargs
 
 
@@ -312,11 +319,10 @@ def cmd_miso(args):
     seed = _seed_value(args, cfg)
     grid = _grid_kwargs(cfg)
     num_random = _pick(cfg, "num_random", 10000, int)
-    # checked before the first sweep so a bad count writes no CSV; the int
-    # cast must not have dropped a fraction
-    if num_random < 0 or num_random != _pick(cfg, "num_random", 10000):
+    # checked before the first sweep so a bad count writes no CSV
+    if num_random < 0:
         raise ValueError("parameter 'num_random' must be a nonnegative"
-                         f" integer, got {cfg['num_random']!r}")
+                         f" integer, got {num_random!r}")
     out = Path(args.out)
     print(f"channel: h1={channel.h1.tolist()} h2={channel.h2.tolist()} "
           f"g={channel.g.tolist()} P={_fmt(channel.P)} N={_fmt(channel.N)}")

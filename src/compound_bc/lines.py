@@ -33,7 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .becbsc import AuxDesign, BecBscParams, alpha0_solve
+from .becbsc import (
+    AuxDesign,
+    BecBscParams,
+    _mutual_informations,
+    alpha0_solve,
+)
 from .info import binary_convolve, binary_entropy
 from .search import (
     SearchSpec,
@@ -86,17 +91,6 @@ def _design_fields(theta):
     bx[:, 3] = np.clip(raw, 0.0, 1.0)
     excess = np.abs(raw - bx[:, 3])
     return pq, bx, excess
-
-
-def _mutual_informations(pq, bx, params):
-    """(I(Q;Y1), I(Q;Y2), I(X;Z|Q)) for a batch of designs with X uniform."""
-    h1 = binary_entropy(binary_convolve(params.p1, bx))
-    i_qy1 = 1.0 - np.einsum("nq,nq->n", pq, h1)
-    hx = binary_entropy(bx)
-    i_qy2 = (1.0 - params.e2) * (1.0 - np.einsum("nq,nq->n", pq, hx))
-    hz = binary_entropy(binary_convolve(params.p, bx))
-    i_xz_q = np.einsum("nq,nq->n", pq, hz) - binary_entropy(params.p)
-    return i_qy1, i_qy2, i_xz_q
 
 
 def _theta_design(theta) -> AuxDesign:

@@ -32,8 +32,6 @@ from .polyhedra import RateCurve2D
 # 1/2 log2(2 pi e x) changes sign
 CORRELATION_BREAKPOINT = 1.0 / (2.0 * math.pi * math.e)
 
-LOG2E = 1.0 / math.log(2.0)
-
 
 def _vec2(v, name):
     arr = np.asarray(v, dtype=float).reshape(-1)
@@ -402,34 +400,6 @@ def dpc_private_optimal(channel, j, scheme):
             return 0.5 * math.log2(s / channel.N)
         return -math.inf
     return _rate_at(terms, j, alpha, scheme.x)
-
-
-def gaussian_mutual_information(cov, a_indices, b_indices):
-    """I(A; B) in bits for jointly Gaussian variables with covariance cov.
-
-    Validation oracle: every DPC rate formula in this module can be checked
-    against determinant ratios of an explicit joint covariance.
-    """
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError("covariance must be a square matrix")
-    scale = max(float(np.max(np.abs(cov))), 1.0)
-    if np.max(np.abs(cov - cov.T)) > 1e-9 * scale:
-        raise ValueError("covariance must be symmetric")
-    if np.min(np.linalg.eigvalsh(cov)) < -1e-9 * scale:
-        raise ValueError("covariance must be positive semidefinite")
-    a = list(a_indices)
-    b = list(b_indices)
-    if set(a) & set(b):
-        raise ValueError("variable groups must be disjoint")
-    sign_a, ld_a = np.linalg.slogdet(cov[np.ix_(a, a)])
-    sign_b, ld_b = np.linalg.slogdet(cov[np.ix_(b, b)])
-    sign_j, ld_j = np.linalg.slogdet(cov[np.ix_(a + b, a + b)])
-    if sign_a <= 0 or sign_b <= 0:
-        raise ValueError("marginal covariance blocks must be nonsingular")
-    if sign_j <= 0:
-        return math.inf  # degenerate joint law, deterministic dependence
-    return 0.5 * (ld_a + ld_b - ld_j) * LOG2E
 
 
 # ---------------------------------------------------------------------------

@@ -619,8 +619,7 @@ def atom_values(atoms, source_table, source_names, channels=None,
     for v in needed:
         if v not in channels:
             raise KeyError(f"atom variable {v!r} is neither a source nor a channel output")
-        W = channels[v].W if hasattr(channels[v], "W") \
-            else np.asarray(channels[v], dtype=float)
+        W = np.asarray(channels[v], dtype=float)
         x_ax = order.index(input_var)
         moved = np.moveaxis(table, x_ax, -1)
         moved = moved[..., :, None] * W

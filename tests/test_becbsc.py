@@ -7,6 +7,7 @@ import pytest
 from compound_bc.becbsc import (
     AuxDesign,
     BecBscParams,
+    _mutual_informations,
     alpha0_solve,
     capacity_c1,
     capacity_c2,
@@ -16,6 +17,7 @@ from compound_bc.becbsc import (
     mrs_gerber_lower,
     strict_inclusion_ratio_test,
 )
+from compound_bc.info import make_bec, make_bsc, mi_groups
 from compound_bc.polyhedra import NumericRegion2D
 
 
@@ -153,6 +155,43 @@ def test_marton_outer_curve_designs():
     assert total - r1 == pytest.approx(h2(0.26) - h2(0.1), abs=1e-12)
     with pytest.raises(ValueError, match="uniform"):
         marton_outer_curve(PARAMS, AuxDesign((0.5, 0.5), (0.2, 0.7)))
+
+
+def uniform_x_designs(rng, nq, n):
+    """n random designs (pq, bx) of shape (n, nq) with P(X=1) = 1/2: the
+    last conditional balances the others, and draws that push it outside
+    [0, 1] are rejected."""
+    pqs, bxs = [], []
+    while len(pqs) < n:
+        pq = rng.dirichlet(np.ones(nq))
+        bx = rng.uniform(size=nq)
+        bx[-1] = (0.5 - pq[:-1] @ bx[:-1]) / pq[-1]
+        if 0.0 <= bx[-1] <= 1.0:
+            pqs.append(pq)
+            bxs.append(bx)
+    return np.array(pqs), np.array(bxs)
+
+
+def test_design_kernel_matches_mi_groups_on_cascaded_tables():
+    # the closed-form kernel against the generic engine on explicit
+    # (Q, X, Y) tables p(q) p(x|q) W(y|x) for each channel instance
+    rng = np.random.default_rng(29)
+    channels = {"Y1": make_bsc(PARAMS.p1), "Y2": make_bec(PARAMS.e2),
+                "Z": make_bsc(PARAMS.p)}
+    names = ("Q", "X", "Y")
+    for nq in range(1, 5):
+        pq, bx = uniform_x_designs(rng, nq, 40)
+        i_qy1, i_qy2, i_xz_q = _mutual_informations(pq, bx, PARAMS)
+        for k in range(len(pq)):
+            pxq = np.stack([1 - bx[k], bx[k]], axis=1)
+            t = {label: pq[k][:, None, None] * pxq[:, :, None] * W[None]
+                 for label, W in channels.items()}
+            assert i_qy1[k] == pytest.approx(
+                mi_groups(t["Y1"], names, "Q", "Y"), abs=1e-12)
+            assert i_qy2[k] == pytest.approx(
+                mi_groups(t["Y2"], names, "Q", "Y"), abs=1e-12)
+            assert i_xz_q[k] == pytest.approx(
+                mi_groups(t["Z"], names, "X", "Y", given="Q"), abs=1e-12)
 
 
 def test_mrs_gerber_and_crossing():

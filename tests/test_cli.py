@@ -227,6 +227,21 @@ class TestBecbscDa:
         assert cli.main(["becbsc-da", "--params", params,
                          "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", float("inf")), ("seed", 2.7), ("seed", float("nan")),
+        ("budget", float("inf")), ("budget", 1.5),
+        ("rate_points", 2.5), ("x_points", 2.9)])
+    def test_non_integer_count_rejected_before_any_output(
+            self, tmp_path, capsys, key, value):
+        cfg = {"a": 1.0, "rate_points": 3, "x_points": 3, "budget": 1}
+        cfg[key] = value
+        params = write_params(tmp_path, "p.json", cfg)
+        out = tmp_path / "da_out"
+        assert cli.main(["becbsc-da", "--params", params,
+                         "--out", str(out)]) == 2
+        assert f"parameter {key!r} must be int" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMiso:
     def test_boundary_files_record_achieving_parameters(self, tmp_path):
@@ -309,6 +324,21 @@ class TestMiso:
         assert cli.main(["miso", "--outer", "--params", params,
                          "--out", str(out)]) == 2
         assert "num_random" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("eta_steps", 21.5), ("split_steps", float("inf")), ("x_steps", 11.2),
+        ("beam_steps", [9, 4.5]), ("seed", float("nan"))])
+    def test_non_integer_grid_key_rejected_before_any_output(
+            self, tmp_path, capsys, key, value):
+        cfg = {"eta_steps": 21, "split_steps": 11, "x_steps": 11,
+               "num_random": 10}
+        cfg[key] = value
+        params = write_params(tmp_path, "p.json", cfg)
+        out = tmp_path / "miso_out"
+        assert cli.main(["miso", "--outer", "--params", params,
+                         "--out", str(out)]) == 2
+        assert f"parameter {key!r} must be int" in capsys.readouterr().err
         assert not out.exists()
 
     def test_outer_runs_byte_identical(self, tmp_path):

@@ -23,7 +23,6 @@ from compound_bc.miso import (
     dpc_coefficients,
     dpc_common_rate,
     dpc_private_optimal,
-    gaussian_mutual_information,
     is_symmetric_geometry,
     md_correlated_optimal,
     md_correlated_point,
@@ -37,6 +36,8 @@ from compound_bc.miso import (
     strictness_uncorrelated_check,
     unit_beam,
 )
+
+from gaussian_oracle import gaussian_mutual_information
 
 SEED = 20259
 

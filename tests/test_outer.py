@@ -13,7 +13,6 @@ import pytest
 
 from compound_bc.miso import (
     MisoChannel,
-    gaussian_mutual_information,
     region_boundary,
     special_geometry,
 )
@@ -32,6 +31,8 @@ from compound_bc.outer import (
     sample_cov_pairs,
 )
 from compound_bc.polyhedra import RateCurve2D
+
+from gaussian_oracle import gaussian_mutual_information
 
 SEED = 20259
 

@@ -1,8 +1,12 @@
+import itertools
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from compound_bc.info import make_bsc
 from compound_bc.polyhedra import (
@@ -120,6 +124,56 @@ def test_fme_sound_and_complete_random():
             # stay clear of knife-edge points where float tolerance decides
             if abs(lo - hi) > 1e-6:
                 assert feas_proj == feas_ext, (pt, sys.ineqs)
+
+
+def _row_value(iq, point):
+    return sum(c * point[v] for v, c in iq.lhs.items())
+
+
+def _holds(iq, point):
+    value, bound = _row_value(iq, point), iq.rhs.const
+    return value < bound if iq.rel == "<" else value <= bound
+
+
+# integer rows a.(x, y, z) <= a.p + slack, which hold at the drawn point p
+FME_ROWS = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                              st.integers(-3, 3), st.integers(0, 4)),
+                    min_size=1, max_size=7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(point=st.tuples(st.integers(0, 4), st.integers(0, 4),
+                       st.integers(0, 4)), rows=FME_ROWS)
+def test_fme_projection_is_sound_and_its_vertices_lift(point, rows):
+    p = dict(zip("xyz", point))
+    ineqs = [ineq({v: k for v, k in zip("xyz", coeffs)}, "<=",
+                  sum(k * p[v] for v, k in zip("xyz", coeffs)) + slack)
+             for *coeffs, slack in rows]
+    system = RegionSystem(["x", "y", "z"], ineqs)
+    proj = fme_eliminate(system, "z")
+    assert proj.rate_vars == ["x", "y"] and not proj.atoms()
+    # soundness, in exact rationals: every feasible lattice point of the
+    # system projects into the eliminated system
+    for x, y, z in itertools.product(range(-2, 7), repeat=3):
+        q = {"x": x, "y": y, "z": z}
+        if all(_holds(iq, q) for iq in system.ineqs):
+            assert all(_holds(iq, q) for iq in proj.ineqs), (q, proj.ineqs)
+    # every vertex of the projection (inside the numeric box) lifts back:
+    # the interval of z values the original rows leave at it is non-empty
+    for v in instantiate(proj, {}).vertices():
+        q = {"x": v[0], "y": v[1]}
+        lo, hi = -np.inf, np.inf
+        for iq in system.ineqs:
+            c = float(iq.lhs.get("z", 0))
+            slack = float(iq.rhs.const) - sum(
+                float(iq.lhs.get(w, 0)) * q[w] for w in "xy")
+            if c > 0:
+                hi = min(hi, slack / c)
+            elif c < 0:
+                lo = max(lo, slack / c)
+            else:
+                assert slack >= -1e-9, (v, iq)
+        assert lo <= hi + 1e-9, (v, lo, hi)
 
 
 def test_fme_order_independence():
@@ -362,6 +416,30 @@ def test_rate_curve_hull_closes_time_sharing():
     # interpolation between vertices, zero beyond the last one
     assert hull.r2_at(0.25) == pytest.approx(0.8)
     assert hull.violation([[0.95, 0.0]])[0] == pytest.approx(0.05)
+
+
+# rate samples with many exact ties in either coordinate
+RATE_SAMPLES = hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 40), st.just(2)),
+    elements=st.one_of(st.integers(-1, 4).map(float),
+                       st.floats(-1.0, 5.0, allow_nan=False)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples=RATE_SAMPLES)
+def test_rate_curve_staircase_and_hull_invariants(samples):
+    curve = RateCurve2D.from_samples(samples)
+    r1, r2 = curve.points[:, 0], curve.points[:, 1]
+    # Pareto order: R1 strictly ascending, R2 strictly decreasing
+    assert np.all(np.diff(r1) > 0) and np.all(np.diff(r2) < 0)
+    # the staircase certifies every raw sample
+    assert curve.contains(samples).contained
+    # the time-sharing closure contains the whole staircase
+    hull = curve.hull()
+    assert np.all(np.diff(hull.points[:, 0]) > 0)
+    assert np.all(np.diff(hull.points[:, 1]) < 0)
+    assert hull.contains(curve).contained
+    assert hull.contains(samples).contained
 
 
 def test_rate_curve_degenerate_and_validation():
