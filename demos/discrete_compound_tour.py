@@ -7,7 +7,6 @@ decoding weight.  Pass --out DIR to also dump the tables as CSV.
 """
 
 import argparse
-import math
 import os
 
 import numpy as np
@@ -21,14 +20,9 @@ from compound_bc.becbsc import (
     mrs_gerber_lower,
     strict_inclusion_ratio_test,
 )
+from compound_bc.info import binary_convolve, binary_entropy
 from compound_bc.lines import d_a_curve
 from compound_bc.search import DEFAULT_SEED
-
-
-def h2(x):
-    if x in (0.0, 1.0):
-        return 0.0
-    return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
 
 def maybe_write(out, name, header, rows):
@@ -64,15 +58,14 @@ def main():
           f"{'C2 R1':>8} {'C2 R2':>8} {'lower R1':>9} {'lower R2':>9}")
     rows = []
     for alpha in (0.05, 0.15, 0.25, 0.35, 0.45):
-        c, cs = capacity_c1(params, alpha)
-        c2 = max(cs - c, 0.0)
+        c1_r1, c1_r2 = capacity_c1(params, alpha)
         region = capacity_c2(params, alpha)
         b1, b2, bs = (float(region.b[i]) for i in range(3))
         r1 = min(b1, bs)
         r2 = min(b2, bs - r1)
         low2, low1 = mrs_gerber_lower(params, alpha)
-        rows.append((alpha, c, c2, r1, r2, low1, low2))
-        print(f"   {alpha:7.2f} {c:8.4f} {c2:8.4f} "
+        rows.append((alpha, c1_r1, c1_r2, r1, r2, low1, low2))
+        print(f"   {alpha:7.2f} {c1_r1:8.4f} {c1_r2:8.4f} "
               f"{r1:8.4f} {r2:8.4f} {low1:9.4f} {low2:9.4f}")
     maybe_write(args.out, "corners.csv",
                 ["alpha", "c1_r1", "c1_r2", "c2_r1", "c2_r2",
@@ -85,7 +78,7 @@ def main():
 
     print("\n4. budget gap at decoding weight a = 0.92 (quick brute pass)")
     alpha0 = alpha0_solve(params)
-    r1_max = 1.0 - h2(params.p1 + alpha0 - 2 * params.p1 * alpha0)
+    r1_max = 1.0 - binary_entropy(binary_convolve(params.p1, alpha0))
     rates = np.linspace(0.1, 0.9, 9) * r1_max
     gaps = d_a_curve(0.92, params, rates, method="brute", x_samples=21,
                      search_budget=(120, 200), seed=args.seed)

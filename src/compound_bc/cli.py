@@ -31,11 +31,11 @@ from .becbsc import (
     id_curve,
     mrs_gerber_lower,
 )
-from .idregions import split_rate_example_system
 from .info import binary_convolve, binary_entropy
 from .lines import d_a_curve, sample_t_a, t0_closed, t1_closed
 from .miso import REGION_KINDS, MisoChannel, region_boundary, special_geometry
 from .outer import (
+    NUM_RANDOM,
     OUTER_FAMILIES,
     constituent_curves,
     matched_cov_pairs,
@@ -133,9 +133,12 @@ def _load_params(args):
 
 def _pick(cfg, key, fallback, cast=float):
     """cfg[key] (or the fallback) as `cast`; an int key takes no fraction
-    and no infinity or NaN, which an int cast would drop or fail on."""
+    and no infinity or NaN, which an int cast would drop or fail on, and no
+    key takes a JSON boolean, which both casts would read as 0 or 1."""
     value = cfg.get(key, fallback)
     try:
+        if isinstance(value, bool):
+            raise ValueError
         picked = cast(value)
         if cast is int and isinstance(value, float) and picked != value:
             raise ValueError
@@ -318,7 +321,7 @@ def cmd_miso(args):
     channel = _miso_channel(args, cfg)
     seed = _seed_value(args, cfg)
     grid = _grid_kwargs(cfg)
-    num_random = _pick(cfg, "num_random", 10000, int)
+    num_random = _pick(cfg, "num_random", NUM_RANDOM, int)
     # checked before the first sweep so a bad count writes no CSV
     if num_random < 0:
         raise ValueError("parameter 'num_random' must be a nonnegative"

@@ -125,16 +125,6 @@ def id_example_system() -> RegionSystem:
                 .conjoin(nonneg(["R0", "R1", "R2"])))
 
 
-def nid_system() -> RegionSystem:
-    """Same compound instance with both pairs using method 1 (no interference
-    decoding); this is the plain layered region."""
-    sys1 = build_id_region(1, 1, z_label="Z")
-    sys2 = build_id_region(2, 1, z_label="Z")
-    return (sys1.conjoin(sys2)
-                .conjoin(build_T_constraints())
-                .conjoin(nonneg(["R0", "R1", "R2"])))
-
-
 def bit_recombination(system: RegionSystem) -> RegionSystem:
     """Split each private rate and fold the split parts into the common rate.
 

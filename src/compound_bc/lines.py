@@ -54,6 +54,10 @@ ENVELOPE_BUDGET = (32, 160)
 LAMBDA_MAX = 10.0
 LAMBDA_STEP = 0.01
 THETA_BOUND = 12.0
+# dense d_a envelope: multipliers across the active band, padded each side
+BAND_POINTS = 2501
+BAND_PAD = 0.05
+POOL_CHUNK = 256  # multipliers per block when re-scoring the design pool
 # rows (groups x restarts) per batched search call; a search wider than this
 # runs alone
 _BATCH_ROWS = 2048
@@ -278,12 +282,12 @@ def canonical_designs(n=2001):
     return np.vstack([pq1, pq2]), np.vstack([bx1, bx2])
 
 
-def _pool_f_values(lambdas, weighted, budgets, chunk=256):
+def _pool_f_values(lambdas, weighted, budgets):
     """max over the pool of weighted + lam * budget, per multiplier."""
     f_values = np.empty(lambdas.size)
-    for start in range(0, lambdas.size, chunk):
-        block = lambdas[start:start + chunk, None]
-        f_values[start:start + chunk] = np.max(
+    for start in range(0, lambdas.size, POOL_CHUNK):
+        block = lambdas[start:start + POOL_CHUNK, None]
+        f_values[start:start + POOL_CHUNK] = np.max(
             weighted[None, :] + block * budgets[None, :], axis=1)
     return f_values
 
@@ -417,19 +421,7 @@ def invert_decreasing(xs, t_values, rates):
     return np.interp(rates, t[::-1], xs[::-1])
 
 
-def normalized_inverse_gap(xs, t_ref, t_other, rates):
-    """(ref_inverse - other_inverse) / max abs over the rate grid.
-
-    Identical curves give identically zero (no 0/0 division).
-    """
-    gap = invert_decreasing(xs, t_ref, rates) \
-        - invert_decreasing(xs, t_other, rates)
-    largest = np.max(np.abs(gap))
-    return gap / largest if largest > 0 else gap
-
-
-def _envelope_curve(a, params, x_lo, x_hi, search_budget, seed,
-                    band_points=2501, pad=0.05):
+def _envelope_curve(a, params, x_lo, x_hi, search_budget, seed):
     """Supporting-line upper curve for t_a, resolved on [x_lo, x_hi].
 
     The active multiplier band over the budget window is located first
@@ -446,9 +438,9 @@ def _envelope_curve(a, params, x_lo, x_hi, search_budget, seed,
     probe = np.linspace(x_lo, x_hi, 65)
     active = np.argmin(f_coarse[:, None] - coarse[:, None] * probe[None, :],
                        axis=0)
-    lam_lo = max(0.0, coarse[active.min()] - pad)
-    lam_hi = coarse[active.max()] + pad
-    band = np.linspace(lam_lo, lam_hi, int(band_points))
+    lam_lo = max(0.0, coarse[active.min()] - BAND_PAD)
+    lam_hi = coarse[active.max()] + BAND_PAD
+    band = np.linspace(lam_lo, lam_hi, BAND_POINTS)
     return evaluate_supporting_lines(a, params, band,
                                      search_budget=search_budget, seed=seed)
 

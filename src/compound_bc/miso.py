@@ -68,10 +68,10 @@ class MisoChannel:
         object.__setattr__(self, "h1", _vec2(self.h1, "h1"))
         object.__setattr__(self, "h2", _vec2(self.h2, "h2"))
         object.__setattr__(self, "g", _vec2(self.g, "g"))
-        if not self.P > 0:
-            raise ValueError("total power P must be positive")
         if not self.N > 0:
             raise ValueError("noise variance N must be positive")
+        if not self.P > 0:
+            raise ValueError("total power P must be positive")
         pairs = [("h1", self.h1, "h2", self.h2),
                  ("h1", self.h1, "g", self.g),
                  ("h2", self.h2, "g", self.g)]
@@ -133,24 +133,15 @@ class GaussRatePoint:
         if not (self.r1 >= 0 and self.r2 >= 0):
             raise ValueError("rates must be nonnegative")
 
-    def as_array(self):
-        return np.array([self.r1, self.r2])
-
 
 def _point(r1, r2):
-    # builders clamp tiny negatives from float noise; ops return raw values
+    # scalar APIs clamp tiny negatives from float noise; the kernel does not
     return GaussRatePoint(max(0.0, float(r1)), max(0.0, float(r2)))
 
 
 def _check_power(channel, scheme):
     if scheme.p_u + scheme.p_v > channel.P + 1e-9:
         raise ValueError("p_u + p_v exceeds the channel power budget")
-
-
-def _need_alpha(scheme):
-    if scheme.alpha is None:
-        raise ValueError("scheme.alpha is required for this operation")
-    return scheme.alpha
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +295,7 @@ def corr_optimal(paras, x):
 
 
 # ---------------------------------------------------------------------------
-# single-receiver DPC rate primitives
+# scalar scheme APIs and the symmetric-geometry closed forms
 
 
 def _beam_gains(channel, b_u, b_v):
@@ -316,120 +307,10 @@ def _beam_gains(channel, b_u, b_v):
 
 
 def _terms(channel, scheme):
-    # the size-1 kernel call behind every scalar scheme API
+    # the size-1 kernel call behind md_correlated_optimal
     _check_power(channel, scheme)
     return scheme_terms(_beam_gains(channel, scheme.b_u, scheme.b_v),
                         scheme.p_u, scheme.p_v, channel.N)
-
-
-def _receiver(terms, j):
-    if j not in (1, 2):
-        raise ValueError("channel index must be 1 or 2")
-    return terms.receivers[j - 1]
-
-
-def _split_at(terms, j, x):
-    beta_x, i_x = split_terms(_receiver(terms, j), terms.p_u, terms.p_v, x)
-    return float(beta_x), float(i_x)
-
-
-def _rate_at(terms, j, alpha, x):
-    _receiver(terms, j)  # rejects an index other than 1 or 2
-    a, v, c = corr_parabolas(terms, x)[3 * j - 3:3 * j]
-    return float(parabola_rate(a, v, c, alpha))
-
-
-def dpc_coefficients(channel, j, scheme):
-    """Residual-interference weight I_j and cancellation center beta_j.
-
-    The user-1 stream, dirty-paper coded with parameter alpha against the
-    user-2 stream, reaches candidate receiver j at rate
-    1/2 log2((h_ju^2 p_u + N) / (I_j (alpha - beta_j)^2 + N)).
-    Requires p_u > 0.
-    """
-    terms = _terms(channel, scheme)
-    if scheme.p_u <= 0:
-        raise ValueError("dpc_coefficients needs p_u > 0")
-    return _split_at(terms, j, 0.0)
-
-
-def dpc_common_rate(channel, j, scheme):
-    """User-1 stream rate at candidate receiver j for the scheme's alpha.
-
-    Zero-power streams signal zero rate rather than an error.
-    """
-    terms = _terms(channel, scheme)
-    if scheme.p_u <= 0:
-        return 0.0
-    return _rate_at(terms, j, _need_alpha(scheme), 0.0)
-
-
-def split_coefficients(channel, j, scheme):
-    """beta_j and I_j after re-purposing the slice x as a private layer.
-
-    Requires 0 <= x < p_u so the remaining first-layer power is positive.
-    """
-    terms = _terms(channel, scheme)
-    if not 0 <= scheme.x < scheme.p_u:
-        raise ValueError("split_coefficients needs 0 <= x < p_u")
-    return _split_at(terms, j, scheme.x)
-
-
-def private_link_rate(channel, j, scheme):
-    """Rate carried by the private slice x at candidate receiver j."""
-    _check_power(channel, scheme)
-    h_u = float(channel.receiver(j) @ scheme.b_u)
-    n = channel.N
-    return 0.5 * math.log2((h_u * h_u * scheme.x + n) / n)
-
-
-def dpc_private_optimal(channel, j, scheme):
-    """User-1 stream rate at receiver j with the private layer re-encoded
-    optimally against both the user-2 stream and the remaining first layer.
-
-    Closed form of the inner maximization over the private DPC parameter:
-    1/2 log2((h_ju^2 p_u + N) /
-             (I_j^x N (alpha - beta_j^x)^2 / (h_ju^2 x + N) + N)).
-    x = p_u is handled as the limit where the first layer carries no power.
-    """
-    terms = _terms(channel, scheme)
-    alpha = _need_alpha(scheme)
-    if scheme.x >= scheme.p_u:
-        _, _, s, _ = _receiver(terms, j)
-        if scheme.p_v == 0 or alpha == 0:
-            return 0.5 * math.log2(s / channel.N)
-        return -math.inf
-    return _rate_at(terms, j, alpha, scheme.x)
-
-
-# ---------------------------------------------------------------------------
-# common-layer-only corner points and their closed form
-
-
-@dataclass(frozen=True)
-class CdCorners:
-    """The two antagonist encoding orderings for one (beams, powers) choice.
-
-    corner1: user-2 stream encoded first, user-1 stream dirty-paper coded
-             against it with the max-min optimal alpha (stored in alpha).
-    corner2: user-1 stream encoded first (treated as noise by receiver j),
-             user-2 stream dirty-paper coded against it.
-    """
-
-    corner1: GaussRatePoint
-    corner2: GaussRatePoint
-    alpha: float
-
-
-def cd_region(channel, scheme):
-    """Both corner points reachable without a private layer."""
-    terms = _terms(channel, scheme)
-    if scheme.p_u > 0:
-        alpha, r1_first = envelope_rate(corr_parabolas(terms, 0.0))
-    else:
-        alpha, r1_first = 0.0, 0.0
-    return CdCorners(_point(r1_first, terms.r2_first),
-                     _point(terms.r1_second, terms.r2_second), float(alpha))
 
 
 def p_of_eta(eta, p_u, p_v, n):
@@ -445,7 +326,8 @@ def p_of_eta(eta, p_u, p_v, n):
 
 
 def cd_closed_form(eta, p_u, p_v, n):
-    """corner1 of cd_region in the symmetric geometry, in closed form.
+    """Common-description rate pair with the user-2 stream encoded first,
+    envelope_rate(corr_parabolas(terms, 0)), in closed form.
 
     Geometry: h1, h2 orthonormal, g proportional to h1 - h2, user-1 beam on
     the mean direction h1 + h2, user-2 beam at angle theta with
@@ -461,45 +343,10 @@ def cd_closed_form(eta, p_u, p_v, n):
 # private-description layers
 
 
-def md_uncorrelated_point(channel, scheme):
-    """Rate pair with two time-shared independent private descriptions.
-
-    The slice x of the user-1 power is re-sent as a private description for
-    each candidate channel, active a fraction t (candidate 1) or 1 - t
-    (candidate 2) of the time.  The first-user rate is optimized over alpha.
-    """
-    terms = _terms(channel, scheme)
-    if scheme.p_u <= 0:
-        r1 = 0.0
-    elif scheme.x >= scheme.p_u:
-        # everything private: alpha -> 0 limit, each receiver keeps its share
-        r1 = min(share * 0.5 * math.log2(s / channel.N)
-                 for (_, _, s, _), share in zip(terms.receivers,
-                                                (scheme.t, 1.0 - scheme.t)))
-    else:
-        _, r1 = envelope_rate(uncorr_parabolas(terms, scheme.x, scheme.t))
-    return _point(r1, terms.r2_first)
-
-
-def md_correlated_point(channel, scheme):
-    """Rate pair with one pair of fully correlated private descriptions at
-    the scheme's alpha; see corr_rate for the two R1 constraints.
-    Returns (point, sum_constraint_active).
-    """
-    terms = _terms(channel, scheme)
-    alpha = _need_alpha(scheme)
-    if not scheme.x > 0:
-        raise ValueError("correlated descriptions need x > 0")
-    if not scheme.x < scheme.p_u:
-        raise ValueError("correlated descriptions need x < p_u")
-    r1, _, sum_active = corr_rate(corr_parabolas(terms, scheme.x), scheme.x,
-                                  np.array([alpha]))
-    return _point(r1, terms.r2_first), bool(sum_active)
-
-
 def md_correlated_optimal(channel, scheme):
-    """md_correlated_point with alpha optimized by corr_optimal.
-    Returns (point, alpha, sum_constraint_active).
+    """Rate pair with one pair of fully correlated private descriptions and
+    alpha optimized by corr_optimal; see corr_rate for the two R1
+    constraints.  Returns (point, alpha, sum_constraint_active).
     """
     terms = _terms(channel, scheme)
     if not 0 < scheme.x < scheme.p_u:
@@ -632,6 +479,12 @@ def region_boundary(kind, channel, *, eta_steps=401, split_steps=201,
     time_sharing=True for the convex (time-shared) closure instead.
     """
     kind = _normalize_kind(kind)
+    counts = [("eta_steps", eta_steps, 1), ("split_steps", split_steps, 1),
+              ("x_steps", x_steps, 3)]
+    counts += [("beam_steps", n, 1) for n in beam_steps or ()]
+    for key, count, least in counts:
+        if count < least:
+            raise ValueError(f"{key} must be at least {least}, got {count}")
     p_total = channel.P if power is None else float(power)
     if not 0 <= p_total <= channel.P + 1e-12:
         raise ValueError("power must lie in [0, channel.P]")
@@ -650,7 +503,7 @@ def region_boundary(kind, channel, *, eta_steps=401, split_steps=201,
 
         # x sweep: zero, a log-spaced ladder, and the penalty breakpoint
         fracs = np.concatenate([[0.0],
-                                np.geomspace(1e-7, 1.0, max(x_steps - 2, 1))
+                                np.geomspace(1e-7, 1.0, x_steps - 2)
                                 * (1.0 - 1e-9)])
         x_slices = [f * p_u for f in fracs]
         x_slices.append(np.minimum(CORRELATION_BREAKPOINT,

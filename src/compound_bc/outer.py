@@ -29,6 +29,8 @@ OUTER_FAMILIES = ("c1", "c2", "c12", "cz")
 
 # R1 grid points of the intersected outer boundary
 GRID_POINTS = 401
+# random covariance pairs drawn on top of the beacon pairs
+NUM_RANDOM = 10000
 
 
 def _split_fractions():
@@ -118,7 +120,7 @@ def random_cov_pairs(channel, num, seed=DEFAULT_SEED):
     return scaled[:, 0], scaled[:, 1]
 
 
-def sample_cov_pairs(channel, num_random=10000, seed=DEFAULT_SEED,
+def sample_cov_pairs(channel, num_random=NUM_RANDOM, seed=DEFAULT_SEED,
                      extra_pairs=None):
     """Beacon pairs followed by random draws; every pair spends trace P.
 
@@ -246,9 +248,9 @@ def constituent_curves(channel, ku, kv):
     return {name: RateCurve2D.from_samples(pts) for name, pts in samples.items()}
 
 
-def outer_region(channel, *, num_random=10000, seed=DEFAULT_SEED,
-                 grid_points=GRID_POINTS, time_sharing=False, power=None,
-                 extra_pairs=None, curves=None):
+def outer_region(channel, *, num_random=NUM_RANDOM, seed=DEFAULT_SEED,
+                 time_sharing=False, power=None, extra_pairs=None,
+                 curves=None):
     """Intersection of the four constituent regions on a common R1 grid.
 
     Each region is the staircase of its sampled rate points, so the result
@@ -273,7 +275,7 @@ def outer_region(channel, *, num_random=10000, seed=DEFAULT_SEED,
     # the pointwise min of staircases only changes value at a constituent
     # breakpoint, so adding those to the grid makes the intersection exact
     breaks = np.concatenate([curve.points[:, 0] for curve in curves.values()])
-    grid = np.union1d(np.linspace(0.0, r1_cap, grid_points),
+    grid = np.union1d(np.linspace(0.0, r1_cap, GRID_POINTS),
                       breaks[breaks <= r1_cap])
     r2 = np.min(np.vstack([curve.r2_at(grid) for curve in curves.values()]),
                 axis=0)

@@ -221,11 +221,12 @@ def _is_trivial(iq: LinIneq) -> bool:
     return iq.rhs.const > 0 or (iq.rhs.const == 0 and iq.rel == "<=")
 
 
-def fme_eliminate(system: RegionSystem, var, drop_trivial=True) -> RegionSystem:
+def fme_eliminate(system: RegionSystem, var) -> RegionSystem:
     """Project `var` out by Fourier-Motzkin elimination (exact rationals).
 
     Pairs every upper bound on var with every lower bound; a strict relation
-    on either side makes the combination strict.
+    on either side makes the combination strict.  Combinations that always
+    hold (constant rows) are dropped.
     """
     if var not in system.rate_vars:
         raise KeyError(f"unknown rate variable {var!r}")
@@ -247,7 +248,7 @@ def fme_eliminate(system: RegionSystem, var, drop_trivial=True) -> RegionSystem:
             lhs.pop(var, None)
             rel = "<" if "<" in (up.rel, lo.rel) else "<="
             row = LinIneq(lhs, rel, up.rhs + lo.rhs)
-            if drop_trivial and _is_trivial(row):
+            if _is_trivial(row):
                 continue
             combos.append(row)
     rate_vars = [v for v in system.rate_vars if v != var]
@@ -355,7 +356,7 @@ class NumericRegion:
 
 
 class NumericRegion2D(NumericRegion):
-    """Two-variable region; adds ordered-vertex and containment helpers."""
+    """Two-variable region, (R1, R2) unless named otherwise."""
 
     def __init__(self, A, b, var_names=("R1", "R2"), box=BOX):
         if len(var_names) != 2:
@@ -400,13 +401,6 @@ class ContainsReport:
     max_violation: float
 
 
-def contains(outer, inner, tol=VERTEX_TOL) -> ContainsReport:
-    """Is every vertex of `inner` feasible for `outer` (within tol)?"""
-    pts = inner if isinstance(inner, np.ndarray) else inner.vertices()
-    worst = float(np.max(outer.violation(pts)))
-    return ContainsReport(worst <= tol, worst)
-
-
 def _monotone_chain(points):
     pts = sorted({(float(x), float(y)) for x, y in points})
     if len(pts) <= 2:
@@ -425,36 +419,6 @@ def _monotone_chain(points):
             upper.pop()
         upper.append(p)
     return [np.array(p) for p in lower[:-1] + upper[:-1]]
-
-
-def convex_hull_union(items, box=BOX) -> NumericRegion2D:
-    """Convex hull of regions and/or point clouds as a rate region.
-
-    Rate-region semantics: the origin and the axis projections (x,0), (0,y) of
-    every input point are always achievable, so they join the hull.
-    """
-    pts = [np.zeros(2)]
-    for item in items:
-        arr = vertices_2d(item) if isinstance(item, NumericRegion2D) \
-            else np.atleast_2d(np.asarray(item, dtype=float))
-        for p in arr:
-            pts.append(p)
-            pts.append(np.array([p[0], 0.0]))
-            pts.append(np.array([0.0, p[1]]))
-    hull = _monotone_chain(pts)
-    if len(hull) == 1:
-        return NumericRegion2D(np.eye(2), hull[0], box=box)
-    if len(hull) == 2:
-        (x0, y0), (x1, y1) = hull
-        return NumericRegion2D(np.eye(2), [max(x0, x1), max(y0, y1)], box=box)
-    A, b = [], []
-    n = len(hull)
-    for i in range(n):
-        p, q = hull[i], hull[(i + 1) % n]
-        e = q - p
-        A.append([e[1], -e[0]])
-        b.append(e[1] * p[0] - e[0] * p[1])
-    return NumericRegion2D(np.array(A), np.array(b), box=box)
 
 
 class RateCurve2D:
@@ -539,9 +503,6 @@ class RateCurve2D:
         diff2 = pts[:, 1:] - self.points[None, :, 1]
         return np.min(np.maximum(diff1, diff2), axis=1)
 
-    def contains_point(self, r1, r2, tol=1e-9):
-        return bool(self.violation([[r1, r2]])[0] <= tol)
-
     def contains(self, other, tol=1e-9) -> ContainsReport:
         """Does this region contain the other curve's points (within tol)?"""
         pts = other.points if isinstance(other, RateCurve2D) else other
@@ -566,6 +527,8 @@ class RateCurve2D:
 
 
 _ATOM_RE = re.compile(r"^(I|H)\((.+)\)$")
+# the variable every channel output in a valuation is generated from
+INPUT_VAR = "X"
 
 
 def parse_atom(name: str):
@@ -603,12 +566,11 @@ def atom_variables(atoms):
     return names
 
 
-def atom_values(atoms, source_table, source_names, channels=None,
-                input_var="X") -> dict:
+def atom_values(atoms, source_table, source_names, channels=None) -> dict:
     """Evaluate info atoms on a joint source pmf, with channel outputs.
 
     `source_table` is a joint pmf over `source_names`; any atom variable in
-    `channels` is generated from `input_var` through the given channel matrix
+    `channels` is generated from the input X through the given channel matrix
     (conditionally independent of everything else given the input).
     """
     parsed = {a: parse_atom(a) for a in atoms}
@@ -620,7 +582,7 @@ def atom_values(atoms, source_table, source_names, channels=None,
         if v not in channels:
             raise KeyError(f"atom variable {v!r} is neither a source nor a channel output")
         W = np.asarray(channels[v], dtype=float)
-        x_ax = order.index(input_var)
+        x_ax = order.index(INPUT_VAR)
         moved = np.moveaxis(table, x_ax, -1)
         moved = moved[..., :, None] * W
         table = np.moveaxis(moved, -2, x_ax)
@@ -636,24 +598,22 @@ def atom_values(atoms, source_table, source_names, channels=None,
     return values
 
 
-def sample_valuation(atoms, rng, channels=None, input_var="X",
-                     alphabet=2) -> dict:
+def sample_valuation(atoms, rng, channels=None) -> dict:
     """One random atom valuation consistent with Shannon identities.
 
-    A joint pmf over all source variables is drawn (Dirichlet over the product
-    alphabet); variables listed in `channels` are generated from `input_var`
-    through the given channel matrices, so the valuation also respects that
-    Markov structure.  Atoms must parse via `parse_atom`.
+    A joint pmf over all source variables is drawn (Dirichlet over the
+    product of binary alphabets); variables listed in `channels` are
+    generated from the input X through the given channel matrices, so the
+    valuation also respects that Markov structure.  Atoms must parse via
+    `parse_atom`.
     """
     channels = channels or {}
     names = atom_variables(atoms)
     src = [v for v in names if v not in channels]
-    if len(src) < len(names) and input_var not in src:
-        src.append(input_var)
-    table = rng.dirichlet(np.ones(alphabet ** len(src))).reshape(
-        (alphabet,) * len(src))
-    return atom_values(atoms, table, src, channels=channels,
-                       input_var=input_var)
+    if len(src) < len(names) and INPUT_VAR not in src:
+        src.append(INPUT_VAR)
+    table = rng.dirichlet(np.ones(2 ** len(src))).reshape((2,) * len(src))
+    return atom_values(atoms, table, src, channels=channels)
 
 
 def prune_redundant(system: RegionSystem, valuations, tol=PRUNE_TOL):

@@ -27,6 +27,11 @@ _M64 = (1 << 64) - 1
 DEFAULT_SEED = 20259
 FEAS_TOL = 1e-4
 PENALTY_SCHEDULE = (1e2, 1e4, 1e6)
+# unbounded searches start normal with this scale; every coordinate step
+# starts at STEP0 and shrinks by DECAY after each rejected move
+INIT_SCALE = 3.0
+STEP0 = 1.0
+DECAY = 0.95
 
 
 def mix64(a: int, b: int) -> int:
@@ -57,7 +62,7 @@ class SearchSpec:
 
     With `bounds` (a (dim, 2) array) the iterates start uniform in the box
     and are clipped to it; without, they are unconstrained real vectors that
-    start normal with scale `init_scale` and the objective maps onto its
+    start normal with scale INIT_SCALE and the objective maps onto its
     domain.  `seed` is one integer (one search) or a sequence of integers
     (one search per entry); `restarts` and `iterations` are per search.
     """
@@ -67,9 +72,6 @@ class SearchSpec:
     restarts: int = 20
     iterations: int = 300
     seed: int | Sequence[int] = 0
-    init_scale: float = 3.0
-    step0: float = 1.0
-    decay: float = 0.95
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -106,14 +108,13 @@ def _initial_points(spec: SearchSpec):
                 lo, hi = spec.bounds[:, 0], spec.bounds[:, 1]
                 inits[row] = lo + (hi - lo) * rng.random(spec.dim)
             else:
-                inits[row] = rng.normal(0.0, spec.init_scale, size=spec.dim)
+                inits[row] = rng.normal(0.0, INIT_SCALE, size=spec.dim)
             noise[row] = rng.standard_normal(spec.iterations)
             row += 1
     return inits, noise
 
 
-def maximize(objective, spec: SearchSpec, equality=None,
-             penalty_schedule=PENALTY_SCHEDULE, feas_tol=FEAS_TOL):
+def maximize(objective, spec: SearchSpec, equality=None, feas_tol=FEAS_TOL):
     """Random-restart coordinate-perturbation maximization of K groups.
 
     objective(X) takes the (K*R, dim) group-major batch and returns (K*R,)
@@ -127,7 +128,7 @@ def maximize(objective, spec: SearchSpec, equality=None,
     """
     groups, restarts = len(spec.seeds), spec.restarts
     X, noise = _initial_points(spec)
-    schedule = list(penalty_schedule) if equality is not None else [0.0]
+    schedule = list(PENALTY_SCHEDULE) if equality is not None else [0.0]
 
     def penalized(P, w):
         vals = np.asarray(objective(P), dtype=float)
@@ -141,7 +142,7 @@ def maximize(objective, spec: SearchSpec, equality=None,
         raise ValueError("objective is non-finite at every restart's initial point")
     cur = np.where(np.isfinite(cur), cur, -np.inf)
 
-    steps = np.full((groups * restarts, spec.dim), spec.step0)
+    steps = np.full((groups * restarts, spec.dim), STEP0)
     trace = np.empty((groups, spec.iterations))
     stage_len = -(-spec.iterations // len(schedule))  # ceil division
     it = 0
@@ -161,7 +162,7 @@ def maximize(objective, spec: SearchSpec, equality=None,
             better = vals > cur
             X[better] = prop[better]
             cur = np.where(better, vals, cur)
-            steps[~better, c] *= spec.decay
+            steps[~better, c] *= DECAY
             trace[:, it] = cur.reshape(groups, restarts).max(axis=1)
             it += 1
 

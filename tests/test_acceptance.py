@@ -33,16 +33,17 @@ from compound_bc.miso import (
     CORRELATION_BREAKPOINT,
     DpcScheme,
     MisoChannel,
+    _terms,
     beam_from_angle,
     cd_closed_form,
-    cd_region,
-    dpc_coefficients,
-    dpc_common_rate,
-    dpc_private_optimal,
+    corr_parabolas,
+    envelope_rate,
     md_correlated_optimal,
+    parabola_rate,
     region_boundary,
     special_beams,
     special_geometry,
+    split_terms,
     strictness_uncorrelated_check,
 )
 from compound_bc.outer import (
@@ -232,15 +233,19 @@ def test_06_gaussian_closed_forms_match_covariance_oracle():
         channel = random_channel(rng)
         scheme = random_scheme(rng, channel, with_x=True)
         j = int(rng.integers(1, 3))
+        terms = _terms(channel, scheme)
         # common stream at the interference-cancelling DPC parameter
-        beta, _ = dpc_coefficients(channel, j, scheme)
-        tuned = dataclasses.replace(scheme, alpha=beta)
+        beta, _ = split_terms(terms.receivers[j - 1], scheme.p_u,
+                              scheme.p_v, 0.0)
+        tuned = dataclasses.replace(scheme, alpha=float(beta))
+        common = corr_parabolas(terms, 0.0)[3 * j - 3:3 * j]
         worst_common = max(worst_common,
-                           abs(dpc_common_rate(channel, j, tuned)
+                           abs(float(parabola_rate(*common, tuned.alpha))
                                - oracle_common_rate(channel, j, tuned)))
         # split stream: closed maximum vs a golden search over the oracle
         if scheme.p_v > 0:
-            got = dpc_private_optimal(channel, j, scheme)
+            split = corr_parabolas(terms, scheme.x)[3 * j - 3:3 * j]
+            got = float(parabola_rate(*split, scheme.alpha))
             want = golden_max(
                 lambda a1: oracle_split_rate(channel, j, scheme, a1),
                 -8.0, 8.0)
@@ -272,8 +277,8 @@ def test_07_correlated_descriptions_strictly_help_below_breakpoint():
     aligned_gain = abs(aligned.r1 - cd_closed_form(1.0, 6.0, 4.0, 1.0).r1)
     # without a second stream there is no interference to describe
     lone = DpcScheme(b_u, b_v, 6.0, 0.0, x=0.05)
-    lone_gain = abs(md_correlated_optimal(channel, lone)[0].r1
-                    - cd_region(channel, lone).corner1.r1)
+    lone_cd = envelope_rate(corr_parabolas(_terms(channel, lone), 0.0))[1]
+    lone_gain = abs(md_correlated_optimal(channel, lone)[0].r1 - lone_cd)
     ok = (best_gain > 1e-6 and r2_drift <= 1e-9
           and aligned_gain <= 1e-9 and lone_gain <= 1e-9)
     report(7, "correlated private slice lifts R1 at unchanged R2", ok,

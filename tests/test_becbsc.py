@@ -1,4 +1,7 @@
 import math
+import runpy
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -208,3 +211,15 @@ def test_mrs_gerber_and_crossing():
         _, r1 = mrs_gerber_lower(PARAMS, alpha)
         assert r1 == pytest.approx(
             1 - h2(star(0.13, alpha)), abs=1e-12)
+
+
+def test_discrete_demo_corner_table_matches_capacity_c1(tmp_path,
+                                                        monkeypatch):
+    demo = Path(__file__).parents[1] / "demos" / "discrete_compound_tour.py"
+    monkeypatch.setattr(sys, "argv", [str(demo), "--out", str(tmp_path)])
+    runpy.run_path(str(demo), run_name="__main__")
+    table = np.genfromtxt(tmp_path / "corners.csv", delimiter=",", names=True)
+    for row in table:
+        r1, r2 = capacity_c1(PARAMS, float(row["alpha"]))
+        assert abs(row["c1_r1"] - r1) <= 1e-11
+        assert abs(row["c1_r2"] - r2) <= 1e-11

@@ -230,7 +230,8 @@ class TestBecbscDa:
     @pytest.mark.parametrize("key, value", [
         ("seed", float("inf")), ("seed", 2.7), ("seed", float("nan")),
         ("budget", float("inf")), ("budget", 1.5),
-        ("rate_points", 2.5), ("x_points", 2.9)])
+        ("rate_points", 2.5), ("x_points", 2.9),
+        ("seed", True), ("budget", True), ("a", True)])
     def test_non_integer_count_rejected_before_any_output(
             self, tmp_path, capsys, key, value):
         cfg = {"a": 1.0, "rate_points": 3, "x_points": 3, "budget": 1}
@@ -239,7 +240,8 @@ class TestBecbscDa:
         out = tmp_path / "da_out"
         assert cli.main(["becbsc-da", "--params", params,
                          "--out", str(out)]) == 2
-        assert f"parameter {key!r} must be int" in capsys.readouterr().err
+        cast = "float" if key == "a" else "int"
+        assert f"parameter {key!r} must be {cast}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -328,7 +330,8 @@ class TestMiso:
 
     @pytest.mark.parametrize("key, value", [
         ("eta_steps", 21.5), ("split_steps", float("inf")), ("x_steps", 11.2),
-        ("beam_steps", [9, 4.5]), ("seed", float("nan"))])
+        ("beam_steps", [9, 4.5]), ("seed", float("nan")),
+        ("eta_steps", True), ("beam_steps", [9, True]), ("N", True)])
     def test_non_integer_grid_key_rejected_before_any_output(
             self, tmp_path, capsys, key, value):
         cfg = {"eta_steps": 21, "split_steps": 11, "x_steps": 11,
@@ -338,7 +341,19 @@ class TestMiso:
         out = tmp_path / "miso_out"
         assert cli.main(["miso", "--outer", "--params", params,
                          "--out", str(out)]) == 2
-        assert f"parameter {key!r} must be int" in capsys.readouterr().err
+        cast = "float" if key == "N" else "int"
+        assert f"parameter {key!r} must be {cast}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("N", -1, "noise variance N"),
+        ("split_steps", 0, "split_steps must be at least 1")])
+    def test_out_of_range_value_rejected_before_any_output(
+            self, tmp_path, capsys, key, value, message):
+        params = write_params(tmp_path, "p.json", {key: value})
+        out = tmp_path / "miso_out"
+        assert cli.main(["miso", "--params", params, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_outer_runs_byte_identical(self, tmp_path):

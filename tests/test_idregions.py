@@ -7,8 +7,6 @@ from compound_bc.idregions import (
     build_T_constraints,
     example_valuations,
     id_example_system,
-    nid_system,
-    nonneg,
     reduce_example_system,
     reduced_target_region,
     regions_match,
@@ -19,7 +17,6 @@ from compound_bc.polyhedra import (
     InfoExpr,
     RegionSystem,
     atom_values,
-    contains,
     fme_eliminate_all,
     ineq,
     instantiate,
@@ -57,7 +54,6 @@ def test_example_system_shape():
     assert "I(V;Z,U|Q)" in atoms
     assert "I(U;Y1|Q)" in atoms
     assert "I(Q,U,V;Y2)" in atoms
-    assert len(nid_system().ineqs) == 12
 
 
 def test_recombination_requires_projected_system():
@@ -106,8 +102,8 @@ def test_own_decoder_block_inside_cross_block_when_degraded():
     atoms = sorted(set(own.atoms()) | set(cross.atoms()))
     for values in example_valuations(atoms, 10, seed=3):
         verts = instantiate(own, values).vertices()
-        report = contains(instantiate(cross, values), verts, tol=1e-9)
-        assert report.contained, report.max_violation
+        worst = np.max(instantiate(cross, values).violation(verts))
+        assert worst <= 1e-9, worst
 
 
 def _structured_table(rng):

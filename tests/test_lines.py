@@ -15,7 +15,6 @@ from compound_bc.lines import (
     default_lambda_grid,
     evaluate_supporting_lines,
     invert_decreasing,
-    normalized_inverse_gap,
     sample_t_a,
     t0_closed,
     t1_closed,
@@ -332,7 +331,7 @@ def test_weighted_curve_is_decreasing_and_midpoint_concave():
 
 
 # ---------------------------------------------------------------------------
-# curve inversion and the normalized gap
+# curve inversion
 
 
 def test_invert_decreasing_on_exact_curves():
@@ -344,17 +343,6 @@ def test_invert_decreasing_on_exact_curves():
                        1 - rates, atol=1e-12)
     assert np.allclose(invert_decreasing(xs, parabola, rates),
                        1 - np.sqrt(rates), atol=1e-12)
-    gap = normalized_inverse_gap(xs, line, parabola, rates)
-    exact = np.sqrt(rates) - rates
-    assert np.allclose(gap, exact / exact.max(), atol=1e-12)
-
-
-def test_normalized_gap_of_identical_curves_is_zero():
-    xs = np.linspace(0.0, 1.0, 101)
-    curve = np.cos(xs)
-    rates = np.array([0.6, 0.8])
-    gap = normalized_inverse_gap(xs, curve, curve, rates)
-    assert np.all(gap == 0.0)
 
 
 def test_invert_decreasing_survives_small_noise():

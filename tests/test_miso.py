@@ -17,23 +17,22 @@ from compound_bc.miso import (
     GaussRatePoint,
     MisoChannel,
     _minimax_two_vec,
+    _terms,
     beam_from_angle,
     cd_closed_form,
-    cd_region,
-    dpc_coefficients,
-    dpc_common_rate,
-    dpc_private_optimal,
+    corr_parabolas,
+    corr_rate,
+    envelope_rate,
     is_symmetric_geometry,
     md_correlated_optimal,
-    md_correlated_point,
-    md_uncorrelated_point,
     p_of_eta,
-    private_link_rate,
+    parabola_rate,
     region_boundary,
     special_beams,
     special_geometry,
-    split_coefficients,
+    split_terms,
     strictness_uncorrelated_check,
+    uncorr_parabolas,
     unit_beam,
 )
 
@@ -98,6 +97,39 @@ def random_scheme(rng, channel, with_x=False):
                      beam_from_angle(rng.uniform(0, math.pi)),
                      p_u, p_v, x=x, alpha=rng.uniform(-1.5, 1.5),
                      t=rng.uniform(0, 1))
+
+
+def stream_rate(channel, j, scheme, x=0.0):
+    """Receiver j's user-1 stream rate at scheme.alpha, slice x private."""
+    a, v, c = corr_parabolas(_terms(channel, scheme), x)[3 * j - 3:3 * j]
+    return float(parabola_rate(a, v, c, scheme.alpha))
+
+
+def split_at(channel, j, scheme, x=0.0):
+    """(beta_j^x, I_j^x) of receiver j."""
+    beta, weight = split_terms(_terms(channel, scheme).receivers[j - 1],
+                               scheme.p_u, scheme.p_v, x)
+    return float(beta), float(weight)
+
+
+def cd_corner(channel, scheme):
+    """Max-min R1 and R2 with the user-2 stream encoded first."""
+    terms = _terms(channel, scheme)
+    _, r1 = envelope_rate(corr_parabolas(terms, 0.0))
+    return max(float(r1), 0.0), float(terms.r2_first)
+
+
+def uncorr_r1(channel, scheme):
+    """Max-min R1 with time-shared private descriptions."""
+    paras = uncorr_parabolas(_terms(channel, scheme), scheme.x, scheme.t)
+    return max(float(envelope_rate(paras)[1]), 0.0)
+
+
+def corr_at_alpha(channel, scheme):
+    """Correlated-description R1 at scheme.alpha, sum constraint active?"""
+    r1, _, active = corr_rate(corr_parabolas(_terms(channel, scheme), scheme.x),
+                              scheme.x, np.array([scheme.alpha]))
+    return float(r1), bool(active)
 
 
 def stream_cov(h_u, h_v, p_u, p_v, n, alpha):
@@ -182,7 +214,7 @@ class TestCommonRate:
             channel = random_channel(rng)
             scheme = random_scheme(rng, channel)
             for j in (1, 2):
-                got = dpc_common_rate(channel, j, scheme)
+                got = stream_rate(channel, j, scheme)
                 want = oracle_common_rate(channel, j, scheme)
                 assert got == pytest.approx(want, abs=1e-9)
 
@@ -190,11 +222,11 @@ class TestCommonRate:
         channel = special_geometry()
         b_u, b_v = special_beams(0.3)
         base = DpcScheme(b_u, b_v, 6.0, 4.0, alpha=0.0)
-        beta, _ = dpc_coefficients(channel, 1, base)
+        beta, _ = split_at(channel, 1, base)
         scheme = DpcScheme(b_u, b_v, 6.0, 4.0, alpha=beta)
         h_u = float(channel.h1 @ b_u)
         expect = 0.5 * math.log2((h_u ** 2 * 6.0 + 1.0) / 1.0)
-        assert dpc_common_rate(channel, 1, scheme) == pytest.approx(
+        assert stream_rate(channel, 1, scheme) == pytest.approx(
             expect, abs=1e-12)
 
     def test_pv_zero_is_alpha_independent(self):
@@ -203,51 +235,40 @@ class TestCommonRate:
         vals = set()
         for alpha in (-1.0, 0.0, 2.0):
             scheme = DpcScheme(b_u, b_v, 5.0, 0.0, alpha=alpha)
-            vals.add(round(dpc_common_rate(channel, 2, scheme), 14))
+            vals.add(round(stream_rate(channel, 2, scheme), 14))
         h_u = float(channel.h2 @ b_u)
         expect = 0.5 * math.log2(h_u ** 2 * 5.0 + 1.0)
         assert vals == {round(expect, 14)}
 
     def test_zero_pu_signals_zero_rate(self):
-        channel = special_geometry()
-        b_u, b_v = special_beams(0.0)
-        scheme = DpcScheme(b_u, b_v, 0.0, 4.0, alpha=0.1)
-        assert dpc_common_rate(channel, 1, scheme) == 0.0
-
-    def test_coefficients_require_positive_pu(self):
-        channel = special_geometry()
-        b_u, b_v = special_beams(0.0)
-        scheme = DpcScheme(b_u, b_v, 0.0, 4.0, alpha=0.1)
-        with pytest.raises(ValueError, match="p_u > 0"):
-            dpc_coefficients(channel, 1, scheme)
-
-    def test_alpha_required(self):
-        channel = special_geometry()
-        b_u, b_v = special_beams(0.0)
-        scheme = DpcScheme(b_u, b_v, 5.0, 5.0)
-        with pytest.raises(ValueError, match="alpha"):
-            dpc_common_rate(channel, 1, scheme)
+        # one power split: everything on the user-2 stream
+        curve = region_boundary("md-uncorr", special_geometry(), eta_steps=5,
+                                split_steps=1, x_steps=3)
+        assert curve.r1_max == 0.0
 
 
 class TestPrivateOptimal:
     def test_x_zero_reduces_to_common_rate(self):
+        # without a slice the time-shared parabolas are the common ones
         rng = np.random.default_rng(SEED + 1)
         for _ in range(10):
             channel = random_channel(rng)
             scheme = random_scheme(rng, channel)
+            paras = uncorr_parabolas(_terms(channel, scheme), 0.0, scheme.t)
             for j in (1, 2):
-                assert dpc_private_optimal(channel, j, scheme) == \
-                    dpc_common_rate(channel, j, scheme)
+                got = parabola_rate(*paras[3 * j - 3:3 * j], scheme.alpha)
+                assert got == pytest.approx(stream_rate(channel, j, scheme),
+                                            abs=1e-12)
 
     def test_alpha_at_shifted_beta_removes_interference(self):
         channel = special_geometry()
         b_u, b_v = special_beams(0.4)
         probe = DpcScheme(b_u, b_v, 6.0, 4.0, x=1.0, alpha=0.0)
-        beta_x, _ = split_coefficients(channel, 1, probe)
+        beta_x, _ = split_at(channel, 1, probe, 1.0)
         scheme = DpcScheme(b_u, b_v, 6.0, 4.0, x=1.0, alpha=beta_x)
         h_u = float(channel.h1 @ b_u)
         expect = 0.5 * math.log2(h_u ** 2 * 6.0 + 1.0)
-        assert dpc_private_optimal(channel, 1, scheme) == pytest.approx(
+        assert stream_rate(channel, 1, scheme, 1.0) == pytest.approx(
             expect, abs=1e-12)
 
     def test_matches_oracle_maximum_over_inner_parameter(self):
@@ -258,29 +279,23 @@ class TestPrivateOptimal:
             if scheme.p_v == 0:
                 continue
             for j in (1, 2):
-                closed = dpc_private_optimal(channel, j, scheme)
+                closed = stream_rate(channel, j, scheme, scheme.x)
                 _, best = golden_max(
                     lambda a1: oracle_split_rate(channel, j, scheme, a1),
                     -8.0, 8.0)
                 assert closed == pytest.approx(best, abs=1e-6)
 
-    def test_x_equal_pu_limit(self):
-        channel = special_geometry()
-        b_u, b_v = special_beams(0.2)
-        scheme = DpcScheme(b_u, b_v, 6.0, 4.0, x=6.0, alpha=0.0)
-        h_u = float(channel.h1 @ b_u)
-        expect = 0.5 * math.log2(h_u ** 2 * 6.0 + 1.0)
-        assert dpc_private_optimal(channel, 1, scheme) == pytest.approx(expect)
-        off = DpcScheme(b_u, b_v, 6.0, 4.0, x=6.0, alpha=0.3)
-        assert dpc_private_optimal(channel, 1, off) == -math.inf
-
     def test_private_link_rate(self):
+        # receiver 1's full time share adds its private link to its rate
         channel = special_geometry()
         b_u, b_v = special_beams(0.0)
         scheme = DpcScheme(b_u, b_v, 6.0, 4.0, x=2.0, alpha=0.0)
         h_u = float(channel.h1 @ b_u)
         expect = 0.5 * math.log2((h_u ** 2 * 2.0 + 1.0) / 1.0)
-        assert private_link_rate(channel, 1, scheme) == pytest.approx(expect)
+        full, idle = (parabola_rate(*uncorr_parabolas(_terms(channel, scheme),
+                                                      2.0, share)[:3], 0.0)
+                      for share in (1.0, 0.0))
+        assert full - idle == pytest.approx(expect)
 
 
 class TestMinimaxParabolas:
@@ -319,12 +334,12 @@ class TestCdRegion:
         channel = special_geometry()
         b_u, b_v = special_beams(0.0)
         scheme = DpcScheme(b_u, b_v, 8.0, 0.0)
-        corners = cd_region(channel, scheme)
-        assert corners.corner1.r2 == 0.0
+        r1, r2 = cd_corner(channel, scheme)
+        assert r2 == 0.0
         expect = min(
             0.5 * math.log2(float(channel.h1 @ b_u) ** 2 * 8.0 + 1.0),
             0.5 * math.log2(float(channel.h2 @ b_u) ** 2 * 8.0 + 1.0))
-        assert corners.corner1.r1 == pytest.approx(expect, abs=1e-12)
+        assert r1 == pytest.approx(expect, abs=1e-12)
 
     def test_matches_closed_form_in_symmetric_geometry(self):
         channel = special_geometry()
@@ -332,10 +347,10 @@ class TestCdRegion:
             eta = math.sin(2 * theta)
             scheme = DpcScheme(beam_from_angle(math.pi / 4),
                                beam_from_angle(theta), 6.0, 4.0)
-            corners = cd_region(channel, scheme)
+            r1, r2 = cd_corner(channel, scheme)
             closed = cd_closed_form(eta, 6.0, 4.0, 1.0)
-            assert corners.corner1.r1 == pytest.approx(closed.r1, abs=1e-9)
-            assert corners.corner1.r2 == pytest.approx(closed.r2, abs=1e-9)
+            assert r1 == pytest.approx(closed.r1, abs=1e-9)
+            assert r2 == pytest.approx(closed.r2, abs=1e-9)
 
     def test_maxmin_agrees_with_dense_alpha_grid(self):
         rng = np.random.default_rng(SEED + 4)
@@ -344,27 +359,25 @@ class TestCdRegion:
             scheme = random_scheme(rng, channel)
             if scheme.p_u <= 0:
                 continue
-            corners = cd_region(channel, scheme)
+            r1, _ = cd_corner(channel, scheme)
 
             def worst_rate(alpha):
                 probe = DpcScheme(scheme.b_u, scheme.b_v, scheme.p_u,
                                   scheme.p_v, alpha=alpha)
-                return min(dpc_common_rate(channel, j, probe) for j in (1, 2))
+                return min(stream_rate(channel, j, probe) for j in (1, 2))
 
             grid = np.linspace(-6, 6, 4001)
             k = int(np.argmax([worst_rate(a) for a in grid]))
             _, best = golden_max(worst_rate, grid[max(k - 1, 0)],
                                  grid[min(k + 1, 4000)])
-            assert corners.corner1.r1 == pytest.approx(
-                max(best, 0.0), abs=1e-6)
+            assert r1 == pytest.approx(max(best, 0.0), abs=1e-6)
 
     def test_second_corner_values(self):
         channel = special_geometry()
         b_u, b_v = special_beams(-0.5)
-        scheme = DpcScheme(b_u, b_v, 6.0, 4.0)
-        corners = cd_region(channel, scheme)
+        terms = _terms(channel, DpcScheme(b_u, b_v, 6.0, 4.0))
         g_v = float(channel.g @ b_v)
-        assert corners.corner2.r2 == pytest.approx(
+        assert float(terms.r2_second) == pytest.approx(
             0.5 * math.log2(g_v ** 2 * 4.0 + 1.0), abs=1e-12)
         vals = []
         for h in (channel.h1, channel.h2):
@@ -372,7 +385,7 @@ class TestCdRegion:
             vals.append(0.5 * math.log2(
                 (h_u ** 2 * 6.0 + h_v ** 2 * 4.0 + 1.0)
                 / (h_v ** 2 * 4.0 + 1.0)))
-        assert corners.corner2.r1 == pytest.approx(min(vals), abs=1e-12)
+        assert float(terms.r1_second) == pytest.approx(min(vals), abs=1e-12)
 
     def test_second_corner_dominated_in_symmetric_geometry(self):
         channel = special_geometry()
@@ -381,11 +394,11 @@ class TestCdRegion:
                 scheme = DpcScheme(beam_from_angle(math.pi / 4),
                                    beam_from_angle(theta),
                                    10.0 * split, 10.0 * (1 - split))
-                corners = cd_region(channel, scheme)
+                r1, r2 = cd_corner(channel, scheme)
+                terms = _terms(channel, scheme)
                 # same R2 on both corners here, so corner2 adds nothing
-                assert corners.corner2.r2 == pytest.approx(
-                    corners.corner1.r2, abs=1e-12)
-                assert corners.corner2.r1 <= corners.corner1.r1 + 1e-12
+                assert terms.r2_second == pytest.approx(r2, abs=1e-12)
+                assert terms.r1_second <= r1 + 1e-12
 
 
 class TestCdClosedForm:
@@ -415,10 +428,8 @@ class TestMdUncorrelated:
             p_u = rng.uniform(1, 9)
             scheme = DpcScheme(b_u, b_v, p_u, 10.0 - p_u, x=0.0,
                                t=rng.uniform(0, 1))
-            corners = cd_region(channel, scheme)
-            point = md_uncorrelated_point(channel, scheme)
-            assert point.r1 == pytest.approx(corners.corner1.r1, abs=1e-12)
-            assert point.r2 == pytest.approx(corners.corner1.r2, abs=1e-12)
+            assert uncorr_r1(channel, scheme) == pytest.approx(
+                cd_corner(channel, scheme)[0], abs=1e-12)
 
     def test_equal_share_matches_symmetric_closed_form(self):
         channel = special_geometry()
@@ -428,12 +439,12 @@ class TestMdUncorrelated:
             b_u, b_v = special_beams(eta)
             for x in (0.05, 0.4, 1.5):
                 scheme = DpcScheme(b_u, b_v, p_u, p_v, x=x, t=0.5)
-                point = md_uncorrelated_point(channel, scheme)
                 denom = ((p_u - x) / math.sqrt(x + 2 * n)
                          * math.sqrt(2 * n) / p_u * residual
                          + math.sqrt(2 * n) * math.sqrt(x + 2 * n))
                 expect = 0.5 * math.log2((p_u + 2 * n) / denom)
-                assert point.r1 == pytest.approx(expect, abs=1e-9)
+                assert uncorr_r1(channel, scheme) == pytest.approx(
+                    expect, abs=1e-9)
 
     def test_alpha_maximum_agrees_with_dense_grid(self):
         rng = np.random.default_rng(SEED + 6)
@@ -445,16 +456,12 @@ class TestMdUncorrelated:
             scheme = DpcScheme(b_u, b_v, p_u, 10.0 - p_u,
                                x=rng.uniform(0.01, 0.8 * p_u),
                                t=rng.uniform(0, 1))
-            point = md_uncorrelated_point(channel, scheme)
-
             def objective(alpha):
                 vals = []
                 for j, share in ((1, scheme.t), (2, 1.0 - scheme.t)):
                     h = channel.receiver(j)
                     h_u = float(h @ b_u)
-                    probe = DpcScheme(b_u, b_v, p_u, scheme.p_v,
-                                      x=scheme.x, alpha=alpha)
-                    beta_x, i_x = split_coefficients(channel, j, probe)
+                    beta_x, i_x = split_at(channel, j, scheme, scheme.x)
                     s = h_u ** 2 * p_u + 1.0
                     link = 0.5 * math.log2(h_u ** 2 * scheme.x + 1.0)
                     vals.append(share * link + 0.5 * math.log2(
@@ -466,17 +473,8 @@ class TestMdUncorrelated:
             k = int(np.argmax([objective(a) for a in grid]))
             _, best = golden_max(objective, grid[max(k - 1, 0)],
                                  grid[min(k + 1, 4000)])
-            assert point.r1 == pytest.approx(max(best, 0.0), abs=1e-6)
-
-    def test_all_private_limit(self):
-        channel = special_geometry()
-        b_u, b_v = special_beams(0.1)
-        scheme = DpcScheme(b_u, b_v, 6.0, 4.0, x=6.0, t=0.3)
-        point = md_uncorrelated_point(channel, scheme)
-        h_u = float(channel.h1 @ b_u)
-        per_receiver = [0.3 * 0.5 * math.log2(h_u ** 2 * 6.0 + 1.0),
-                        0.7 * 0.5 * math.log2(h_u ** 2 * 6.0 + 1.0)]
-        assert point.r1 == pytest.approx(min(per_receiver), abs=1e-12)
+            assert uncorr_r1(channel, scheme) == pytest.approx(
+                max(best, 0.0), abs=1e-6)
 
 
 class TestMdCorrelated:
@@ -485,23 +483,21 @@ class TestMdCorrelated:
         b_u, b_v = special_beams(1.0)  # both receivers see identical gains
         x = 0.05
         probe = DpcScheme(b_u, b_v, 6.0, 4.0, x=x, alpha=0.0)
-        beta_x, _ = split_coefficients(channel, 1, probe)
+        beta_x, _ = split_at(channel, 1, probe, x)
         scheme = DpcScheme(b_u, b_v, 6.0, 4.0, x=x, alpha=beta_x)
-        point, sum_active = md_correlated_point(channel, scheme)
+        r1, sum_active = corr_at_alpha(channel, scheme)
         h_u = float(channel.h1 @ b_u)
-        assert point.r1 == pytest.approx(
+        assert r1 == pytest.approx(
             0.5 * math.log2(h_u ** 2 * 6.0 + 1.0), abs=1e-12)
         assert not sum_active  # x below the penalty breakpoint
 
     def test_rejects_nonpositive_and_full_slice(self):
         channel = special_geometry()
         b_u, b_v = special_beams(0.0)
-        with pytest.raises(ValueError, match="x > 0"):
-            md_correlated_point(channel, DpcScheme(b_u, b_v, 6.0, 4.0,
-                                                   x=0.0, alpha=0.1))
-        with pytest.raises(ValueError, match="x < p_u"):
-            md_correlated_point(channel, DpcScheme(b_u, b_v, 6.0, 4.0,
-                                                   x=6.0, alpha=0.1))
+        for x in (0.0, 6.0):
+            with pytest.raises(ValueError, match="0 < x < p_u"):
+                md_correlated_optimal(channel,
+                                      DpcScheme(b_u, b_v, 6.0, 4.0, x=x))
 
     def test_strict_gain_below_breakpoint(self):
         channel = special_geometry()
@@ -526,7 +522,7 @@ class TestMdCorrelated:
         lone = DpcScheme(b_u, b_v, 6.0, 0.0, x=0.05)
         point, _, _ = md_correlated_optimal(channel, lone)
         assert point.r1 == pytest.approx(
-            cd_region(channel, lone).corner1.r1, abs=1e-12)
+            cd_corner(channel, lone)[0], abs=1e-12)
 
     def test_continuity_at_vanishing_slice(self):
         channel = special_geometry()
@@ -555,9 +551,8 @@ class TestMdCorrelated:
         channel = special_geometry()
         b_u, b_v = special_beams(-0.5)
         scheme = DpcScheme(b_u, b_v, 6.0, 4.0, x=3.0, alpha=0.2)
-        point, sum_active = md_correlated_point(channel, scheme)
+        _, sum_active = corr_at_alpha(channel, scheme)
         assert sum_active
-        assert point.r1 >= 0.0
 
 
 class TestStrictness:
@@ -634,9 +629,9 @@ class TestGeometryAndTypes:
     def test_power_budget_enforced_in_ops(self):
         channel = special_geometry(total_power=5.0)
         b_u, b_v = special_beams(0.0)
-        scheme = DpcScheme(b_u, b_v, 4.0, 4.0, alpha=0.0)
+        scheme = DpcScheme(b_u, b_v, 4.0, 4.0, x=1.0)
         with pytest.raises(ValueError, match="budget"):
-            dpc_common_rate(channel, 1, scheme)
+            md_correlated_optimal(channel, scheme)
 
     def test_rate_point_nonnegative(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -653,7 +648,7 @@ class TestRegionBoundary:
         curve = region_boundary("cd", channel, eta_steps=41, split_steps=21)
         # eta = -0.5 and the 60/40 split lie on the sweep grid
         pt = cd_closed_form(-0.5, 6.0, 4.0, 1.0)
-        assert curve.contains_point(pt.r1, pt.r2, tol=1e-9)
+        assert curve.contains(np.array([[pt.r1, pt.r2]]), tol=1e-9).contained
 
     def test_meta_records_achieving_scheme(self):
         channel = special_geometry()
@@ -693,6 +688,13 @@ class TestRegionBoundary:
         assert md_c.contains(cd, tol=1e-9).contained
         row = cd.meta[0]
         assert {"theta_u", "theta_v"} <= set(row)
+
+    @pytest.mark.parametrize("key, value", [
+        ("eta_steps", 0), ("split_steps", -3), ("x_steps", 2),
+        ("beam_steps", (9, 0))])
+    def test_rejects_bad_grid_counts(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            region_boundary("cd", special_geometry(), **{key: value})
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

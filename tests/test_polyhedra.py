@@ -17,8 +17,6 @@ from compound_bc.polyhedra import (
     NumericRegion2D,
     RateCurve2D,
     RegionSystem,
-    contains,
-    convex_hull_union,
     fme_eliminate,
     fme_eliminate_all,
     ineq,
@@ -272,33 +270,10 @@ def test_empty_region_raises():
 def test_contains_reports_violation():
     outer = NumericRegion2D([[1, 1]], [2.0])
     inner = NumericRegion2D([[1, 0], [0, 1]], [1.0, 1.0], box=10)
-    rep = contains(outer, inner)
-    assert rep.contained and rep.max_violation <= 1e-9
-    rep2 = contains(inner, outer)
-    assert not rep2.contained
+    assert np.max(outer.violation(inner.vertices())) <= 1e-9
     # outer's farthest vertex (2,0) violates R1 <= 1 by 1
-    assert rep2.max_violation == pytest.approx(1.0, abs=1e-9)
-
-
-def test_convex_hull_union_two_points_is_triangle():
-    hull = convex_hull_union([np.array([[3.0, 0.0]]), np.array([[0.0, 2.0]])])
-    verts = vertices_2d(hull)
-    assert sorted(map(tuple, np.round(verts, 9))) == [
-        (0.0, 0.0), (0.0, 2.0), (3.0, 0.0)]
-    # midpoint of the time-sharing segment is feasible
-    assert hull.feasible([1.5, 1.0])[0]
-    assert not hull.feasible([1.6, 1.1])[0]
-
-
-def test_convex_hull_union_of_regions():
-    r1 = NumericRegion2D([[1, 0], [0, 1]], [2.0, 1.0])
-    r2 = NumericRegion2D([[1, 0], [0, 1]], [1.0, 2.0])
-    hull = convex_hull_union([r1, r2])
-    assert hull.feasible([1.5, 1.5])[0]  # on the time-sharing face
-    assert not hull.feasible([1.9, 1.9])[0]
-    single = convex_hull_union([r1])
-    rep = contains(single, r1)
-    assert rep.contained
+    assert np.max(inner.violation(outer.vertices())) == pytest.approx(
+        1.0, abs=1e-9)
 
 
 def test_region_system_json_roundtrip():
@@ -389,8 +364,8 @@ def test_rate_curve_violation_semantics():
     outside = curve.violation([[0.4, 0.2], [1.0, 0.0]])
     assert outside[0] == pytest.approx(0.1)
     assert outside[1] == pytest.approx(0.1)
-    assert curve.contains_point(0.85, 0.1)
-    assert not curve.contains_point(0.85, 0.11)
+    assert curve.contains(np.array([[0.85, 0.1]])).contained
+    assert not curve.contains(np.array([[0.85, 0.11]])).contained
 
 
 def test_rate_curve_contains_report():
