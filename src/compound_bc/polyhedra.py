@@ -24,6 +24,7 @@ from .info import mi_groups
 
 BOX = 50.0
 VERTEX_TOL = 1e-9
+VERTEX_CHUNK = 256  # row combinations per stacked det/solve in vertices
 PRUNE_TOL = 1e-7
 
 F0 = Fraction(0)
@@ -331,22 +332,36 @@ class NumericRegion:
         return np.max(pts @ self.A.T - self.b, axis=1)
 
     def vertices(self, tol=VERTEX_TOL):
-        """All basic feasible points (dimension <= 3 only)."""
+        """All basic feasible points (dimension <= 3 only).
+
+        Every d-subset of rows, in `itertools.combinations` order, is a
+        candidate basis.  The subsets are taken VERTEX_CHUNK at a time and
+        each chunk is one stacked step: `det` drops the singular bases,
+        one batched `solve` gives the candidate points and one product
+        against all rows keeps the feasible ones.  `det` and `solve` are
+        gufuncs that make the same LAPACK call on each stacked matrix as on
+        a lone one, so the candidate points, and their order, are
+        bit-identical to solving the subsets one at a time.  The stacked
+        feasibility product may round differently from a per-point
+        `A @ v` in the last bit, which can change the outcome only for a
+        point that violates some row by `tol` to within that rounding.
+        Working memory is O(VERTEX_CHUNK * m) for m rows, box rows included.
+        """
         d = self.dim
         if d > 3:
             raise NotImplementedError("vertex enumeration is limited to <= 3 dims")
-        m = len(self.A)
-        verts = []
-        for rows in itertools.combinations(range(m), d):
-            M = self.A[list(rows)]
-            if abs(np.linalg.det(M)) < 1e-12:
-                continue
-            v = np.linalg.solve(M, self.b[list(rows)])
-            if np.all(self.A @ v <= self.b + tol):
-                verts.append(v)
-        if not verts:
+        combos = itertools.combinations(range(len(self.A)), d)
+        found = []
+        while chunk := list(itertools.islice(combos, VERTEX_CHUNK)):
+            rows = np.array(chunk, dtype=np.intp)
+            M = self.A[rows]
+            basic = ~(np.abs(np.linalg.det(M)) < 1e-12)
+            rows, M = rows[basic], M[basic]
+            v = np.linalg.solve(M, self.b[rows][..., None])[..., 0]
+            found.append(v[np.all(v @ self.A.T <= self.b + tol, axis=1)])
+        verts = np.concatenate(found)  # the 2d box rows give >= 1 chunk
+        if not len(verts):
             raise EmptyRegionError("region has no feasible vertex")
-        verts = np.array(verts)
         # dedupe within tolerance
         keep = []
         for v in verts:
@@ -619,20 +634,23 @@ def sample_valuation(atoms, rng, channels=None) -> dict:
 def prune_redundant(system: RegionSystem, valuations, tol=PRUNE_TOL):
     """Drop inequalities that are slack at every vertex of every valuation.
 
+    Valuations whose region is empty say nothing about which rows matter;
+    when every valuation is empty, all rows are kept, so the pruned system
+    stays empty rather than growing to the whole box.
+
     Returns (pruned system, kept-row indices).
     """
     active = set()
-    n = len(system.ineqs)
+    sampled = False
     for values in valuations:
         region = instantiate(system, values)
         try:
             verts = region.vertices()
         except EmptyRegionError:
             continue
+        sampled = True
         slack = region.b[:region.n_rows, None] - region.A[:region.n_rows] @ verts.T
-        for i in range(n):
-            if np.min(slack[i]) <= tol:
-                active.add(i)
-    kept = sorted(active)
+        active.update(np.flatnonzero(slack.min(axis=1) <= tol).tolist())
+    kept = sorted(active) if sampled else list(range(len(system.ineqs)))
     return RegionSystem(list(system.rate_vars),
                         [system.ineqs[i] for i in kept]), kept

@@ -14,9 +14,12 @@ from compound_bc.polyhedra import (
     EmptyRegionError,
     InfoExpr,
     LinIneq,
+    NumericRegion,
     NumericRegion2D,
     RateCurve2D,
     RegionSystem,
+    VERTEX_CHUNK,
+    VERTEX_TOL,
     fme_eliminate,
     fme_eliminate_all,
     ineq,
@@ -267,6 +270,78 @@ def test_empty_region_raises():
         vertices_2d(region)
 
 
+# The per-pair body `NumericRegion.vertices` had before it was batched by
+# chunk, kept as a bit-exact reference oracle.
+
+def vertices_loop(region, tol=VERTEX_TOL):
+    d = region.dim
+    verts = []
+    for rows in itertools.combinations(range(len(region.A)), d):
+        M = region.A[list(rows)]
+        if abs(np.linalg.det(M)) < 1e-12:
+            continue
+        v = np.linalg.solve(M, region.b[list(rows)])
+        if np.all(region.A @ v <= region.b + tol):
+            verts.append(v)
+    if not verts:
+        raise EmptyRegionError("region has no feasible vertex")
+    keep = []
+    for v in np.array(verts):
+        if not any(np.linalg.norm(v - w) <= 10 * tol for w in keep):
+            keep.append(v)
+    return np.array(keep)
+
+
+def _vertices_or_empty(fn, region):
+    try:
+        return fn(region)
+    except EmptyRegionError:
+        return None
+
+
+@st.composite
+def small_integer_regions(draw):
+    """Rows a.x <= c with small integers, padded with duplicate, parallel
+    and all-zero rows; d in {1, 2, 3}."""
+    d = draw(st.integers(1, 3))
+    coeffs = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    rows = draw(st.lists(st.tuples(coeffs, st.integers(-2, 6)), max_size=8))
+    extra = []
+    for a, c in rows:
+        kind = draw(st.sampled_from(["none", "duplicate", "parallel"]))
+        if kind == "duplicate":
+            extra.append((a, c))
+        elif kind == "parallel":
+            extra.append(([2 * k for k in a], draw(st.integers(-4, 12))))
+    if draw(st.booleans()):
+        extra.append(([0] * d, draw(st.integers(-1, 2))))
+    rows = rows + extra
+    A = np.array([a for a, _ in rows], dtype=float).reshape(-1, d)
+    b = np.array([c for _, c in rows], dtype=float)
+    return NumericRegion([f"x{i}" for i in range(d)], A, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(region=small_integer_regions())
+def test_vertices_is_bitwise_the_pair_loop(region):
+    got = _vertices_or_empty(NumericRegion.vertices, region)
+    expected = _vertices_or_empty(vertices_loop, region)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None and np.array_equal(got, expected)
+
+
+def test_vertices_skips_a_chunk_of_singular_bases():
+    # 300 copies of a + b <= 3: the first chunk pairs only parallel rows
+    region = NumericRegion2D([[1, 1]] * 300, [3.0] * 300)
+    assert len(region.A) > VERTEX_CHUNK
+    verts = region.vertices()
+    assert np.array_equal(verts, vertices_loop(region))
+    assert len(verts) == 3
+    assert shoelace(vertices_2d(region)) == pytest.approx(4.5)
+
+
 def test_contains_reports_violation():
     outer = NumericRegion2D([[1, 1]], [2.0])
     inner = NumericRegion2D([[1, 0], [0, 1]], [1.0, 1.0], box=10)
@@ -323,6 +398,18 @@ def test_prune_redundant_drops_slack_rows():
     pruned, kept = prune_redundant(sys, vals)
     assert kept == [0, 2]
     assert len(pruned.ineqs) == 2
+
+
+def test_prune_redundant_keeps_every_row_of_an_empty_region():
+    sys = RegionSystem(["R1", "R2"], [
+        ineq({"R1": 1}, "<=", -1),
+        ineq({"R2": 1}, "<=", "I(X;Y)"),
+    ])
+    vals = [{"I(X;Y)": 0.5}]
+    pruned, kept = prune_redundant(sys, vals)
+    assert kept == [0, 1]
+    with pytest.raises(EmptyRegionError):
+        instantiate(pruned, vals[0]).vertices()
 
 
 def test_numeric_region_box_default():
