@@ -59,8 +59,7 @@ def main():
     rows = []
     for alpha in (0.05, 0.15, 0.25, 0.35, 0.45):
         c1_r1, c1_r2 = capacity_c1(params, alpha)
-        region = capacity_c2(params, alpha)
-        b1, b2, bs = (float(region.b[i]) for i in range(3))
+        b1, b2, bs = capacity_c2(params, alpha)
         r1 = min(b1, bs)
         r2 = min(b2, bs - r1)
         low2, low1 = mrs_gerber_lower(params, alpha)

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .info import binary_convolve, binary_entropy
-from .polyhedra import NumericRegion2D
 
 DEFAULT_PARAMS = (0.1, 0.13, 0.46)
+UNIFORM_TOL = 1e-9  # how far P(X=1) may sit from 1/2 in require_uniform
+ALPHA0_TOL = 1e-10  # bisection width of alpha0_solve
 
 
 @dataclass(frozen=True)
@@ -77,9 +78,9 @@ class AuxDesign:
     def x_marginal(self) -> float:
         return float(np.dot(self.pq, self.bx))
 
-    def require_uniform(self, tol=1e-9):
+    def require_uniform(self):
         m = self.x_marginal()
-        if abs(m - 0.5) > tol:
+        if abs(m - 0.5) > UNIFORM_TOL:
             raise ValueError(f"X marginal must be uniform, got P(X=1)={m}")
 
 
@@ -98,27 +99,25 @@ def capacity_c1(params: BecBscParams, alpha: float):
     return r1, r2
 
 
-def capacity_c2(params: BecBscParams, alpha: float) -> NumericRegion2D:
+def capacity_c2(params: BecBscParams, alpha: float) -> tuple:
     """Rate region slice of the pair (Y2, Z), where Y2 is more capable:
-    the satellite layer goes to Y2 and the cloud to Z."""
+    the satellite layer goes to Y2 and the cloud to Z.  Returns the bounds
+    (b1, b2, bs) of {R1 <= b1, R2 <= b2, R1 + R2 <= bs}."""
     _check_alpha(alpha)
-    rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    bounds = [
-        (1 - params.e2) * binary_entropy(alpha),
-        1 - binary_entropy(binary_convolve(params.p, alpha)),
-        1 - params.e2,
-    ]
-    return NumericRegion2D(rows, bounds)
+    return ((1 - params.e2) * binary_entropy(alpha),
+            1 - binary_entropy(binary_convolve(params.p, alpha)),
+            1 - params.e2)
 
 
-def id_curve(params: BecBscParams, alpha: float) -> NumericRegion2D:
+def id_curve(params: BecBscParams, alpha: float) -> tuple:
     """Rate region slice achieved when Z and Y2 resolve both streams while
-    Y1 sticks to its own: {R1 <= c(alpha), R1 + R2 <= c(alpha) + s(alpha)}."""
+    Y1 sticks to its own: {R1 <= c(alpha), R1 + R2 <= c(alpha) + s(alpha)}.
+    Returns the bounds (c, c + s)."""
     _check_alpha(alpha)
     c = 1 - binary_entropy(binary_convolve(params.p1, alpha))
     s = binary_entropy(binary_convolve(params.p, alpha)) \
         - binary_entropy(params.p)
-    return NumericRegion2D(np.array([[1.0, 0.0], [1.0, 1.0]]), [c, c + s])
+    return c, c + s
 
 
 def strict_inclusion_ratio_test(params) -> tuple:
@@ -184,13 +183,13 @@ def mrs_gerber_lower(params: BecBscParams, alpha: float) -> tuple:
     return r2, r1
 
 
-def alpha0_solve(params: BecBscParams, tol=1e-10) -> float:
+def alpha0_solve(params: BecBscParams) -> float:
     """Crossover alpha0 where the two operands of mrs_gerber_lower's R1 min
     coincide: 1 - H2(p1*alpha0) = (1-e2)(1-H2(alpha0)).
 
     The parameter ordering guarantees a sign change on (0, 0.5): at alpha=0
     the erasure branch is larger (e2 < H2(p1)), near 0.5 the BSC branch
-    dominates (e2 > 4p1(1-p1)).  Bisection to width tol.
+    dominates (e2 > 4p1(1-p1)).  Bisection to width ALPHA0_TOL.
     """
     def gap(alpha):
         return (1 - binary_entropy(binary_convolve(params.p1, alpha))) \
@@ -206,7 +205,7 @@ def alpha0_solve(params: BecBscParams, tol=1e-10) -> float:
         raise ValueError("no sign change found for the crossing alpha")
     if f_lo >= 0:
         raise ValueError("no sign change found for the crossing alpha")
-    while hi - lo > tol:
+    while hi - lo > ALPHA0_TOL:
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0:
             hi = mid

@@ -61,6 +61,13 @@ DEFAULT_X_POINTS = 21
 PRUNE_VALUATIONS = 100
 DEFAULT_ELIMINATE = ("S01", "S02")
 
+# the keys a --params file may set, per subcommand
+BECBSC_KEYS = ("p", "p1", "e2")
+BECBSC_DA_KEYS = BECBSC_KEYS + ("a", "seed", "budget", "rate_points",
+                                "x_points")
+MISO_KEYS = ("N", "P", "h1", "h2", "g", "seed", "eta_steps", "split_steps",
+             "x_steps", "beam_steps", "num_random")
+
 # meta keys of boundary points, in column order; absent keys are skipped
 MISO_PARAM_COLUMNS = ("eta", "theta_u", "theta_v", "p_u", "p_v", "order",
                       "x", "t", "alpha", "sum_constraint_active")
@@ -116,8 +123,10 @@ def _write_csv(path, header, rows):
     print(f"wrote {path} ({len(rows)} rows)")
 
 
-def _load_params(args):
-    if getattr(args, "defaults", False) or args.params is None:
+def _load_params(args, keys):
+    """The --params object (empty without the flag); a key outside `keys`
+    is rejected, so a misspelled setting cannot fall back to its default."""
+    if args.params is None:
         return {}
     path = Path(args.params)
     try:
@@ -128,6 +137,11 @@ def _load_params(args):
         raise ValueError(f"parameter file {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ValueError(f"parameter file {path} must hold a JSON object")
+    unknown = [key for key in cfg if key not in keys]
+    if unknown:
+        raise ValueError(f"parameter file {path} has unknown key(s) "
+                         f"{', '.join(map(repr, unknown))}; expected "
+                         f"{', '.join(keys)}")
     return cfg
 
 
@@ -175,15 +189,8 @@ def _becbsc_params(cfg):
                         _pick(cfg, "e2", e2))
 
 
-def _region_bounds(region):
-    # bound value per stored row pattern, e.g. {(1, 0): b1, (1, 1): bs}
-    rows = region.A[:region.n_rows]
-    return {tuple(int(round(c)) for c in row): float(b)
-            for row, b in zip(rows, region.b[:region.n_rows])}
-
-
 def cmd_becbsc_regions(args):
-    cfg = _load_params(args)
+    cfg = _load_params(args, BECBSC_KEYS)
     params = _becbsc_params(cfg)
     steps = args.alpha_steps if args.alpha_steps is not None else DEFAULT_ALPHA_STEPS
     if steps < 2:
@@ -197,14 +204,12 @@ def cmd_becbsc_regions(args):
             r1, r2 = capacity_c1(params, alpha)
             c1_rows.append((alpha, max(r1, 0.0), max(r2, 0.0)))
 
-            bounds = _region_bounds(capacity_c2(params, alpha))
-            b1, b2, bs = bounds[(1, 0)], bounds[(0, 1)], bounds[(1, 1)]
+            b1, b2, bs = capacity_c2(params, alpha)
             r1 = min(b1, bs)
             r2 = min(b2, bs - r1)
             c2_rows.append((alpha, max(r1, 0.0), max(r2, 0.0)))
 
-            bounds = _region_bounds(id_curve(params, alpha))
-            c, cs = bounds[(1, 0)], bounds[(1, 1)]
+            c, cs = id_curve(params, alpha)
             id_rows.append((alpha, max(c, 0.0), max(cs - c, 0.0)))
 
             r2, r1 = mrs_gerber_lower(params, alpha)
@@ -222,7 +227,7 @@ def cmd_becbsc_regions(args):
 # becbsc-da
 
 def cmd_becbsc_da(args):
-    cfg = _load_params(args)
+    cfg = _load_params(args, BECBSC_DA_KEYS)
     params = _becbsc_params(cfg)
     a = _pick(cfg, "a", 0.92)
     if not 0.0 < a <= 1.0:
@@ -317,7 +322,7 @@ def _report_containment(name_outer, curve_outer, name_inner, curve_inner, tol):
 
 
 def cmd_miso(args):
-    cfg = _load_params(args)
+    cfg = _load_params(args, MISO_KEYS)
     channel = _miso_channel(args, cfg)
     seed = _seed_value(args, cfg)
     grid = _grid_kwargs(cfg)
@@ -330,17 +335,12 @@ def cmd_miso(args):
     print(f"channel: h1={channel.h1.tolist()} h2={channel.h2.tolist()} "
           f"g={channel.g.tolist()} P={_fmt(channel.P)} N={_fmt(channel.N)}")
 
-    curves = {}
+    curves, hulls = {}, {}
     for kind in REGION_KINDS:
         with _stage(f"{kind} boundary sweep"):
-            curve = region_boundary(kind, channel, **grid)
-        curves[kind] = curve
-        header, rows = _curve_rows(curve)
-        _write_csv(out / f"{_file_stem(kind)}.csv", header, rows)
+            curves[kind] = region_boundary(kind, channel, **grid)
         if args.time_sharing:
-            hull = curve.hull()
-            header, rows = _curve_rows(hull)
-            _write_csv(out / f"{_file_stem(kind)}_hull.csv", header, rows)
+            hulls[kind] = curves[kind].hull()
 
     # achievability ordering between the three schemes
     for name_a, name_b in (("md-uncorr", "cd"), ("md-corr", "cd"),
@@ -357,14 +357,10 @@ def cmd_miso(args):
             ku, kv = sample_cov_pairs(channel, num_random=num_random,
                                       seed=seed, extra_pairs=extra)
             families = constituent_curves(channel, ku, kv)
-            outer = outer_region(channel, seed=seed, curves=families,
-                                 time_sharing=args.time_sharing)
-        _write_csv(out / "outer.csv", ("R1", "R2"), [tuple(p) for p in outer.points])
-        for name in OUTER_FAMILIES:
-            _write_csv(out / f"outer_{name}.csv", ("R1", "R2"),
-                       [tuple(p) for p in families[name].points])
-        inner_curves = {k: (c.hull() if args.time_sharing else c)
-                        for k, c in curves.items()}
+            outer = outer_region(channel, seed=seed, curves=families)
+            if args.time_sharing:
+                outer = outer.hull()
+        inner_curves = hulls if args.time_sharing else curves
         all_inside = all(
             _report_containment("outer", outer, kind, inner_curves[kind], 1e-6)
             for kind in REGION_KINDS)
@@ -372,6 +368,19 @@ def cmd_miso(args):
             raise NumericFailure("outer bound containment check",
                                  "an inner boundary point exceeded the sampled"
                                  " outer bound beyond tolerance")
+
+    # every sweep and check has passed before any file is written, so a
+    # failing run leaves no partial output set
+    for kind in REGION_KINDS:
+        _write_csv(out / f"{_file_stem(kind)}.csv", *_curve_rows(curves[kind]))
+        if args.time_sharing:
+            _write_csv(out / f"{_file_stem(kind)}_hull.csv",
+                       *_curve_rows(hulls[kind]))
+    if args.outer:
+        _write_csv(out / "outer.csv", ("R1", "R2"), [tuple(p) for p in outer.points])
+        for name in OUTER_FAMILIES:
+            _write_csv(out / f"outer_{name}.csv", ("R1", "R2"),
+                       [tuple(p) for p in families[name].points])
     return EXIT_OK
 
 
@@ -389,7 +398,7 @@ def _classify_row(iq):
 
 
 def cmd_fme(args):
-    if args.system is not None and not args.defaults:
+    if args.system is not None:
         path = Path(args.system)
         if not path.exists():
             raise ValueError(f"region file {path} does not exist")
@@ -402,7 +411,7 @@ def cmd_fme(args):
 
     if args.eliminate is not None:
         eliminate = [v for part in args.eliminate for v in part.split(",") if v]
-    elif args.system is None or args.defaults:
+    elif args.system is None:
         eliminate = [v for v in DEFAULT_ELIMINATE if v in system.rate_vars]
     else:
         eliminate = []
@@ -477,8 +486,6 @@ def _add_common(sub, *, params=True, seed=False, budget=False):
     if params:
         sub.add_argument("--params", metavar="FILE",
                          help="JSON parameter file overriding the defaults")
-        sub.add_argument("--defaults", action="store_true",
-                         help="ignore --params and use the built-in defaults")
     if seed:
         sub.add_argument("--seed", type=int, metavar="U64",
                          help=f"RNG seed (default {DEFAULT_SEED})")
@@ -528,8 +535,6 @@ def build_parser():
                    help="RegionSystem JSON file (default: bundled example)")
     p.add_argument("--eliminate", action="append", metavar="VARS",
                    help="comma-separated rate variables to project out")
-    p.add_argument("--defaults", action="store_true",
-                   help="use the bundled example system and its split pair")
     _add_common(p, params=False, seed=True)
     p.set_defaults(func=cmd_fme)
     return parser

@@ -29,10 +29,6 @@ from .polyhedra import (
     vertices_2d,
 )
 
-# default discrete compound instance: user 2 sees a fixed BSC(p) while user 1
-# sees either a degraded BSC(p1) or a BEC(e2)
-DEFAULT_P, DEFAULT_P1, DEFAULT_E2 = DEFAULT_PARAMS
-
 
 def _own_y_rows(y):
     return [
@@ -68,7 +64,7 @@ def _cross_z_rows(z):
     ]
 
 
-def build_id_region(j, method, y_label=None, z_label=None) -> RegionSystem:
+def build_id_region(j, method, z_label=None) -> RegionSystem:
     """Decoder block for channel pair j under one of four decoding methods.
 
     method 1: both receivers decode only their own stream
@@ -76,12 +72,12 @@ def build_id_region(j, method, y_label=None, z_label=None) -> RegionSystem:
     method 3: the Y receiver additionally resolves the V stream
     method 4: both receivers resolve the interfering stream
 
-    Returns a system over (R0, T1, T2).  Labels default to Yj / Zj; pass an
+    Returns a system over (R0, T1, T2) with outputs Yj and Zj; pass an
     explicit z_label when user 2's channel is common to all pairs.
     """
     if method not in (1, 2, 3, 4):
         raise ValueError(f"decoding method must be 1..4, got {method}")
-    y = y_label if y_label is not None else f"Y{j}"
+    y = f"Y{j}"
     z = z_label if z_label is not None else f"Z{j}"
     y_rows = _own_y_rows(y) if method in (1, 2) else _cross_y_rows(y)
     z_rows = _own_z_rows(z) if method in (1, 3) else _cross_z_rows(z)
@@ -152,15 +148,14 @@ def bit_recombination(system: RegionSystem) -> RegionSystem:
                             aux=aux)
 
 
-def reduce_example_system(system=None) -> RegionSystem:
+def reduce_example_system() -> RegionSystem:
     """Project the 14-row example system to a two-rate region.
 
     Eliminates the binning rates, recombines private bits into the common
     stream, eliminates the split rates, zeroes the residual common rate, and
     renames the surviving pair back to (R1, R2).
     """
-    sys0 = id_example_system() if system is None else system
-    sys0 = fme_eliminate_all(sys0, ["T1", "T2"])
+    sys0 = fme_eliminate_all(id_example_system(), ["T1", "T2"])
     sys0 = bit_recombination(sys0)
     sys0 = fme_eliminate_all(sys0, ["S01", "S02"])
     sys0 = substitute_rates(sys0, {"S0": {}})
@@ -252,23 +247,22 @@ def three_arv_region() -> RegionSystem:
 # concrete valuations for the default BEC/BSC compound instance
 
 
-def example_channels(p=DEFAULT_P, p1=DEFAULT_P1, e2=DEFAULT_E2) -> dict:
-    """Channel matrices keyed by output label for the default instance."""
+def example_channels() -> dict:
+    """Channel matrices keyed by output label for the default instance:
+    user 2 sees Z = BSC(p), user 1 a degraded Y1 = BSC(p1) or Y2 = BEC(e2)."""
+    p, p1, e2 = DEFAULT_PARAMS
     return {"Z": make_bsc(p), "Y1": make_bsc(p1), "Y2": make_bec(e2)}
 
 
-def example_valuations(atoms, n, seed, p=DEFAULT_P, p1=DEFAULT_P1,
-                       e2=DEFAULT_E2) -> list:
+def example_valuations(atoms, n, seed) -> list:
     """n random atom valuations driven by the default channel structure.
 
     Source variables are sampled jointly (binary alphabets); Y1, Y2, Z are
     generated from X through the instance's channels, so orderings such as
-    Y1 being a degraded version of Z hold in every sample (requires p <= p1).
+    Y1 being a degraded version of Z hold in every sample.
     """
-    if not 0 <= p <= p1 <= 0.5:
-        raise ValueError("need 0 <= p <= p1 <= 0.5 for a degraded pair")
     rng = np.random.default_rng(seed)
-    channels = example_channels(p, p1, e2)
+    channels = example_channels()
     return [sample_valuation(atoms, rng, channels=channels)
             for _ in range(n)]
 

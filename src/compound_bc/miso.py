@@ -68,10 +68,10 @@ class MisoChannel:
         object.__setattr__(self, "h1", _vec2(self.h1, "h1"))
         object.__setattr__(self, "h2", _vec2(self.h2, "h2"))
         object.__setattr__(self, "g", _vec2(self.g, "g"))
-        if not self.N > 0:
-            raise ValueError("noise variance N must be positive")
-        if not self.P > 0:
-            raise ValueError("total power P must be positive")
+        if not 0 < self.N < math.inf:
+            raise ValueError("noise variance N must be positive and finite")
+        if not 0 < self.P < math.inf:
+            raise ValueError("total power P must be positive and finite")
         pairs = [("h1", self.h1, "h2", self.h2),
                  ("h1", self.h1, "g", self.g),
                  ("h2", self.h2, "g", self.g)]
@@ -419,27 +419,27 @@ def special_beams(eta):
     return beam_from_angle(math.pi / 4.0), beam_from_angle(theta)
 
 
-def is_symmetric_geometry(channel, tol=1e-9):
+# relative tolerance of the symmetric-geometry test
+SYMMETRY_TOL = 1e-9
+
+
+def is_symmetric_geometry(channel):
     """True when the channel matches special_geometry up to rotation/scale."""
     n1 = np.linalg.norm(channel.h1)
     n2 = np.linalg.norm(channel.h2)
-    if abs(n1 - n2) > tol * max(n1, n2):
+    if abs(n1 - n2) > SYMMETRY_TOL * max(n1, n2):
         return False
-    if abs(float(channel.h1 @ channel.h2)) > tol * n1 * n2:
+    if abs(float(channel.h1 @ channel.h2)) > SYMMETRY_TOL * n1 * n2:
         return False
     mean = channel.h1 + channel.h2
     gn = np.linalg.norm(channel.g)
-    return abs(float(channel.g @ mean)) <= tol * gn * np.linalg.norm(mean)
+    return abs(float(channel.g @ mean)) \
+        <= SYMMETRY_TOL * gn * np.linalg.norm(mean)
 
 
 REGION_KINDS = ("cd", "md-uncorr", "md-corr")
-
-
-def _normalize_kind(kind):
-    k = str(kind).lower().replace("_", "-")
-    if k not in REGION_KINDS:
-        raise ValueError(f"kind must be one of {REGION_KINDS}")
-    return k
+# candidate-1 time shares the md-uncorr sweep tries
+TIME_SHARES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def _beam_grid(channel, eta_steps, beam_steps):
@@ -469,33 +469,27 @@ def _beam_grid(channel, eta_steps, beam_steps):
 
 
 def region_boundary(kind, channel, *, eta_steps=401, split_steps=201,
-                    x_steps=201, t_values=(0.0, 0.25, 0.5, 0.75, 1.0),
-                    beam_steps=None, power=None, time_sharing=False):
+                    x_steps=201, beam_steps=None):
     """Pareto staircase of one inner bound, swept over scheme parameters.
 
     kind: "cd", "md-uncorr" or "md-corr".  Symmetric channels sweep the
     private-beam alignment eta; general channels sweep both beam angles.
-    Returns a RateCurve2D whose meta rows record the achieving scheme; pass
-    time_sharing=True for the convex (time-shared) closure instead.
+    Returns a RateCurve2D whose meta rows record the achieving scheme; its
+    hull() is the convex (time-shared) closure.
     """
-    kind = _normalize_kind(kind)
+    if kind not in REGION_KINDS:
+        raise ValueError(f"kind must be one of {REGION_KINDS}")
     counts = [("eta_steps", eta_steps, 1), ("split_steps", split_steps, 1),
               ("x_steps", x_steps, 3)]
     counts += [("beam_steps", n, 1) for n in beam_steps or ()]
     for key, count, least in counts:
         if count < least:
             raise ValueError(f"{key} must be at least {least}, got {count}")
-    p_total = channel.P if power is None else float(power)
-    if not 0 <= p_total <= channel.P + 1e-12:
-        raise ValueError("power must lie in [0, channel.P]")
-    if p_total == 0:
-        return RateCurve2D(np.zeros((1, 2)),
-                           meta=[{"p_u": 0.0, "p_v": 0.0}])
 
     gains, labels = _beam_grid(channel, eta_steps, beam_steps)
     splits = np.linspace(0.0, 1.0, split_steps)
-    p_u = p_total * splits[None, :]
-    p_v = p_total - p_u
+    p_u = channel.P * splits[None, :]
+    p_v = channel.P - p_u
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = scheme_terms({k: g[:, None] for k, g in gains.items()},
@@ -519,7 +513,7 @@ def region_boundary(kind, channel, *, eta_steps=401, split_steps=201,
         if kind == "cd":
             alpha_main, r1_main = envelope_rate(corr_parabolas(terms, 0.0))
         elif kind == "md-uncorr":
-            for share1 in t_values:
+            for share1 in TIME_SHARES:
                 for x in x_slices:
                     alph, r1 = envelope_rate(
                         uncorr_parabolas(terms, x, share1))
@@ -570,4 +564,4 @@ def region_boundary(kind, channel, *, eta_steps=401, split_steps=201,
         return row
 
     curve.meta = [decode(i) for i in curve.meta]
-    return curve.hull() if time_sharing else curve
+    return curve

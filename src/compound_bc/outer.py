@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .miso import MisoChannel
 from .polyhedra import RateCurve2D
 from .search import DEFAULT_SEED
 
@@ -46,26 +45,6 @@ def _split_fractions():
     coarse = np.linspace(0.0, 1.0, 201)
     up = np.geomspace(1e-7, 1.0, 112)
     return np.unique(np.concatenate([coarse, up, 1.0 - up]))
-
-
-@dataclass(frozen=True)
-class AugmentedChannels:
-    """Column stacks feeding the enhanced receivers.
-
-    g12 stacks [g h1 h2] so the second user sees every output at once; h1z
-    and h2z stack [h_j g] so each candidate first-user receiver also sees the
-    second user's output.
-    """
-
-    g12: np.ndarray
-    h1z: np.ndarray
-    h2z: np.ndarray
-
-    @classmethod
-    def from_channel(cls, channel):
-        return cls(g12=np.column_stack([channel.g, channel.h1, channel.h2]),
-                   h1z=np.column_stack([channel.h1, channel.g]),
-                   h2z=np.column_stack([channel.h2, channel.g]))
 
 
 def _beacon_directions(channel):
@@ -146,10 +125,8 @@ def _meta_beams(channel, row):
         theta = 0.5 * math.asin(row["eta"])
         return ((e1 + e2) / math.sqrt(2.0),
                 math.cos(theta) * e1 + math.sin(theta) * e2)
-    if "theta_u" in row:
-        return (np.array([math.cos(row["theta_u"]), math.sin(row["theta_u"])]),
-                np.array([math.cos(row["theta_v"]), math.sin(row["theta_v"])]))
-    return None
+    return (np.array([math.cos(row["theta_u"]), math.sin(row["theta_u"])]),
+            np.array([math.cos(row["theta_v"]), math.sin(row["theta_v"])]))
 
 
 def matched_cov_pairs(channel, curve):
@@ -158,21 +135,15 @@ def matched_cov_pairs(channel, curve):
     Where an achievable boundary touches a constituent region it does so at
     its own transmit covariances, so folding these pairs into the outer
     sample (via the extra_pairs hook) makes the staircases tight exactly
-    there.  Rows without beam information (the zero-power placeholder) are
-    skipped.
+    there.
     """
     if curve.meta is None:
         raise ValueError("curve carries no scheme meta")
     ku, kv = [], []
     for row in curve.meta:
-        beams = _meta_beams(channel, row)
-        if beams is None:
-            continue
-        b_u, b_v = beams
+        b_u, b_v = _meta_beams(channel, row)
         ku.append(row["p_u"] * np.outer(b_u, b_u))
         kv.append(row["p_v"] * np.outer(b_v, b_v))
-    if not ku:
-        return np.zeros((0, 2, 2)), np.zeros((0, 2, 2))
     return np.array(ku), np.array(kv)
 
 
@@ -200,7 +171,6 @@ def _family_samples(channel, ku, kv):
     """Rate samples of all four constituent regions, one row per pair."""
     n = channel.N
     g = channel.g
-    aug = AugmentedChannels.from_channel(channel)
 
     def quad(vec, stack):
         return np.maximum(np.einsum("i,nij,j->n", vec, stack, vec), 0.0)
@@ -233,10 +203,14 @@ def _family_samples(channel, ku, kv):
             np.column_stack([r1_b, r2_clean]),
         ])
 
+    # c12: the second user sees the stacked outputs [Z Y1 Y2]
     r1_c12 = np.minimum(r1_swapped[1], r1_swapped[2])
-    out["c12"] = np.column_stack([r1_c12, logdet_rates(aug.g12, kv)])
+    g12 = np.column_stack([g, channel.h1, channel.h2])
+    out["c12"] = np.column_stack([r1_c12, logdet_rates(g12, kv)])
 
-    r1_cz = np.minimum(logdet_rates(aug.h1z, ku), logdet_rates(aug.h2z, ku))
+    # cz: each candidate first-user receiver also sees Z, as [Y_j Z]
+    r1_cz = np.minimum(logdet_rates(np.column_stack([channel.h1, g]), ku),
+                       logdet_rates(np.column_stack([channel.h2, g]), ku))
     out["cz"] = np.column_stack([r1_cz, r2_interfered])
     return {name: np.maximum(pts, 0.0) for name, pts in out.items()}
 
@@ -249,24 +223,14 @@ def constituent_curves(channel, ku, kv):
 
 
 def outer_region(channel, *, num_random=NUM_RANDOM, seed=DEFAULT_SEED,
-                 time_sharing=False, power=None, extra_pairs=None,
-                 curves=None):
+                 extra_pairs=None, curves=None):
     """Intersection of the four constituent regions on a common R1 grid.
 
     Each region is the staircase of its sampled rate points, so the result
-    sits inside the true intersection; pass time_sharing=True for the convex
-    hull instead of the raw staircase.  curves, when given, reuses
-    precomputed constituent staircases.
+    sits inside the true intersection; its hull() is the convex
+    (time-shared) closure.  curves, when given, reuses precomputed
+    constituent staircases.
     """
-    p_total = channel.P if power is None else float(power)
-    if not 0 <= p_total <= channel.P + 1e-12:
-        raise ValueError("power must lie in [0, channel.P]")
-    if p_total == 0:
-        return RateCurve2D(np.zeros((1, 2)))
-    if p_total != channel.P:
-        channel = MisoChannel(channel.h1, channel.h2, channel.g,
-                              p_total, channel.N)
-        curves = None
     if curves is None:
         ku, kv = sample_cov_pairs(channel, num_random=num_random, seed=seed,
                                   extra_pairs=extra_pairs)
@@ -279,8 +243,7 @@ def outer_region(channel, *, num_random=NUM_RANDOM, seed=DEFAULT_SEED,
                       breaks[breaks <= r1_cap])
     r2 = np.min(np.vstack([curve.r2_at(grid) for curve in curves.values()]),
                 axis=0)
-    curve = RateCurve2D.from_samples(np.column_stack([grid, r2]))
-    return curve.hull() if time_sharing else curve
+    return RateCurve2D.from_samples(np.column_stack([grid, r2]))
 
 
 @dataclass(frozen=True)

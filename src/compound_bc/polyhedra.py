@@ -36,11 +36,9 @@ class EmptyRegionError(ValueError):
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
+    # Fraction(Fraction) builds a new object, which every FME row operation
+    # would pay for
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class InfoExpr:
@@ -264,11 +262,12 @@ def fme_eliminate_all(system: RegionSystem, variables) -> RegionSystem:
 
 def substitute_rates(system: RegionSystem, mapping: dict, new_vars=None,
                      aux=()) -> RegionSystem:
-    """Rewrite rates under an affine substitution and adjoin aux constraints.
+    """Rewrite rates under a linear substitution and adjoin aux constraints.
 
     mapping: old var -> dict of {new var: coeff} (a missing old var maps to
-    itself).  Constants may be injected with the reserved key "" (they move
-    onto the rhs).  aux inequalities are stated over the new variables.
+    itself, an empty dict to zero).  new_vars defaults to the variables the
+    substitution produces; aux inequalities are stated over the new
+    variables.
     """
     resolved = {}
     for old in system.rate_vars:
@@ -277,26 +276,15 @@ def substitute_rates(system: RegionSystem, mapping: dict, new_vars=None,
         else:
             resolved[old] = {old: F1}
     if new_vars is None:
-        new_vars = []
-        for form in resolved.values():
-            for v in form:
-                if v and v not in new_vars:
-                    new_vars.append(v)
-        for a in aux:
-            for v in a.lhs:
-                if v not in new_vars:
-                    new_vars.append(v)
+        new_vars = list(dict.fromkeys(v for form in resolved.values()
+                                      for v in form))
     out = []
     for iq in system.ineqs:
         lhs = {}
-        shift = F0
         for old, c in iq.lhs.items():
             for v, k in resolved[old].items():
-                if v == "":
-                    shift += c * k
-                else:
-                    lhs[v] = lhs.get(v, F0) + c * k
-        out.append(LinIneq(lhs, iq.rel, iq.rhs - shift))
+                lhs[v] = lhs.get(v, F0) + c * k
+        out.append(LinIneq(lhs, iq.rel, iq.rhs))
     out.extend(aux)
     return RegionSystem(list(new_vars), _dedupe(out))
 
@@ -317,7 +305,6 @@ class NumericRegion:
         self.A = np.vstack([A, -eye, eye])
         self.b = np.concatenate([b, np.zeros(d), np.full(d, box)])
         self.n_rows = len(A)  # rows before the implicit box block
-        self.box = box
 
     @property
     def dim(self):
@@ -370,29 +357,19 @@ class NumericRegion:
         return np.array(keep)
 
 
-class NumericRegion2D(NumericRegion):
-    """Two-variable region, (R1, R2) unless named otherwise."""
-
-    def __init__(self, A, b, var_names=("R1", "R2"), box=BOX):
-        if len(var_names) != 2:
-            raise ValueError("NumericRegion2D needs exactly two variables")
-        super().__init__(var_names, A, b, box=box)
-
-
-def instantiate(system: RegionSystem, values: dict, box=BOX):
+def instantiate(system: RegionSystem, values: dict) -> NumericRegion:
     """Evaluate atoms and produce a numeric region (strict rows are closed)."""
     rows, bounds = [], []
     for iq in system.ineqs:
         rows.append([float(iq.lhs.get(v, F0)) for v in system.rate_vars])
         bounds.append(iq.rhs.evaluate(values))
-    if len(system.rate_vars) == 2:
-        return NumericRegion2D(np.array(rows).reshape(-1, 2), bounds,
-                               var_names=tuple(system.rate_vars), box=box)
-    return NumericRegion(system.rate_vars, rows, bounds, box=box)
+    return NumericRegion(system.rate_vars, rows, bounds)
 
 
-def vertices_2d(region: NumericRegion2D, tol=VERTEX_TOL):
+def vertices_2d(region: NumericRegion, tol=VERTEX_TOL):
     """CCW-ordered vertices of a 2-D region, collinear points removed."""
+    if region.dim != 2:
+        raise ValueError("vertices_2d needs a two-variable region")
     verts = region.vertices(tol=tol)
     center = verts.mean(axis=0)
     angles = np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0])
@@ -631,7 +608,7 @@ def sample_valuation(atoms, rng, channels=None) -> dict:
     return atom_values(atoms, table, src, channels=channels)
 
 
-def prune_redundant(system: RegionSystem, valuations, tol=PRUNE_TOL):
+def prune_redundant(system: RegionSystem, valuations):
     """Drop inequalities that are slack at every vertex of every valuation.
 
     Valuations whose region is empty say nothing about which rows matter;
@@ -650,7 +627,7 @@ def prune_redundant(system: RegionSystem, valuations, tol=PRUNE_TOL):
             continue
         sampled = True
         slack = region.b[:region.n_rows, None] - region.A[:region.n_rows] @ verts.T
-        active.update(np.flatnonzero(slack.min(axis=1) <= tol).tolist())
+        active.update(np.flatnonzero(slack.min(axis=1) <= PRUNE_TOL).tolist())
     kept = sorted(active) if sampled else list(range(len(system.ineqs)))
     return RegionSystem(list(system.rate_vars),
                         [system.ineqs[i] for i in kept]), kept

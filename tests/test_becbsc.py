@@ -21,7 +21,7 @@ from compound_bc.becbsc import (
     strict_inclusion_ratio_test,
 )
 from compound_bc.info import make_bec, make_bsc, mi_groups
-from compound_bc.polyhedra import NumericRegion2D
+from compound_bc.polyhedra import NumericRegion
 
 
 def h2(x):
@@ -76,17 +76,31 @@ def test_capacity_c1_endpoints_and_interior():
         capacity_c1(PARAMS, 0.6)
 
 
+def region(rows, bounds):
+    """Numeric (R1, R2) region of one slice's bound tuple."""
+    return NumericRegion(("R1", "R2"), rows, bounds)
+
+
+def c2_region(alpha):
+    return region([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                  capacity_c2(PARAMS, alpha))
+
+
+def id_region(alpha):
+    return region([[1.0, 0.0], [1.0, 1.0]], id_curve(PARAMS, alpha))
+
+
 def test_capacity_c2_slices():
-    reg0 = capacity_c2(PARAMS, 0.0)
+    reg0 = c2_region(0.0)
     assert reg0.feasible([[0.0, 0.3]])[0]
     assert not reg0.feasible([[0.01, 0.3]], tol=1e-9)[0]
-    reg_half = capacity_c2(PARAMS, 0.5)
+    reg_half = c2_region(0.5)
     assert reg_half.feasible([[0.54, 0.0]])[0]
     assert not reg_half.feasible([[0.5401, 0.0]], tol=1e-9)[0]
     assert not reg_half.feasible([[0.3, 0.01]], tol=1e-9)[0]
-    reg = capacity_c2(PARAMS, 0.3)
+    reg = c2_region(0.3)
     exp = [0.54 * h2(0.3), 1 - h2(star(0.1, 0.3)), 0.54]
-    assert np.allclose(reg.b[:3], exp, atol=1e-12)
+    assert np.allclose(capacity_c2(PARAMS, 0.3), exp, atol=1e-12)
     # sum cap binds: the box corner of the first two rows is cut off
     assert exp[0] + exp[1] > exp[2]
     assert not reg.feasible([[exp[0], exp[1]]], tol=1e-9)[0]
@@ -110,9 +124,9 @@ def test_strict_inclusion_ratio():
 
 
 def test_id_curve_slice_and_union_split():
-    reg = id_curve(PARAMS, 0.0)
+    reg = id_region(0.0)
     c = 1 - h2(0.13)
-    assert np.allclose(reg.b[:2], [c, c], atol=1e-12)
+    assert np.allclose(id_curve(PARAMS, 0.0), [c, c], atol=1e-12)
     assert reg.feasible([[c - 1e-9, 0.0]])[0]
     assert not reg.feasible([[c - 0.01, 0.02]], tol=1e-9)[0]
     # each slice splits exactly into the degraded pair's rectangle and the
@@ -120,11 +134,11 @@ def test_id_curve_slice_and_union_split():
     axis = np.linspace(0.0, 0.8, 33)
     pts = np.array([(a, b) for a in axis for b in axis])
     for alpha in np.linspace(0.0, 0.5, 21):
-        whole = id_curve(PARAMS, alpha)
-        c, s = whole.b[0], whole.b[1] - whole.b[0]
-        rect = NumericRegion2D(np.array([[1.0, 0.0], [0.0, 1.0]]), [c, s])
-        tri = NumericRegion2D(np.array([[0.0, -1.0], [1.0, 1.0]]),
-                              [-s, c + s])
+        whole = id_region(alpha)
+        c, cs = id_curve(PARAMS, alpha)
+        s = cs - c
+        rect = region([[1.0, 0.0], [0.0, 1.0]], [c, s])
+        tri = region([[0.0, -1.0], [1.0, 1.0]], [-s, c + s])
         clear = (np.abs(whole.violation(pts)) > 1e-9) \
             & (np.abs(rect.violation(pts)) > 1e-9) \
             & (np.abs(tri.violation(pts)) > 1e-9)

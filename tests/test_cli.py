@@ -356,6 +356,38 @@ class TestMiso:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cfg, flags, message", [
+        ({"P": float("inf")}, [], "total power P"),
+        ({"N": float("inf")}, [], "noise variance N"),
+        ({}, ["--snr-db", "inf"], "total power P")])
+    def test_non_finite_power_or_noise_rejected_before_any_output(
+            self, tmp_path, capsys, cfg, flags, message):
+        params = write_params(tmp_path, "p.json", cfg)
+        out = tmp_path / "miso_out"
+        assert cli.main(["miso", "--params", params, "--out", str(out)]
+                        + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failing_sweep_leaves_no_out_directory(self, tmp_path, capsys,
+                                                   monkeypatch):
+        sweep = cli.region_boundary
+
+        def failing(kind, channel, **grid):
+            if kind == "md-corr":
+                raise FloatingPointError("overflow in the md-corr sweep")
+            return sweep(kind, channel, **grid)
+
+        monkeypatch.setattr(cli, "region_boundary", failing)
+        params = write_params(tmp_path, "p.json",
+                              {"eta_steps": 21, "split_steps": 11,
+                               "x_steps": 11})
+        out = tmp_path / "miso_out"
+        assert cli.main(["miso", "--params", params, "--time-sharing",
+                         "--out", str(out)]) == 3
+        assert "md-corr boundary sweep" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_outer_runs_byte_identical(self, tmp_path):
         params = write_params(tmp_path, "p.json", MISO_SMALL)
         for sub in ("a", "b"):
@@ -375,7 +407,7 @@ class TestFme:
         assert len(projected.ineqs) == 4
 
     def test_projection_matches_hand_reduction(self, tmp_path):
-        assert cli.main(["fme", "--defaults", "--out", str(tmp_path)]) == 0
+        assert cli.main(["fme", "--out", str(tmp_path)]) == 0
         projected = RegionSystem.load(tmp_path / "fme_projected.json")
         target = reduced_target_region()
         atoms = sorted(set(projected.atoms()) | set(target.atoms()))
@@ -409,6 +441,20 @@ class TestFme:
     def test_missing_input_file_rejected(self, tmp_path):
         assert cli.main(["fme", str(tmp_path / "missing.json"),
                          "--out", str(tmp_path)]) == 2
+
+
+class TestParams:
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("becbsc-regions", {"p": 0.1, "seed": 3}, "seed"),
+        ("becbsc-da", {"a": 1.0, "x_point": 3}, "x_point"),
+        ("miso", {"eta_step": 5}, "eta_step")])
+    def test_unknown_key_rejected_before_any_output(self, tmp_path, capsys,
+                                                    command, cfg, key):
+        params = write_params(tmp_path, "p.json", cfg)
+        out = tmp_path / "out"
+        assert cli.main([command, "--params", params, "--out", str(out)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestHarness:

@@ -601,6 +601,15 @@ class TestGeometryAndTypes:
         with pytest.raises(ValueError, match="noise"):
             MisoChannel([1, 0], [0, 1], [1, -1], 10.0, 0.0)
 
+    @pytest.mark.parametrize("power, noise, message", [
+        (math.inf, 1.0, "total power P"), (math.nan, 1.0, "total power P"),
+        (10.0, math.inf, "noise variance N"),
+        (10.0, math.nan, "noise variance N")])
+    def test_channel_rejects_non_finite_power_and_noise(self, power, noise,
+                                                         message):
+        with pytest.raises(ValueError, match=message):
+            MisoChannel([1, 0], [0, 1], [1, -1], power, noise)
+
     def test_receiver_index(self):
         channel = special_geometry()
         assert np.allclose(channel.receiver(1), channel.h1)
@@ -639,10 +648,6 @@ class TestGeometryAndTypes:
 
 
 class TestRegionBoundary:
-    def test_zero_power_collapses_to_origin(self):
-        curve = region_boundary("cd", special_geometry(), power=0.0)
-        assert np.allclose(curve.points, [[0.0, 0.0]])
-
     def test_contains_closed_form_samples(self):
         channel = special_geometry()
         curve = region_boundary("cd", channel, eta_steps=41, split_steps=21)
@@ -671,8 +676,7 @@ class TestRegionBoundary:
     def test_hull_dominates_staircase(self):
         channel = special_geometry(scale=2.0)
         curve = region_boundary("cd", channel, eta_steps=41, split_steps=21)
-        hull = region_boundary("cd", channel, eta_steps=41, split_steps=21,
-                               time_sharing=True)
+        hull = curve.hull()
         grid = np.linspace(0, curve.r1_max, 200)
         assert np.all(hull.r2_at(grid) >= curve.r2_at(grid) - 1e-12)
 
@@ -697,8 +701,10 @@ class TestRegionBoundary:
             region_boundary("cd", special_geometry(), **{key: value})
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            region_boundary("mystery", special_geometry())
+        # kinds are matched exactly: no case or underscore folding
+        for kind in ("mystery", "md_corr", "CD"):
+            with pytest.raises(ValueError, match="kind"):
+                region_boundary(kind, special_geometry())
 
     def test_sweep_is_deterministic(self):
         channel = special_geometry(scale=2.0)

@@ -18,7 +18,6 @@ from compound_bc.miso import (
 )
 from compound_bc.outer import (
     OUTER_FAMILIES,
-    AugmentedChannels,
     DofEstimate,
     _family_samples,
     _validated_stacks,
@@ -121,15 +120,6 @@ class TestCovPair:
                 constituent_curves(ch, k, np.eye(2)[None])
             with pytest.raises(ValueError, match="K_v must be finite"):
                 constituent_curves(ch, np.eye(2)[None], k)
-
-
-class TestAugmentedChannels:
-    def test_stacks_are_the_channel_vectors(self):
-        ch = skew_channel()
-        aug = AugmentedChannels.from_channel(ch)
-        assert np.array_equal(aug.g12, np.column_stack([ch.g, ch.h1, ch.h2]))
-        assert np.array_equal(aug.h1z, np.column_stack([ch.h1, ch.g]))
-        assert np.array_equal(aug.h2z, np.column_stack([ch.h2, ch.g]))
 
 
 class TestPerReceiverRegion:
@@ -339,16 +329,6 @@ class TestConstituentCurves:
 
 
 class TestOuterRegion:
-    def test_zero_power_collapses_to_origin(self):
-        outer = outer_region(fig_channel(), power=0.0)
-        assert np.array_equal(outer.points, np.zeros((1, 2)))
-
-    def test_power_outside_budget_rejected(self):
-        with pytest.raises(ValueError, match="power"):
-            outer_region(fig_channel(), power=-1.0)
-        with pytest.raises(ValueError, match="power"):
-            outer_region(fig_channel(), power=11.0)
-
     def test_corner_values_hit_the_beacon_rates(self):
         ch = fig_channel()
         outer = outer_region(ch, num_random=2000)
@@ -399,7 +379,7 @@ class TestOuterRegion:
     def test_time_sharing_hull_dominates_staircase(self):
         ch = fig_channel()
         stair = outer_region(ch, num_random=1000)
-        hull = outer_region(ch, num_random=1000, time_sharing=True)
+        hull = stair.hull()
         assert hull.interp == "linear"
         grid = np.linspace(0.0, stair.r1_max, 200)
         assert np.all(hull.r2_at(grid) >= stair.r2_at(grid) - 1e-12)

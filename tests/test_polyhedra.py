@@ -15,7 +15,6 @@ from compound_bc.polyhedra import (
     InfoExpr,
     LinIneq,
     NumericRegion,
-    NumericRegion2D,
     RateCurve2D,
     RegionSystem,
     VERTEX_CHUNK,
@@ -30,6 +29,11 @@ from compound_bc.polyhedra import (
     substitute_rates,
     vertices_2d,
 )
+
+
+def region2(A, b, box=BOX):
+    """Numeric (R1, R2) region {A x <= b} inside [0, box]^2."""
+    return NumericRegion(("R1", "R2"), A, b, box=box)
 
 
 def shoelace(verts):
@@ -219,10 +223,13 @@ def test_substitute_rates_recombination_shape():
     first = out.ineqs[0]
     # R0 + R1 = S0 + S02 + S1: the S01 parts cancel
     assert first.lhs == {"S0": Fraction(1), "S02": Fraction(1), "S1": Fraction(1)}
-    # affine constant shifts move to the rhs
-    shifted = substitute_rates(sys, {"R0": {"": Fraction(1, 4)}})
-    assert shifted.ineqs[0].rhs.const == Fraction(-1, 4)
-    assert "R0" not in shifted.rate_vars
+    # an empty form sets the rate to zero and drops it
+    dropped = substitute_rates(sys, {"R0": {}})
+    assert dropped.rate_vars == ["R1", "R2"]
+    assert dropped.ineqs[0].lhs == {"R1": Fraction(1)}
+    # aux rows may only use variables the substitution produces
+    with pytest.raises(ValueError, match="unknown rate vars"):
+        substitute_rates(sys, {"R0": {}}, aux=[ineq({"S9": -1}, "<=", 0)])
 
 
 def test_instantiate_all_zero_atoms_gives_origin():
@@ -237,7 +244,7 @@ def test_instantiate_all_zero_atoms_gives_origin():
 
 
 def test_vertices_2d_triangle():
-    region = NumericRegion2D([[1, 1]], [1.0])
+    region = region2([[1, 1]], [1.0])
     verts = vertices_2d(region)
     assert len(verts) == 3
     assert shoelace(verts) == pytest.approx(0.5, abs=1e-12)
@@ -253,7 +260,7 @@ def test_vertices_2d_area_matches_grid_oracle():
         m = rng.integers(1, 5)
         A = rng.normal(size=(m, 2))
         b = rng.uniform(0.5, 4.0, size=m)
-        region = NumericRegion2D(A, b, box=5.0)
+        region = region2(A, b, box=5.0)
         try:
             verts = vertices_2d(region)
         except EmptyRegionError:
@@ -265,8 +272,14 @@ def test_vertices_2d_area_matches_grid_oracle():
 
 
 def test_empty_region_raises():
-    region = NumericRegion2D([[1, 0], [-1, 0]], [1.0, -2.0])
+    region = region2([[1, 0], [-1, 0]], [1.0, -2.0])
     with pytest.raises(EmptyRegionError):
+        vertices_2d(region)
+
+
+def test_vertices_2d_needs_two_variables():
+    region = NumericRegion(["x", "y", "z"], [[1, 1, 1]], [1.0])
+    with pytest.raises(ValueError, match="two-variable"):
         vertices_2d(region)
 
 
@@ -334,7 +347,7 @@ def test_vertices_is_bitwise_the_pair_loop(region):
 
 def test_vertices_skips_a_chunk_of_singular_bases():
     # 300 copies of a + b <= 3: the first chunk pairs only parallel rows
-    region = NumericRegion2D([[1, 1]] * 300, [3.0] * 300)
+    region = region2([[1, 1]] * 300, [3.0] * 300)
     assert len(region.A) > VERTEX_CHUNK
     verts = region.vertices()
     assert np.array_equal(verts, vertices_loop(region))
@@ -343,8 +356,8 @@ def test_vertices_skips_a_chunk_of_singular_bases():
 
 
 def test_contains_reports_violation():
-    outer = NumericRegion2D([[1, 1]], [2.0])
-    inner = NumericRegion2D([[1, 0], [0, 1]], [1.0, 1.0], box=10)
+    outer = region2([[1, 1]], [2.0])
+    inner = region2([[1, 0], [0, 1]], [1.0, 1.0], box=10)
     assert np.max(outer.violation(inner.vertices())) <= 1e-9
     # outer's farthest vertex (2,0) violates R1 <= 1 by 1
     assert np.max(inner.violation(outer.vertices())) == pytest.approx(
@@ -413,7 +426,7 @@ def test_prune_redundant_keeps_every_row_of_an_empty_region():
 
 
 def test_numeric_region_box_default():
-    region = NumericRegion2D([], [])
+    region = region2([], [])
     verts = vertices_2d(region)
     assert shoelace(verts) == pytest.approx(BOX * BOX)
 
