@@ -16,6 +16,7 @@ printed at 12 significant digits so repeat runs are byte-identical.
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -33,7 +34,13 @@ from .becbsc import (
 )
 from .info import binary_convolve, binary_entropy
 from .lines import d_a_curve, sample_t_a, t0_closed, t1_closed
-from .miso import REGION_KINDS, MisoChannel, region_boundary, special_geometry
+from .miso import (
+    REGION_KINDS,
+    MisoChannel,
+    is_symmetric_geometry,
+    region_boundary,
+    special_geometry,
+)
 from .outer import (
     NUM_RANDOM,
     OUTER_FAMILIES,
@@ -272,7 +279,14 @@ def cmd_becbsc_da(args):
 def _miso_channel(args, cfg):
     noise = _pick(cfg, "N", 1.0)
     if args.snr_db is not None:
-        power = noise * 10.0 ** (args.snr_db / 10.0)
+        try:
+            power = noise * 10.0 ** (args.snr_db / 10.0)
+        except OverflowError:
+            power = math.inf
+        # a bad N is reported by MisoChannel under its own name
+        if 0 < noise < math.inf and not 0 < power < math.inf:
+            raise ValueError("--snr-db must give a positive, finite total"
+                             f" power P = N 10^(X/10), got X = {args.snr_db!r}")
     elif "P" in cfg:
         power = _pick(cfg, "P", 10.0)
     else:
@@ -286,7 +300,10 @@ def _miso_channel(args, cfg):
     return special_geometry(2.0, power, noise)
 
 
-def _grid_kwargs(cfg):
+def _grid_kwargs(cfg, channel):
+    """region_boundary's grid counts from cfg.  A symmetric channel sweeps
+    eta and any other channel the two beam angles, so the count of the
+    sweep that does not run is rejected rather than ignored."""
     kwargs = {}
     for key in ("eta_steps", "split_steps", "x_steps"):
         if key in cfg:
@@ -297,6 +314,13 @@ def _grid_kwargs(cfg):
             raise ValueError("beam_steps must be a two-element list")
         kwargs["beam_steps"] = tuple(
             _pick({"beam_steps": n}, "beam_steps", None, int) for n in steps)
+    if is_symmetric_geometry(channel):
+        unused, shape, used = "beam_steps", "symmetric", "eta_steps"
+    else:
+        unused, shape, used = "eta_steps", "general", "beam_steps"
+    if unused in kwargs:
+        raise ValueError(f"parameter {unused!r} has no effect on a {shape}"
+                         f" channel, whose sweep is set by {used!r}")
     return kwargs
 
 
@@ -325,7 +349,7 @@ def cmd_miso(args):
     cfg = _load_params(args, MISO_KEYS)
     channel = _miso_channel(args, cfg)
     seed = _seed_value(args, cfg)
-    grid = _grid_kwargs(cfg)
+    grid = _grid_kwargs(cfg, channel)
     num_random = _pick(cfg, "num_random", NUM_RANDOM, int)
     # checked before the first sweep so a bad count writes no CSV
     if num_random < 0:

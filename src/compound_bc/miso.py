@@ -204,17 +204,25 @@ def corr_parabolas(terms, x):
     return out
 
 
-def uncorr_parabolas(terms, x, share1):
-    """Parabolas for time-shared private descriptions, candidate 1 active a
-    fraction share1 of the time; weights fold each receiver's private-link
-    term into the envelope."""
-    out = []
-    for rx, share in zip(terms.receivers, (share1, 1.0 - share1)):
+def uncorr_parabolas(terms, x, shares):
+    """Parabolas for time-shared private descriptions, one list per
+    candidate-1 time share in shares; weights fold each receiver's
+    private-link term into the envelope.  The split terms of the slice x
+    serve every share, and the lists are yielded one at a time, so a sweep
+    holds one share's arrays at once."""
+    layers = []
+    for rx in terms.receivers:
         hu, _, s, _ = rx
         beta_x, i_x = split_terms(rx, terms.p_u, terms.p_v, x)
-        w = ((hu * hu * x + terms.n) / terms.n) ** (-share)
-        out += [w * i_x / s, beta_x, w * (terms.n + hu * hu * x) / s]
-    return out
+        private = hu * hu * x + terms.n
+        layers.append((beta_x, i_x, s, private, private / terms.n))
+    for share1 in shares:
+        out = []
+        for (beta_x, i_x, s, private, gain), share in zip(
+                layers, (share1, 1.0 - share1)):
+            w = gain ** (-share)
+            out += [w * i_x / s, beta_x, w * private / s]
+        yield out
 
 
 def parabola_rate(a, v, c, alpha):
@@ -225,7 +233,13 @@ def parabola_rate(a, v, c, alpha):
 def _minimax_two_vec(a1, v1, c1, a2, v2, c2):
     """Vectorized two-parabola envelope minimization.
 
-    All arguments broadcast; returns (t_star, value) arrays.
+    All arguments broadcast; returns (t_star, value) arrays.  The minimum of
+    max(q1, q2) sits at a vertex or where q1 = q2, so the candidates are v1,
+    v2, the two roots of q1 - q2 where it is quadratic and its one root
+    where the leading coefficients cancel; a non-finite candidate falls back
+    to v1.  Candidates are scored one at a time, and a later one replaces
+    the best only when its value is strictly lower or is the first NaN,
+    which is np.argmin's rule over them in that order.
     """
     a1, v1, c1, a2, v2, c2 = np.broadcast_arrays(a1, v1, c1, a2, v2, c2)
     qa = a1 - a2
@@ -238,14 +252,26 @@ def _minimax_two_vec(a1, v1, c1, a2, v2, c2):
         r_plus = np.where(quad, (-qb + root) / (2.0 * qa), np.nan)
         r_minus = np.where(quad, (-qb - root) / (2.0 * qa), np.nan)
         linear = np.where(~quad & (np.abs(qb) > 1e-300), -qc / qb, np.nan)
-    cands = np.stack([v1, v2, r_plus, r_minus, linear], axis=-1)
-    cands = np.where(np.isfinite(cands), cands, v1[..., None])
-    q1 = a1[..., None] * (cands - v1[..., None]) ** 2 + c1[..., None]
-    q2 = a2[..., None] * (cands - v2[..., None]) ** 2 + c2[..., None]
-    env = np.maximum(q1, q2)
-    k = np.argmin(env, axis=-1)
-    t_star = np.take_along_axis(cands, k[..., None], axis=-1)[..., 0]
-    value = np.take_along_axis(env, k[..., None], axis=-1)[..., 0]
+    q1, q2 = np.empty(a1.shape), np.empty(a1.shape)
+
+    def envelope(t):
+        # max(a1 (t - v1)^2 + c1, a2 (t - v2)^2 + c2), op for op, in place
+        for q, a, v, c in ((q1, a1, v1, c1), (q2, a2, v2, c2)):
+            np.subtract(t, v, out=q)
+            np.square(q, out=q)
+            np.multiply(a, q, out=q)
+            np.add(q, c, out=q)
+        return np.maximum(q1, q2, out=q1)
+
+    t_star = np.array(v1, dtype=float)
+    value = envelope(t_star).copy()
+    for cand in (v2, r_plus, r_minus, linear):
+        t = np.where(np.isfinite(cand), cand, v1)
+        env = envelope(t)
+        # strictly lower, or NaN while the best is not (NaN compares false)
+        upd = ~(env >= value) & (value == value)
+        np.copyto(t_star, t, where=upd)
+        np.copyto(value, env, where=upd)
     return t_star, value
 
 
@@ -262,25 +288,30 @@ def corr_rate(paras, x, alphas):
     receiver gets its side for free, but revealing the sample costs the
     correlation penalty 1/2 log2(2 pi e x) inside a sum constraint:
     R1 <= min_j rate_j(alpha) and 2 R1 <= rate_1 + rate_2 - penalty, with
-    rate_j from corr_parabolas.  alphas holds the candidates on a trailing
-    axis.  Returns (r1, alpha, sum_constraint_active) at the best candidate.
+    rate_j from corr_parabolas.  alphas is a sequence of candidate arrays,
+    scored in order; a later one wins only with a strictly higher R1 or the
+    first NaN, np.argmax's rule.  Returns (r1, alpha, sum_constraint_active)
+    at the best candidate.
     """
-    a1, v1, c1, a2, v2, c2 = (np.asarray(p)[..., None] for p in paras)
-    f1 = parabola_rate(a1, v1, c1, alphas)
-    f2 = parabola_rate(a2, v2, c2, alphas)
+    a1, v1, c1, a2, v2, c2 = paras
     pen = np.where(x > 0,
                    0.5 * np.log2(2.0 * math.pi * math.e
                                  * np.maximum(x, _TINY)),
                    -np.inf)
-    min_branch = np.minimum(f1, f2)
-    sum_branch = 0.5 * (f1 + f2 - pen[..., None])
-    r1 = np.minimum(min_branch, sum_branch)
-    k = np.argmax(r1, axis=-1)[..., None]
-
-    def pick(arr):
-        return np.take_along_axis(arr, k, axis=-1)[..., 0]
-
-    return pick(r1), pick(alphas), pick(sum_branch < min_branch)
+    best = None
+    for alpha in alphas:
+        f1 = parabola_rate(a1, v1, c1, alpha)
+        f2 = parabola_rate(a2, v2, c2, alpha)
+        min_branch = np.minimum(f1, f2)
+        sum_branch = 0.5 * (f1 + f2 - pen)
+        r1 = np.minimum(min_branch, sum_branch)
+        cand = (r1, alpha, sum_branch < min_branch)
+        if best is None:
+            best = cand
+            continue
+        upd = ~(r1 <= best[0]) & (best[0] == best[0])
+        best = tuple(np.where(upd, new, old) for new, old in zip(cand, best))
+    return best
 
 
 def corr_optimal(paras, x):
@@ -291,7 +322,7 @@ def corr_optimal(paras, x):
     point even where the sum constraint binds.
     """
     alpha, _ = _minimax_two_vec(*paras)
-    return corr_rate(paras, x, np.stack([alpha, paras[1], paras[4]], axis=-1))
+    return corr_rate(paras, x, (alpha, paras[1], paras[4]))
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +499,34 @@ def _beam_grid(channel, eta_steps, beam_steps):
     return _beam_gains(channel, b_us, b_vs), labels
 
 
+def _uncorr_sweep(terms, x_slices):
+    """Best md-uncorr (r1, alpha, x, t) per cell: the first (time share, x)
+    in share-major order whose R1 is the maximum.
+
+    The loop runs over slices, so each slice's split terms serve all the
+    shares, and keeps one running best per share, replaced on a strictly
+    higher R1.  Merging those in TIME_SHARES order by the same rule picks
+    the (share, x) that a share-major sweep would.
+    """
+    shape = terms.r1_second.shape
+    bests = [(np.full(shape, -np.inf), np.zeros(shape), np.zeros(shape))
+             for _ in TIME_SHARES]
+    for x in x_slices:
+        for best, paras in zip(bests,
+                               uncorr_parabolas(terms, x, TIME_SHARES)):
+            alpha, r1 = envelope_rate(paras)
+            upd = r1 > best[0]
+            for arr, new in zip(best, (r1, alpha, x)):
+                np.copyto(arr, new, where=upd)
+    merged = (np.full(shape, -np.inf), np.zeros(shape), np.zeros(shape),
+              np.zeros(shape))
+    for share1, best in zip(TIME_SHARES, bests):
+        upd = best[0] > merged[0]
+        for arr, new in zip(merged, best + (share1,)):
+            np.copyto(arr, new, where=upd)
+    return merged
+
+
 def region_boundary(kind, channel, *, eta_steps=401, split_steps=201,
                     x_steps=201, beam_steps=None):
     """Pareto staircase of one inner bound, swept over scheme parameters.
@@ -507,21 +566,15 @@ def region_boundary(kind, channel, *, eta_steps=401, split_steps=201,
         r1_main = np.full(grid_shape, -np.inf)
         alpha_main = np.zeros(grid_shape)
         x_main = np.zeros(grid_shape)
-        # md-uncorr records the winning time share; the others share none
-        t_main = np.full(grid_shape, 0.0 if kind == "md-uncorr" else 0.5)
+        # md-uncorr's sweep records the winning time share; the other kinds
+        # have none and report an even split
+        t_main = np.full(grid_shape, 0.5)
         sum_main = np.zeros(grid_shape, dtype=bool)
         if kind == "cd":
             alpha_main, r1_main = envelope_rate(corr_parabolas(terms, 0.0))
         elif kind == "md-uncorr":
-            for share1 in TIME_SHARES:
-                for x in x_slices:
-                    alph, r1 = envelope_rate(
-                        uncorr_parabolas(terms, x, share1))
-                    upd = r1 > r1_main
-                    r1_main = np.where(upd, r1, r1_main)
-                    alpha_main = np.where(upd, alph, alpha_main)
-                    x_main = np.where(upd, x, x_main)
-                    t_main = np.where(upd, share1, t_main)
+            r1_main, alpha_main, x_main, t_main = _uncorr_sweep(terms,
+                                                                x_slices)
         else:  # md-corr
             for x in x_slices:
                 r1, alph, act = corr_optimal(corr_parabolas(terms, x), x)

@@ -447,8 +447,13 @@ class RateCurve2D:
             pts = np.zeros((1, 2))
         pts = np.maximum(pts, 0.0)
         order = np.lexsort((-pts[:, 1], -pts[:, 0]))  # R1 desc, then R2 desc
+        # a point whose R2 does not beat every earlier one is never kept and
+        # never raises best_r2, so only these record setters reach the loop;
+        # fmax skips NaN R2s, which the loop never keeps either
+        r2 = pts[order, 1]
+        earlier = np.fmax.accumulate(np.concatenate([[-np.inf], r2[:-1]]))
         keep, best_r2 = [], -np.inf
-        for i in order:
+        for i in order[r2 > earlier]:
             if pts[i, 1] > best_r2 + 1e-15:
                 keep.append(i)
                 best_r2 = pts[i, 1]

@@ -369,6 +369,42 @@ class TestMiso:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr_db", ["4000", "1e308", "-4000", "nan",
+                                        "-inf"])
+    def test_unusable_snr_rejected_before_any_output(self, tmp_path, capsys,
+                                                     snr_db):
+        out = tmp_path / "miso_out"
+        assert cli.main(["miso", f"--snr-db={snr_db}", "--out", str(out)]) == 2
+        assert "--snr-db must give a positive, finite total power P" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    GENERAL = {"h1": [1.8, 0.4], "h2": [-0.3, 1.2], "g": [0.9, -1.1]}
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"beam_steps": [5, 9]}, "beam_steps"),
+        ({"h1": [0.0, 3.0], "h2": [3.0, 0.0], "g": [1.0, -1.0],
+          "beam_steps": [5, 9]}, "beam_steps"),
+        (dict(GENERAL, eta_steps=21), "eta_steps")])
+    def test_grid_key_the_geometry_ignores_rejected_before_any_output(
+            self, tmp_path, capsys, cfg, key):
+        params = write_params(tmp_path, "p.json",
+                              dict(cfg, split_steps=5, x_steps=5))
+        out = tmp_path / "miso_out"
+        assert cli.main(["miso", "--params", params, "--out", str(out)]) == 2
+        assert f"parameter {key!r} has no effect" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_general_channel_takes_beam_steps(self, tmp_path):
+        params = write_params(tmp_path, "p.json",
+                              dict(self.GENERAL, beam_steps=[5, 9],
+                                   split_steps=5, x_steps=5))
+        assert cli.main(["miso", "--params", params,
+                         "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "cd.csv")
+        assert {"theta_u", "theta_v"} <= set(header)
+        assert "eta" not in header
+
     def test_failing_sweep_leaves_no_out_directory(self, tmp_path, capsys,
                                                    monkeypatch):
         sweep = cli.region_boundary

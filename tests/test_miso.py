@@ -10,14 +10,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from compound_bc import miso
 from compound_bc.miso import (
     CORRELATION_BREAKPOINT,
+    TIME_SHARES,
     DpcScheme,
     GaussRatePoint,
     MisoChannel,
     _minimax_two_vec,
     _terms,
+    _uncorr_sweep,
     beam_from_angle,
     cd_closed_form,
     corr_parabolas,
@@ -28,6 +34,7 @@ from compound_bc.miso import (
     p_of_eta,
     parabola_rate,
     region_boundary,
+    scheme_terms,
     special_beams,
     special_geometry,
     split_terms,
@@ -121,14 +128,14 @@ def cd_corner(channel, scheme):
 
 def uncorr_r1(channel, scheme):
     """Max-min R1 with time-shared private descriptions."""
-    paras = uncorr_parabolas(_terms(channel, scheme), scheme.x, scheme.t)
+    [paras] = uncorr_parabolas(_terms(channel, scheme), scheme.x, [scheme.t])
     return max(float(envelope_rate(paras)[1]), 0.0)
 
 
 def corr_at_alpha(channel, scheme):
     """Correlated-description R1 at scheme.alpha, sum constraint active?"""
     r1, _, active = corr_rate(corr_parabolas(_terms(channel, scheme), scheme.x),
-                              scheme.x, np.array([scheme.alpha]))
+                              scheme.x, [scheme.alpha])
     return float(r1), bool(active)
 
 
@@ -254,7 +261,8 @@ class TestPrivateOptimal:
         for _ in range(10):
             channel = random_channel(rng)
             scheme = random_scheme(rng, channel)
-            paras = uncorr_parabolas(_terms(channel, scheme), 0.0, scheme.t)
+            [paras] = uncorr_parabolas(_terms(channel, scheme), 0.0,
+                                       [scheme.t])
             for j in (1, 2):
                 got = parabola_rate(*paras[3 * j - 3:3 * j], scheme.alpha)
                 assert got == pytest.approx(stream_rate(channel, j, scheme),
@@ -292,9 +300,9 @@ class TestPrivateOptimal:
         scheme = DpcScheme(b_u, b_v, 6.0, 4.0, x=2.0, alpha=0.0)
         h_u = float(channel.h1 @ b_u)
         expect = 0.5 * math.log2((h_u ** 2 * 2.0 + 1.0) / 1.0)
-        full, idle = (parabola_rate(*uncorr_parabolas(_terms(channel, scheme),
-                                                      2.0, share)[:3], 0.0)
-                      for share in (1.0, 0.0))
+        full, idle = (parabola_rate(*paras[:3], 0.0) for paras in
+                      uncorr_parabolas(_terms(channel, scheme), 2.0,
+                                       (1.0, 0.0)))
         assert full - idle == pytest.approx(expect)
 
 
@@ -713,3 +721,224 @@ class TestRegionBoundary:
         b = region_boundary("md-corr", channel, eta_steps=21,
                             split_steps=11, x_steps=11)
         assert np.array_equal(a.points, b.points)
+
+
+# ---------------------------------------------------------------------------
+# Bit-exact reference oracles: the stacked kernel bodies and the share-major
+# md-uncorr loop the sweeps ran before they scored candidates one at a time.
+
+
+def minimax_stacked(a1, v1, c1, a2, v2, c2):
+    a1, v1, c1, a2, v2, c2 = np.broadcast_arrays(a1, v1, c1, a2, v2, c2)
+    qa = a1 - a2
+    qb = -2.0 * (a1 * v1 - a2 * v2)
+    qc = (a1 * v1 ** 2 + c1) - (a2 * v2 ** 2 + c2)
+    quad = np.abs(qa) > 1e-13 * (a1 + a2 + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = qb * qb - 4.0 * qa * qc
+        root = np.sqrt(np.where(disc >= 0, disc, np.nan))
+        r_plus = np.where(quad, (-qb + root) / (2.0 * qa), np.nan)
+        r_minus = np.where(quad, (-qb - root) / (2.0 * qa), np.nan)
+        linear = np.where(~quad & (np.abs(qb) > 1e-300), -qc / qb, np.nan)
+    cands = np.stack([v1, v2, r_plus, r_minus, linear], axis=-1)
+    cands = np.where(np.isfinite(cands), cands, v1[..., None])
+    q1 = a1[..., None] * (cands - v1[..., None]) ** 2 + c1[..., None]
+    q2 = a2[..., None] * (cands - v2[..., None]) ** 2 + c2[..., None]
+    env = np.maximum(q1, q2)
+    k = np.argmin(env, axis=-1)
+    t_star = np.take_along_axis(cands, k[..., None], axis=-1)[..., 0]
+    value = np.take_along_axis(env, k[..., None], axis=-1)[..., 0]
+    return t_star, value
+
+
+def corr_rate_stacked(paras, x, alphas):
+    """alphas holds the candidates on a trailing axis."""
+    a1, v1, c1, a2, v2, c2 = (np.asarray(p)[..., None] for p in paras)
+    f1 = parabola_rate(a1, v1, c1, alphas)
+    f2 = parabola_rate(a2, v2, c2, alphas)
+    pen = np.where(x > 0,
+                   0.5 * np.log2(2.0 * math.pi * math.e
+                                 * np.maximum(x, 1e-300)),
+                   -np.inf)
+    min_branch = np.minimum(f1, f2)
+    sum_branch = 0.5 * (f1 + f2 - pen[..., None])
+    r1 = np.minimum(min_branch, sum_branch)
+    k = np.argmax(r1, axis=-1)[..., None]
+
+    def pick(arr):
+        return np.take_along_axis(arr, k, axis=-1)[..., 0]
+
+    return pick(r1), pick(alphas), pick(sum_branch < min_branch)
+
+
+def uncorr_parabolas_one(terms, x, share1):
+    out = []
+    for rx, share in zip(terms.receivers, (share1, 1.0 - share1)):
+        hu, _, s, _ = rx
+        beta_x, i_x = split_terms(rx, terms.p_u, terms.p_v, x)
+        w = ((hu * hu * x + terms.n) / terms.n) ** (-share)
+        out += [w * i_x / s, beta_x, w * (terms.n + hu * hu * x) / s]
+    return out
+
+
+def share_major_uncorr(terms, x_slices):
+    shape = terms.r1_second.shape
+    r1_main = np.full(shape, -np.inf)
+    alpha_main = np.zeros(shape)
+    x_main = np.zeros(shape)
+    t_main = np.zeros(shape)
+    for share1 in TIME_SHARES:
+        for x in x_slices:
+            alph, env = minimax_stacked(*uncorr_parabolas_one(terms, x, share1))
+            r1 = -0.5 * np.log2(env)
+            upd = r1 > r1_main
+            r1_main = np.where(upd, r1, r1_main)
+            alpha_main = np.where(upd, alph, alpha_main)
+            x_main = np.where(upd, x, x_main)
+            t_main = np.where(upd, share1, t_main)
+    return r1_main, alpha_main, x_main, t_main
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    # array_equal lets -0.0 match 0.0; a NaN's sign bit depends on the numpy
+    # loop that made it and carries no value
+    numbers = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+
+# parabola coefficients with many exact ties, zeros and non-finite values
+EDGE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, 1e-300, 1e300,
+                     math.inf, -math.inf, math.nan]),
+    st.integers(-3, 3).map(float),
+    st.floats(-4.0, 4.0, allow_nan=False))
+
+
+@st.composite
+def broadcast_parabolas(draw, count=6):
+    """`count` arrays whose shapes broadcast to (m, n): each is (), (m, 1),
+    (1, n) or (m, n)."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    shapes = [(), (m, 1), (1, n), (m, n)]
+    return [draw(hnp.arrays(np.float64, draw(st.sampled_from(shapes)),
+                            elements=EDGE_VALUES))
+            for _ in range(count)]
+
+
+def special_parabolas():
+    """(a1, v1, c1, a2, v2, c2) rows for the cases the candidate set has to
+    handle: equal vertices, equal and zero leading coefficients (the linear
+    root), a zero discriminant, and infinite or NaN entries."""
+    rows = [
+        (2.0, 1.5, 0.25, 2.0, 1.5, 0.25),       # identical parabolas
+        (1.0, 0.5, 0.2, 3.0, 0.5, 0.7),         # v1 == v2
+        (1.0, -1.0, 0.0, 1.0, 1.0, 0.0),        # a1 == a2: linear root
+        (2.5, 0.3, 1.0, 2.5, -0.7, 0.4),        # a1 == a2, c1 != c2
+        (0.0, 0.0, 0.7, 0.0, 3.0, 0.4),         # a1 == a2 == 0
+        (0.0, 1.0, 0.5, 0.0, 2.0, 0.5),         # flat and equal
+        (1.0, 1.0, 0.0, 2.0, 1.0, 0.0),         # zero discriminant
+        (2.0, 0.0, 0.0, 1.0, 0.0, 0.0),         # zero discriminant at 0
+        (1.0, 0.0, 1.0, 1.0 + 1e-14, 0.0, 1.0),  # below the quad threshold
+        (math.inf, 0.0, 1.0, 1.0, 2.0, 0.5),
+        (1.0, math.inf, 1.0, 1.0, 2.0, 0.5),
+        (1.0, 0.0, math.nan, 1.0, 2.0, 0.5),
+        (1.0, 0.0, 1.0, 1.0, math.nan, 0.5),
+        (1e300, 1e300, 0.0, 1e-300, -1e300, 1.0),
+        (-1.0, 0.0, 1.0, 2.0, 1.0, 0.0),        # a downward parabola
+        (0.0, -0.0, -0.0, 0.0, 0.0, -0.0),       # signed zeros
+    ]
+    return [np.array(col) for col in zip(*rows)]
+
+
+class TestStackedOracles:
+    """The unstacked kernels and the slice-major md-uncorr sweep reproduce
+    their stacked, share-major predecessors bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_minimax_matches_stacked_on_special_cases(self):
+        paras = special_parabolas()
+        for got, want in zip(_minimax_two_vec(*paras),
+                             minimax_stacked(*paras)):
+            assert_bitwise(got, want)
+        # the rows one at a time, as 0-d calls
+        for row in zip(*paras):
+            for got, want in zip(_minimax_two_vec(*row),
+                                 minimax_stacked(*row)):
+                assert_bitwise(got, want)
+
+    def test_minimax_matches_stacked_on_broadcast_shapes(self):
+        rng = np.random.default_rng(SEED + 11)
+        a1 = rng.uniform(0, 3, (4, 1))
+        v1 = rng.uniform(-2, 2, (1, 6))
+        a2 = a1.copy()  # linear roots throughout
+        v2 = rng.uniform(-2, 2, (4, 6))
+        for a2_, v2_ in ((a2, v2), (rng.uniform(0, 3, (1, 6)), v1)):
+            paras = (a1, v1, 0.3, a2_, v2_, rng.uniform(0, 1, (4, 1)))
+            for got, want in zip(_minimax_two_vec(*paras),
+                                 minimax_stacked(*paras)):
+                assert got.shape == (4, 6)
+                assert_bitwise(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(paras=broadcast_parabolas())
+    def test_minimax_is_bitwise_the_stacked_argmin(self, paras):
+        with np.errstate(all="ignore"):
+            for got, want in zip(_minimax_two_vec(*paras),
+                                 minimax_stacked(*paras)):
+                assert_bitwise(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(paras=broadcast_parabolas(count=9),
+           x=st.sampled_from([0.0, 1e-7, 0.05, 2.0, math.inf]))
+    def test_corr_rate_is_bitwise_the_stacked_argmax(self, paras, x):
+        # the stacked oracle needs candidates of the full broadcast shape
+        paras, alphas = paras[:6], np.broadcast_arrays(*paras)[6:]
+        # repeat a candidate so exact ties occur
+        alphas = list(alphas) + [alphas[0]]
+        with np.errstate(all="ignore"):
+            want = corr_rate_stacked(paras, x, np.stack(alphas, axis=-1))
+            got = corr_rate(paras, x, alphas)
+        for g, w in zip(got, want):
+            assert_bitwise(np.broadcast_to(g, np.shape(w)), w)
+
+    def test_uncorr_sweep_matches_share_major_loop(self):
+        rng = np.random.default_rng(SEED + 12)
+        cells, splits = 30, 9
+        gains = {k: rng.normal(size=(cells, 1))
+                 for k in ("h1u", "h1v", "h2u", "h2v", "gu", "gv")}
+        # equal receivers make the two parabolas tie; zero gains flatten them
+        gains["h2u"][:5], gains["h2v"][:5] = gains["h1u"][:5], gains["h1v"][:5]
+        gains["h1u"][5:8] = 0.0
+        p_u = 8.0 * np.linspace(0.0, 1.0, splits)[None, :]
+        with np.errstate(all="ignore"):
+            terms = scheme_terms(gains, p_u, 8.0 - p_u, 1.0)
+            x_slices = [f * p_u for f in (0.0, 1e-7, 0.01, 0.3, 1 - 1e-9)]
+            got = _uncorr_sweep(terms, x_slices)
+            want = share_major_uncorr(terms, x_slices)
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)
+
+    @pytest.mark.parametrize("kind", ["cd", "md-uncorr", "md-corr"])
+    @pytest.mark.parametrize("geometry", ["special", "general"])
+    def test_region_boundary_matches_stacked_oracles(self, monkeypatch,
+                                                     kind, geometry):
+        if geometry == "special":
+            channel = special_geometry(scale=2.0)
+            grid = dict(eta_steps=41, split_steps=21, x_steps=15)
+        else:
+            channel = MisoChannel([1.8, 0.4], [-0.3, 1.2], [0.9, -1.1],
+                                  8.0, 1.0)
+            grid = dict(beam_steps=(7, 13), split_steps=15, x_steps=11)
+        got = region_boundary(kind, channel, **grid)
+        monkeypatch.setattr(miso, "_minimax_two_vec", minimax_stacked)
+        monkeypatch.setattr(
+            miso, "corr_rate", lambda paras, x, alphas: corr_rate_stacked(
+                paras, x, np.stack(alphas, axis=-1)))
+        monkeypatch.setattr(miso, "_uncorr_sweep", share_major_uncorr)
+        want = region_boundary(kind, channel, **grid)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert repr(got.meta) == repr(want.meta)

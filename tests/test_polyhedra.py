@@ -517,6 +517,63 @@ def test_rate_curve_staircase_and_hull_invariants(samples):
     assert hull.contains(samples).contained
 
 
+# The Pareto filter `RateCurve2D.from_samples` ran over every sample before
+# it prefiltered the running-maximum record setters, kept as a bit-exact
+# reference oracle: it returns the kept sample indices.
+
+def pareto_keep_loop(samples):
+    pts = np.maximum(np.atleast_2d(np.asarray(samples, dtype=float)), 0.0)
+    order = np.lexsort((-pts[:, 1], -pts[:, 0]))
+    keep, best_r2 = [], -np.inf
+    for i in order:
+        if pts[i, 1] > best_r2 + 1e-15:
+            keep.append(i)
+            best_r2 = pts[i, 1]
+    return keep[::-1]
+
+
+def assert_filter_is_the_loop(samples):
+    curve = RateCurve2D.from_samples(samples, meta=range(len(samples)))
+    keep = pareto_keep_loop(samples)
+    assert curve.meta == keep
+    pts = np.maximum(np.asarray(samples, dtype=float), 0.0)
+    assert curve.points.tobytes() == pts[keep].tobytes()
+
+
+# rounded samples: most R1 and R2 values tie with another sample's
+ROUNDED_SAMPLES = hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 60), st.just(2)),
+    elements=st.floats(-0.5, 3.0, allow_nan=False).map(lambda v: round(v, 1)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(samples=st.one_of(ROUNDED_SAMPLES, RATE_SAMPLES))
+def test_rate_curve_filter_is_bitwise_the_loop(samples):
+    assert_filter_is_the_loop(samples)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rises=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 8)),
+                      min_size=1, max_size=40),
+       base=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+def test_rate_curve_filter_matches_the_loop_inside_the_slack(rises, base):
+    # R2 rises by steps of 1e-16 as R1 falls (or ties), so whether a point
+    # clears the loop's 1e-15 keep slack depends on which earlier point set
+    # best_r2 and not only on the largest earlier R2
+    r1_steps, r2_steps = np.array(rises, dtype=float).T
+    samples = np.column_stack([10.0 - np.cumsum(r1_steps),
+                               base + 1e-16 * np.cumsum(r2_steps)])
+    assert_filter_is_the_loop(samples)
+
+
+def test_rate_curve_filter_skips_nan_r2_like_the_loop():
+    samples = [(0.9, np.nan), (0.8, 0.1), (0.5, np.nan), (0.4, 0.3),
+               (0.2, 0.3), (0.1, 0.6)]
+    assert_filter_is_the_loop(samples)
+    curve = RateCurve2D.from_samples(samples, meta=range(len(samples)))
+    assert curve.meta == [5, 3, 1]
+
+
 def test_rate_curve_degenerate_and_validation():
     origin = RateCurve2D.from_samples([(0.0, 0.0)])
     assert origin.r2_at(0.0) == 0.0
