@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,7 +48,8 @@ class InfoExpr:
     __slots__ = ("coeffs", "const")
 
     def __init__(self, coeffs=None, const=0):
-        self.coeffs = {a: _frac(c) for a, c in (coeffs or {}).items() if c != 0}
+        # filter on the converted value: JSON writes a zero as the string "0"
+        self.coeffs = {a: f for a, c in (coeffs or {}).items() if (f := _frac(c))}
         self.const = _frac(const)
 
     @classmethod
@@ -97,7 +99,7 @@ class LinIneq:
     rhs: InfoExpr
 
     def __post_init__(self):
-        self.lhs = {v: _frac(c) for v, c in self.lhs.items() if c != 0}
+        self.lhs = {v: f for v, c in self.lhs.items() if (f := _frac(c))}
         if self.rel not in ("<=", "<"):
             raise ValueError(f"relation must be '<=' or '<', got {self.rel!r}")
         if not isinstance(self.rhs, InfoExpr):
@@ -160,7 +162,7 @@ class RegionSystem:
     def conjoin(self, other: "RegionSystem") -> "RegionSystem":
         merged = list(self.rate_vars)
         merged += [v for v in other.rate_vars if v not in merged]
-        return RegionSystem(merged, _dedupe(self.ineqs + other.ineqs))
+        return RegionSystem(merged, _dedupe(self.ineqs + other.ineqs)[0])
 
     def to_json(self) -> dict:
         return {
@@ -198,19 +200,26 @@ class RegionSystem:
             return cls.from_json(json.load(fh))
 
 
-def _dedupe(ineqs):
-    """Drop exact duplicates; of a <=/< pair on the same row keep the strict one."""
+def _dedupe(ineqs, masks=None):
+    """Drop exact duplicates; of a <=/< pair on the same row keep the strict one.
+
+    Returns (rows, masks), with one ancestor bitmask per row (0s when no
+    masks are given).  A merged row keeps only the ancestors common to all
+    its copies: any one copy's history may be the one a later combination
+    needs to stay within Chernikov's bound, and keeping the smaller whole
+    history instead can drop a row the projection needs.
+    """
     best = {}
-    order = []
-    for iq in ineqs:
+    for iq, mask in zip(ineqs, masks or itertools.repeat(0)):
         n = iq.normalized()
         k = (tuple(sorted(n.lhs.items())), n.rhs.key())
-        if k not in best:
-            best[k] = n
-            order.append(k)
-        elif n.rel == "<" and best[k].rel == "<=":
-            best[k] = n
-    return [best[k] for k in order]
+        kept = best.get(k)
+        if kept is None:
+            best[k] = (n, mask)
+        else:
+            row = n if n.rel == "<" and kept[0].rel == "<=" else kept[0]
+            best[k] = (row, kept[1] & mask)
+    return [n for n, _ in best.values()], [m for _, m in best.values()]
 
 
 def _is_trivial(iq: LinIneq) -> bool:
@@ -220,27 +229,53 @@ def _is_trivial(iq: LinIneq) -> bool:
     return iq.rhs.const > 0 or (iq.rhs.const == 0 and iq.rel == "<=")
 
 
+def _ancestry(system: RegionSystem):
+    """(ancestor masks, variables eliminated) of the system's rows.
+
+    Only a system that `fme_eliminate` returned, with its row list as built,
+    carries a history; any other starts a new elimination sequence, in which
+    row i is its own sole ancestor.
+    """
+    rows, masks, eliminated = getattr(system, "_fme_ancestry", ((), (), 0))
+    if len(rows) == len(system.ineqs) and all(map(operator.is_, rows,
+                                                  system.ineqs)):
+        return masks, eliminated
+    return [1 << i for i in range(len(system.ineqs))], 0
+
+
 def fme_eliminate(system: RegionSystem, var) -> RegionSystem:
     """Project `var` out by Fourier-Motzkin elimination (exact rationals).
 
     Pairs every upper bound on var with every lower bound; a strict relation
     on either side makes the combination strict.  Combinations that always
-    hold (constant rows) are dropped.
+    hold (constant rows) are dropped, and so are the ones Chernikov's rule
+    proves redundant: each row carries the rows of the sequence's first
+    system it was combined from (for a merged duplicate, those all its
+    copies share), and after k eliminations a combination of more than
+    k + 1 of them is implied by the others
+    (Chernikov 1965; Imbert, "Fourier's elimination: which to choose?",
+    1993).  The histories ride along on the returned system, so calling
+    this once per variable prunes across the whole sequence.
     """
     if var not in system.rate_vars:
         raise KeyError(f"unknown rate variable {var!r}")
+    masks, eliminated = _ancestry(system)
+    eliminated += 1
     uppers, lowers, frees = [], [], []
-    for iq in system.ineqs:
+    for iq, mask in zip(system.ineqs, masks):
         c = iq.lhs.get(var, F0)
         if c > 0:
-            uppers.append(iq.scaled(F1 / c))
+            uppers.append((iq.scaled(F1 / c), mask))
         elif c < 0:
-            lowers.append(iq.scaled(F1 / -c))
+            lowers.append((iq.scaled(F1 / -c), mask))
         else:
-            frees.append(iq)
+            frees.append((iq, mask))
     combos = []
-    for up in uppers:
-        for lo in lowers:
+    for up, up_mask in uppers:
+        for lo, lo_mask in lowers:
+            mask = up_mask | lo_mask
+            if mask.bit_count() > eliminated + 1:
+                continue
             lhs = dict(up.lhs)
             for v, c in lo.lhs.items():
                 lhs[v] = lhs.get(v, F0) + c
@@ -249,12 +284,17 @@ def fme_eliminate(system: RegionSystem, var) -> RegionSystem:
             row = LinIneq(lhs, rel, up.rhs + lo.rhs)
             if _is_trivial(row):
                 continue
-            combos.append(row)
-    rate_vars = [v for v in system.rate_vars if v != var]
-    return RegionSystem(rate_vars, _dedupe(frees + combos))
+            combos.append((row, mask))
+    kept = frees + combos
+    rows, masks = _dedupe([iq for iq, _ in kept], [m for _, m in kept])
+    out = RegionSystem([v for v in system.rate_vars if v != var], rows)
+    out._fme_ancestry = (tuple(rows), masks, eliminated)
+    return out
 
 
 def fme_eliminate_all(system: RegionSystem, variables) -> RegionSystem:
+    # per-variable calls through the module, so a wrapped fme_eliminate sees
+    # every step; the ancestry each step returns feeds the next
     for v in variables:
         system = fme_eliminate(system, v)
     return system
@@ -286,7 +326,7 @@ def substitute_rates(system: RegionSystem, mapping: dict, new_vars=None,
                 lhs[v] = lhs.get(v, F0) + c * k
         out.append(LinIneq(lhs, iq.rel, iq.rhs))
     out.extend(aux)
-    return RegionSystem(list(new_vars), _dedupe(out))
+    return RegionSystem(list(new_vars), _dedupe(out)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -474,6 +474,29 @@ class TestFme:
         projected = RegionSystem.load(tmp_path / "fme_projected.json")
         assert projected.rate_vars == []
 
+    def test_zero_atom_coefficients_are_dropped(self, tmp_path):
+        # to_json writes coefficients as strings, so a zero arrives as "0";
+        # on a rate-free row it used to reach normalized() as a divisor
+        def rows(zero):
+            extra = {"H(A)": "0"} if zero else {}
+            return [
+                {"lhs": {"R1": "1", "S": "1"}, "rel": "<=",
+                 "rhs": {"I(X;Y)": "1", **extra}},
+                {"lhs": {"S": "-1"}, "rel": "<=", "rhs": {}},
+                {"lhs": {}, "rel": "<=", "rhs": {"H(X)": "1", **extra}},
+            ]
+
+        written = {}
+        for zero in (False, True):
+            source = tmp_path / f"system_{zero}.json"
+            source.write_text(json.dumps({"rate_vars": ["R1", "S"],
+                                          "ineqs": rows(zero)}))
+            out = tmp_path / f"out_{zero}"
+            assert cli.main(["fme", str(source), "--eliminate", "S",
+                             "--out", str(out)]) == 0
+            written[zero] = (out / "fme_projected.json").read_bytes()
+        assert written[True] == written[False]
+
     def test_missing_input_file_rejected(self, tmp_path):
         assert cli.main(["fme", str(tmp_path / "missing.json"),
                          "--out", str(tmp_path)]) == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from compound_bc import polyhedra
 from compound_bc.idregions import (
     bit_recombination,
     build_id_region,
@@ -173,6 +174,31 @@ def test_three_arv_two_user_reduction(three_arv_two_user):
         values = atom_values(atoms, _structured_table(rng), names,
                              channels=channels)
         assert regions_match(machine, target, values, tol=1e-9)
+
+
+def test_three_arv_projection_drops_chernikov_redundant_rows(
+        three_arv_two_user):
+    assert len(three_arv_two_user.ineqs) <= 185  # 413 without the rule
+
+
+def test_example_reduction_drops_chernikov_redundant_rows():
+    assert len(reduce_example_system().ineqs) <= 26  # 64 without the rule
+
+
+def test_fme_eliminate_all_steps_through_the_module_function(monkeypatch):
+    # a profiler that wraps polyhedra.fme_eliminate must see every step
+    step = polyhedra.fme_eliminate
+    calls, results = [], []
+
+    def counting(system, var):
+        calls.append(var)
+        results.append(step(system, var))
+        return results[-1]
+
+    monkeypatch.setattr(polyhedra, "fme_eliminate", counting)
+    out = fme_eliminate_all(three_arv_region(), ["T11", "T12", "T2"])
+    assert calls == ["T11", "T12", "T2"]
+    assert out is results[-1]
 
 
 def test_private_layer_deficit_on_erasure_channel():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from compound_bc.cli import BUNDLED_FME_EXAMPLE, DEFAULT_ELIMINATE
 from compound_bc.info import make_bsc
 from compound_bc.polyhedra import (
     BOX,
@@ -19,6 +20,7 @@ from compound_bc.polyhedra import (
     RegionSystem,
     VERTEX_CHUNK,
     VERTEX_TOL,
+    _ancestry,
     fme_eliminate,
     fme_eliminate_all,
     ineq,
@@ -53,6 +55,7 @@ def test_info_expr_arithmetic():
     e = InfoExpr.atom("I(U;Y1|Q)") + InfoExpr.atom("I(U;V|Q)", Fraction(1, 2))
     e = e * 2 - InfoExpr.atom("I(U;V|Q)")
     assert e.coeffs == {"I(U;Y1|Q)": Fraction(2)}
+    assert InfoExpr({"I(U;Y1|Q)": "2", "H(X)": "0"}).coeffs == e.coeffs
     assert e.evaluate({"I(U;Y1|Q)": 0.25}) == pytest.approx(0.5)
     with pytest.raises(KeyError):
         e.evaluate({})
@@ -63,6 +66,7 @@ def test_lin_ineq_validation():
         LinIneq({"R1": 1}, "==", InfoExpr.atom("A"))
     iq = ineq({"R1": 2, "R2": 0}, "<=", "I(X;Z|Q)")
     assert iq.lhs == {"R1": Fraction(2)}
+    assert ineq({"R1": "2", "R2": "0"}, "<=", "I(X;Z|Q)").lhs == iq.lhs
     n = iq.normalized()
     assert n.lhs == {"R1": Fraction(1)}
     assert n.rhs.coeffs["I(X;Z|Q)"] == Fraction(1, 2)
@@ -179,6 +183,90 @@ def test_fme_projection_is_sound_and_its_vertices_lift(point, rows):
             else:
                 assert slack >= -1e-9, (v, iq)
         assert lo <= hi + 1e-9, (v, lo, hi)
+
+
+def fme_plain(system, variables):
+    """Fourier-Motzkin elimination without Chernikov's rule: every step runs
+    on a rebuilt system, which carries no ancestry."""
+    for v in variables:
+        system = fme_eliminate(RegionSystem(list(system.rate_vars),
+                                            system.ineqs), v)
+    return system
+
+
+# integer rows c.(x, y, s, t, u) (< or <=) r; only the first 2 + n columns
+# are used when n variables are eliminated
+MIXED_ROWS = st.lists(st.tuples(st.lists(st.integers(-2, 2), min_size=5,
+                                         max_size=5),
+                                st.sampled_from(["<=", "<"]),
+                                st.integers(-3, 6)),
+                      min_size=5, max_size=9)
+HALF_LATTICE = [Fraction(k, 2) for k in range(-6, 13)]
+
+
+def constant_system(names, rows):
+    return RegionSystem(names, [
+        LinIneq(dict(zip(names, coeffs)), rel, InfoExpr(const=rhs))
+        for coeffs, rel, rhs in rows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=MIXED_ROWS, n_elim=st.integers(2, 3))
+def test_chernikov_pruning_keeps_the_projection_exact(rows, n_elim):
+    names = ["x", "y", "s", "t", "u"][:2 + n_elim]
+    system = constant_system(names, rows)
+    pruned = fme_eliminate_all(system, names[2:])
+    plain = fme_plain(system, names[2:])
+    assert pruned.rate_vars == plain.rate_vars == ["x", "y"]
+    assert len(pruned.ineqs) <= len(plain.ineqs)
+    # strict rows make the boundary matter, so compare exactly, in rationals
+    for x, y in itertools.product(HALF_LATTICE, repeat=2):
+        q = {"x": x, "y": y}
+        assert (all(_holds(iq, q) for iq in pruned.ineqs)
+                == all(_holds(iq, q) for iq in plain.ineqs)), (q, rows)
+
+
+def test_chernikov_pruning_keeps_a_row_merged_from_two_histories():
+    # after s and t, -u + x - y/2 < -3/2 comes from rows {1, 3} and from
+    # rows {1, 2, 4}; joined with u - y <= 4, from rows {0, 2, 4}, only the
+    # second history stays within 3 + 1 rows, so a merge that kept the
+    # smaller history {1, 3} lost the only row of the projection
+    names = ["x", "y", "s", "t", "u"]
+    system = constant_system(names, [
+        ([0, 0, 0, -1, 0], "<=", 2), ([0, 0, 1, 0, -1], "<", -1),
+        ([2, 0, -2, -1, -1], "<=", -3), ([2, -1, -2, 0, 0], "<=", -1),
+        ([-2, -1, 2, 2, 2], "<=", 5)])
+    pruned = fme_eliminate_all(system, ["s", "t", "u"])
+    assert pruned.to_json() == fme_plain(system, ["s", "t", "u"]).to_json()
+    assert repr(pruned.ineqs) == "[1*x + -3/2*y < 5/2]"
+
+
+def test_bundled_example_projection_is_the_plain_one():
+    bundled = RegionSystem.load(BUNDLED_FME_EXAMPLE)
+    eliminate = [v for v in DEFAULT_ELIMINATE if v in bundled.rate_vars]
+    assert (fme_eliminate_all(bundled, eliminate).to_json()
+            == fme_plain(bundled, eliminate).to_json())
+
+
+def test_fme_ancestry_rides_only_on_the_rows_it_was_built_for():
+    system = RegionSystem(["x", "y", "z"], [
+        ineq({"x": 1, "z": 1}, "<=", "a"), ineq({"y": 1, "z": -1}, "<=", "b"),
+        ineq({"x": -1, "z": 1}, "<", "c"), ineq({"y": 1}, "<=", "d")])
+    assert _ancestry(system) == ([1, 2, 4, 8], 0)
+    out = fme_eliminate(system, "z")
+    masks, eliminated = _ancestry(out)
+    assert eliminated == 1 and sorted(masks) == [3, 6, 8]
+    # not part of the system's value
+    rebuilt = RegionSystem(list(out.rate_vars), out.ineqs)
+    assert out == rebuilt and repr(out) == repr(rebuilt)
+    assert out.to_json() == rebuilt.to_json()
+    assert _ancestry(rebuilt) == ([1, 2, 4], 0)
+    # a changed row list starts a new elimination sequence
+    out.ineqs.append(ineq({"x": 1}, "<=", "e"))
+    assert _ancestry(out) == ([1, 2, 4, 8], 0)
+    out.ineqs.pop()
+    out.ineqs[0] = ineq({"x": 1}, "<=", "e")
+    assert _ancestry(out) == ([1, 2, 4], 0)
 
 
 def test_fme_order_independence():
