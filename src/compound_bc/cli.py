@@ -37,7 +37,6 @@ from .lines import d_a_curve, sample_t_a, t0_closed, t1_closed
 from .miso import (
     REGION_KINDS,
     MisoChannel,
-    is_symmetric_geometry,
     region_boundary,
     special_geometry,
 )
@@ -62,24 +61,49 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-DEFAULT_ALPHA_STEPS = 201
-DEFAULT_RATE_POINTS = 25
-DEFAULT_X_POINTS = 21
 PRUNE_VALUATIONS = 100
 DEFAULT_ELIMINATE = ("S01", "S02")
-
-# the keys a --params file may set, per subcommand
-BECBSC_KEYS = ("p", "p1", "e2")
-BECBSC_DA_KEYS = BECBSC_KEYS + ("a", "seed", "budget", "rate_points",
-                                "x_points")
-MISO_KEYS = ("N", "P", "h1", "h2", "g", "seed", "eta_steps", "split_steps",
-             "x_steps", "beam_steps", "num_random")
 
 # meta keys of boundary points, in column order; absent keys are skipped
 MISO_PARAM_COLUMNS = ("eta", "theta_u", "theta_v", "p_u", "p_v", "order",
                       "x", "t", "alpha", "sum_constraint_active")
 
 BUNDLED_FME_EXAMPLE = Path(__file__).resolve().parent / "data" / "fme_example.json"
+
+
+class Setting:
+    """One entry of a subcommand's settings table; key=False marks a setting
+    that only a flag sets, not a --params key."""
+
+    def __init__(self, kind, default=None, low=None, high=None, key=True):
+        self.kind, self.default, self.low, self.high = kind, default, low, high
+        self.key = key
+
+
+# One table per subcommand, its --params keys in README's order.  kind is
+# float, int, or a tuple of those for a list of that length.  A count may
+# equal its lower bound, a real must exceed it, and neither may exceed its
+# upper bound.  Unset miso settings take these defaults: P is 10 N (10 dB),
+# h1, h2 and g give special_geometry(2), and region_boundary picks and
+# checks the grid counts.
+BECBSC = {"p": Setting(float, DEFAULT_PARAMS[0]),
+          "p1": Setting(float, DEFAULT_PARAMS[1]),
+          "e2": Setting(float, DEFAULT_PARAMS[2])}
+SEED = Setting(int, DEFAULT_SEED, 0, 2 ** 64 - 1)
+SETTINGS = {
+    "becbsc-regions": dict(BECBSC, alpha_steps=Setting(int, 201, 2, key=False)),
+    "becbsc-da": dict(BECBSC, a=Setting(float, 0.92, 0.0, 1.0), seed=SEED,
+                      budget=Setting(int, None, 1),
+                      rate_points=Setting(int, 25, 2),
+                      x_points=Setting(int, 21, 2)),
+    "miso": {"N": Setting(float, 1.0), "P": Setting(float),
+             "h1": Setting((float, float)), "h2": Setting((float, float)),
+             "g": Setting((float, float)), "seed": SEED,
+             "eta_steps": Setting(int), "split_steps": Setting(int),
+             "x_steps": Setting(int), "beam_steps": Setting((int, int)),
+             "num_random": Setting(int, NUM_RANDOM, 0)},
+    "fme": {"seed": Setting(int, DEFAULT_SEED, 0, 2 ** 64 - 1, key=False)},
+}
 
 
 class NumericFailure(RuntimeError):
@@ -130,80 +154,92 @@ def _write_csv(path, header, rows):
     print(f"wrote {path} ({len(rows)} rows)")
 
 
-def _load_params(args, keys):
-    """The --params object (empty without the flag); a key outside `keys`
-    is rejected, so a misspelled setting cannot fall back to its default."""
-    if args.params is None:
-        return {}
-    path = Path(args.params)
+def _check_out(out):
+    # the nearest existing path at or above --out must be a directory, or
+    # the first write would fail after every stage has run
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ValueError(f"output directory {out} cannot be created:"
+                                 f" {path} is not a directory")
+            return
+
+
+def _read_object(path, what):
+    """The JSON object held in file `path`; `what` names the file in errors."""
     try:
-        cfg = json.loads(path.read_text())
+        obj = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ValueError(f"cannot read parameter file {path}: {exc}")
+        raise ValueError(f"cannot read {what} {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise ValueError(f"parameter file {path} is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise ValueError(f"parameter file {path} must hold a JSON object")
-    unknown = [key for key in cfg if key not in keys]
-    if unknown:
-        raise ValueError(f"parameter file {path} has unknown key(s) "
-                         f"{', '.join(map(repr, unknown))}; expected "
-                         f"{', '.join(keys)}")
-    return cfg
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}")
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object")
+    return obj
 
 
-def _pick(cfg, key, fallback, cast=float):
-    """cfg[key] (or the fallback) as `cast`; an int key takes no fraction
-    and no infinity or NaN, which an int cast would drop or fail on, and no
-    key takes a JSON boolean, which both casts would read as 0 or 1."""
-    value = cfg.get(key, fallback)
+def param_keys(table):
+    """The keys a --params file may set, in table order."""
+    return [name for name, setting in table.items() if setting.key]
+
+
+def _typed(name, kind, value):
+    """value as `kind`: a JSON number, not a string or a boolean, and for
+    an int no fraction, infinity or NaN, which int() would drop or fail on."""
+    if isinstance(kind, tuple):
+        if not (isinstance(value, list) and len(value) == len(kind)):
+            raise ValueError(f"parameter {name!r} must be a list of"
+                             f" {len(kind)} numbers, got {value!r}")
+        return tuple(_typed(name, k, v) for k, v in zip(kind, value))
     try:
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or kind is int and value != int(value):
             raise ValueError
-        picked = cast(value)
-        if cast is int and isinstance(value, float) and picked != value:
-            raise ValueError
-        return picked
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"parameter {key!r} must be {cast.__name__}, got {value!r}")
+        return kind(value)
+    except (ValueError, OverflowError):
+        raise ValueError(f"parameter {name!r} must be {kind.__name__},"
+                         f" got {value!r}") from None
 
 
-def _seed_value(args, cfg):
-    seed = args.seed if args.seed is not None \
-        else _pick(cfg, "seed", DEFAULT_SEED, int)
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
-
-
-def _budget_value(args, cfg):
-    budget = args.budget
-    if budget is None:
-        if cfg.get("budget") is None:
-            return None
-        budget = _pick(cfg, "budget", None, int)
-    if budget < 1:
-        raise ValueError(f"optimizer budget must be >= 1, got {budget}")
-    return budget
+def _resolve(args):
+    """Every setting of the subcommand's table, from its flag, else its
+    --params key, else its default, checked before any stage runs."""
+    table = SETTINGS[args.command]
+    given = {}
+    if getattr(args, "params", None) is not None:
+        given = _read_object(args.params, "parameter file")
+        keys = param_keys(table)
+        # a misspelled setting must not fall back to its default unnoticed
+        unknown = [key for key in given if key not in keys]
+        if unknown:
+            raise ValueError(f"parameter file {args.params} has unknown key(s) "
+                             f"{', '.join(map(repr, unknown))}; expected "
+                             f"{', '.join(keys)}")
+    settings = {}
+    for name, setting in table.items():
+        value = getattr(args, name, None)
+        if value is None and name not in given:
+            settings[name] = setting.default
+            continue
+        kind, low, high = setting.kind, setting.low, setting.high
+        value = _typed(name, kind, given[name] if value is None else value)
+        above = low is None or value > low or value == low and kind is int
+        if not above or high is not None and value > high:
+            bound = f"{'above' if kind is float else 'at least'} {low}"
+            if high is not None:
+                bound += f" and at most {high}"
+            raise ValueError(f"parameter {name!r} must be {bound}, got {value!r}")
+        settings[name] = value
+    return settings
 
 
 # --------------------------------------------------------------------------
 # becbsc-regions
 
-def _becbsc_params(cfg):
-    p, p1, e2 = DEFAULT_PARAMS
-    return BecBscParams(_pick(cfg, "p", p), _pick(cfg, "p1", p1),
-                        _pick(cfg, "e2", e2))
-
-
-def cmd_becbsc_regions(args):
-    cfg = _load_params(args, BECBSC_KEYS)
-    params = _becbsc_params(cfg)
-    steps = args.alpha_steps if args.alpha_steps is not None else DEFAULT_ALPHA_STEPS
-    if steps < 2:
-        raise ValueError(f"--alpha-steps must be >= 2, got {steps}")
+def cmd_becbsc_regions(args, cfg):
+    params = BecBscParams(cfg["p"], cfg["p1"], cfg["e2"])
     out = Path(args.out)
-    alphas = np.linspace(0.0, 0.5, steps)
+    alphas = np.linspace(0.0, 0.5, cfg["alpha_steps"])
 
     c1_rows, c2_rows, id_rows, mg_rows = [], [], [], []
     with _stage("becbsc boundary evaluation"):
@@ -233,31 +269,22 @@ def cmd_becbsc_regions(args):
 # --------------------------------------------------------------------------
 # becbsc-da
 
-def cmd_becbsc_da(args):
-    cfg = _load_params(args, BECBSC_DA_KEYS)
-    params = _becbsc_params(cfg)
-    a = _pick(cfg, "a", 0.92)
-    if not 0.0 < a <= 1.0:
-        raise ValueError(f"weight a must lie in (0, 1], got {a}")
-    seed = _seed_value(args, cfg)
-    budget = _budget_value(args, cfg)
-    rate_points = _pick(cfg, "rate_points", DEFAULT_RATE_POINTS, int)
-    x_points = _pick(cfg, "x_points", DEFAULT_X_POINTS, int)
-    if rate_points < 2 or x_points < 2:
-        raise ValueError("rate_points and x_points must be >= 2")
+def cmd_becbsc_da(args, cfg):
+    params = BecBscParams(cfg["p"], cfg["p1"], cfg["e2"])
+    a, seed, budget = cfg["a"], cfg["seed"], cfg["budget"]
     out = Path(args.out)
 
     with _stage("budget-gap curve"):
         alpha0 = alpha0_solve(params)
         r1_max = 1.0 - binary_entropy(binary_convolve(params.p1, alpha0))
-        rates = np.linspace(0.05, 0.95, rate_points) * r1_max
+        rates = np.linspace(0.05, 0.95, cfg["rate_points"]) * r1_max
         gaps = d_a_curve(a, params, rates,
                          search_budget=None if budget is None else (budget, 160),
                          seed=seed)
 
     with _stage("supporting-line study"):
         x_max = 1.0 - binary_entropy(params.p)
-        xs = np.linspace(0.0, x_max, x_points)
+        xs = np.linspace(0.0, x_max, cfg["x_points"])
         t_budget = (200, 300) if budget is None else (budget, 300)
         t_a = sample_t_a(a, params, xs, search_budget=t_budget, seed=seed)
         t_1 = t1_closed(params, xs)
@@ -276,52 +303,25 @@ def cmd_becbsc_da(args):
 # --------------------------------------------------------------------------
 # miso
 
-def _miso_channel(args, cfg):
-    noise = _pick(cfg, "N", 1.0)
-    if args.snr_db is not None:
+def _miso_channel(snr_db, cfg):
+    noise = cfg["N"]
+    if snr_db is not None:
         try:
-            power = noise * 10.0 ** (args.snr_db / 10.0)
+            power = noise * 10.0 ** (snr_db / 10.0)
         except OverflowError:
             power = math.inf
         # a bad N is reported by MisoChannel under its own name
         if 0 < noise < math.inf and not 0 < power < math.inf:
             raise ValueError("--snr-db must give a positive, finite total"
-                             f" power P = N 10^(X/10), got X = {args.snr_db!r}")
-    elif "P" in cfg:
-        power = _pick(cfg, "P", 10.0)
+                             f" power P = N 10^(X/10), got X = {snr_db!r}")
     else:
-        power = noise * 10.0  # 10 dB default
-    if {"h1", "h2", "g"} <= set(cfg):
-        return MisoChannel(np.asarray(cfg["h1"], dtype=float),
-                           np.asarray(cfg["h2"], dtype=float),
-                           np.asarray(cfg["g"], dtype=float), power, noise)
-    if set(cfg) & {"h1", "h2", "g"}:
+        power = noise * 10.0 if cfg["P"] is None else cfg["P"]
+    rows = [cfg["h1"], cfg["h2"], cfg["g"]]
+    if rows.count(None) == 3:
+        return special_geometry(2.0, power, noise)
+    if None in rows:
         raise ValueError("channel config needs all of h1, h2, g")
-    return special_geometry(2.0, power, noise)
-
-
-def _grid_kwargs(cfg, channel):
-    """region_boundary's grid counts from cfg.  A symmetric channel sweeps
-    eta and any other channel the two beam angles, so the count of the
-    sweep that does not run is rejected rather than ignored."""
-    kwargs = {}
-    for key in ("eta_steps", "split_steps", "x_steps"):
-        if key in cfg:
-            kwargs[key] = _pick(cfg, key, None, int)
-    if "beam_steps" in cfg:
-        steps = cfg["beam_steps"]
-        if not (isinstance(steps, (list, tuple)) and len(steps) == 2):
-            raise ValueError("beam_steps must be a two-element list")
-        kwargs["beam_steps"] = tuple(
-            _pick({"beam_steps": n}, "beam_steps", None, int) for n in steps)
-    if is_symmetric_geometry(channel):
-        unused, shape, used = "beam_steps", "symmetric", "eta_steps"
-    else:
-        unused, shape, used = "eta_steps", "general", "beam_steps"
-    if unused in kwargs:
-        raise ValueError(f"parameter {unused!r} has no effect on a {shape}"
-                         f" channel, whose sweep is set by {used!r}")
-    return kwargs
+    return MisoChannel(*rows, power, noise)
 
 
 def _curve_rows(curve):
@@ -345,16 +345,10 @@ def _report_containment(name_outer, curve_outer, name_inner, curve_inner, tol):
     return report.contained
 
 
-def cmd_miso(args):
-    cfg = _load_params(args, MISO_KEYS)
-    channel = _miso_channel(args, cfg)
-    seed = _seed_value(args, cfg)
-    grid = _grid_kwargs(cfg, channel)
-    num_random = _pick(cfg, "num_random", NUM_RANDOM, int)
-    # checked before the first sweep so a bad count writes no CSV
-    if num_random < 0:
-        raise ValueError("parameter 'num_random' must be a nonnegative"
-                         f" integer, got {num_random!r}")
+def cmd_miso(args, cfg):
+    channel = _miso_channel(args.snr_db, cfg)
+    grid = {key: cfg[key] for key in ("eta_steps", "split_steps", "x_steps",
+                                      "beam_steps") if cfg[key] is not None}
     out = Path(args.out)
     print(f"channel: h1={channel.h1.tolist()} h2={channel.h2.tolist()} "
           f"g={channel.g.tolist()} P={_fmt(channel.P)} N={_fmt(channel.N)}")
@@ -378,10 +372,10 @@ def cmd_miso(args):
             matched = [matched_cov_pairs(channel, c) for c in curves.values()]
             extra = (np.concatenate([p[0] for p in matched]),
                      np.concatenate([p[1] for p in matched]))
-            ku, kv = sample_cov_pairs(channel, num_random=num_random,
-                                      seed=seed, extra_pairs=extra)
+            ku, kv = sample_cov_pairs(channel, num_random=cfg["num_random"],
+                                      seed=cfg["seed"], extra_pairs=extra)
             families = constituent_curves(channel, ku, kv)
-            outer = outer_region(channel, seed=seed, curves=families)
+            outer = outer_region(channel, seed=cfg["seed"], curves=families)
             if args.time_sharing:
                 outer = outer.hull()
         inner_curves = hulls if args.time_sharing else curves
@@ -421,15 +415,12 @@ def _classify_row(iq):
     return "rate"
 
 
-def cmd_fme(args):
-    if args.system is not None:
-        path = Path(args.system)
-        if not path.exists():
-            raise ValueError(f"region file {path} does not exist")
-    else:
+def cmd_fme(args, cfg):
+    path = args.system
+    if path is None:
         path = BUNDLED_FME_EXAMPLE
         print(f"using bundled example system {path.name}")
-    system = RegionSystem.load(path)
+    system = RegionSystem.from_json(_read_object(path, "region file"))
     print(f"loaded {len(system.ineqs)} inequalities over "
           f"rate variables {', '.join(system.rate_vars)}")
 
@@ -441,7 +432,6 @@ def cmd_fme(args):
         eliminate = []
 
     target = Path(args.out) / "fme_projected.json"
-    seed = _seed_value(args, {})
 
     if not eliminate:
         system.save(_writable(target))
@@ -476,7 +466,7 @@ def cmd_fme(args):
 
     if len(core.rate_vars) <= 3:
         atoms = sorted(core.atoms())
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(cfg["seed"])
         valuations = ([sample_valuation(atoms, rng)
                        for _ in range(PRUNE_VALUATIONS)] if atoms else [{}])
         with _stage("redundancy pruning"):
@@ -505,17 +495,21 @@ def cmd_fme(args):
 # --------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(sub, *, params=True, seed=False, budget=False):
-    sub.add_argument("--out", default=".", help="output directory (default: .)")
-    if params:
-        sub.add_argument("--params", metavar="FILE",
-                         help="JSON parameter file overriding the defaults")
-    if seed:
-        sub.add_argument("--seed", type=int, metavar="U64",
-                         help=f"RNG seed (default {DEFAULT_SEED})")
-    if budget:
-        sub.add_argument("--budget", type=int, metavar="N",
-                         help="search restarts per optimization")
+def _subcommand(sub, name, func, summary):
+    table = SETTINGS[name]
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--out", default=".", help="output directory (default: .)")
+    if param_keys(table):
+        p.add_argument("--params", metavar="FILE",
+                       help="JSON parameter file overriding the defaults")
+    if "seed" in table:
+        p.add_argument("--seed", type=int, metavar="U64",
+                       help=f"RNG seed (default {table['seed'].default})")
+    if "budget" in table:
+        p.add_argument("--budget", type=int, metavar="N",
+                       help="search restarts per optimization")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser():
@@ -525,42 +519,33 @@ def build_parser():
                     "bounds for two-user compound broadcast channels.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "becbsc-regions",
-        help="capacity, interference-decoding, and lower-bound curves over "
-             "an input-skew grid")
-    _add_common(p)
+    p = _subcommand(
+        sub, "becbsc-regions", cmd_becbsc_regions,
+        "capacity, interference-decoding, and lower-bound curves over an "
+        "input-skew grid")
+    steps = SETTINGS["becbsc-regions"]["alpha_steps"].default
     p.add_argument("--alpha-steps", type=int, metavar="N",
-                   help=f"points on the alpha grid (default {DEFAULT_ALPHA_STEPS})")
-    p.set_defaults(func=cmd_becbsc_regions)
+                   help=f"points on the alpha grid (default {steps})")
 
-    p = sub.add_parser(
-        "becbsc-da",
-        help="normalized budget-gap curve d_a and the supporting-line study")
-    _add_common(p, seed=True, budget=True)
-    p.set_defaults(func=cmd_becbsc_da)
+    _subcommand(sub, "becbsc-da", cmd_becbsc_da,
+                "normalized budget-gap curve d_a and the supporting-line study")
 
-    p = sub.add_parser(
-        "miso",
-        help="robust dirty paper boundaries, optional hulls and outer bound")
-    _add_common(p, seed=True)
+    p = _subcommand(
+        sub, "miso", cmd_miso,
+        "robust dirty paper boundaries, optional hulls and outer bound")
     p.add_argument("--snr-db", type=float, metavar="X",
                    help="transmit SNR in dB (overrides the configured power)")
     p.add_argument("--time-sharing", action="store_true",
                    help="also write convex hull boundaries")
     p.add_argument("--outer", action="store_true",
                    help="sample the outer bound and check containment")
-    p.set_defaults(func=cmd_miso)
 
-    p = sub.add_parser(
-        "fme",
-        help="project rate variables out of a symbolic region system")
+    p = _subcommand(sub, "fme", cmd_fme,
+                    "project rate variables out of a symbolic region system")
     p.add_argument("system", nargs="?",
                    help="RegionSystem JSON file (default: bundled example)")
     p.add_argument("--eliminate", action="append", metavar="VARS",
                    help="comma-separated rate variables to project out")
-    _add_common(p, params=False, seed=True)
-    p.set_defaults(func=cmd_fme)
     return parser
 
 
@@ -571,7 +556,9 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        settings = _resolve(args)
+        _check_out(Path(args.out))
+        return args.func(args, settings)
     except NumericFailure as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NUMERIC

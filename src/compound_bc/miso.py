@@ -474,8 +474,9 @@ TIME_SHARES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def _beam_grid(channel, eta_steps, beam_steps):
-    """Arrays of effective gains per beam cell plus per-cell labels."""
-    if is_symmetric_geometry(channel):
+    """Arrays of effective gains per beam cell plus per-cell labels: an eta
+    sweep when eta_steps is given, else a sweep of both beam angles."""
+    if eta_steps is not None:
         scale = float(np.linalg.norm(channel.h1))
         etas = np.linspace(-1.0, 1.0, eta_steps)
         thetas = 0.5 * np.arcsin(etas)
@@ -487,7 +488,7 @@ def _beam_grid(channel, eta_steps, beam_steps):
         b_us = np.broadcast_to(b_u, b_vs.shape)
         labels = [("eta", float(v)) for v in etas]
     else:
-        steps_u, steps_v = (49, 97) if beam_steps is None else beam_steps
+        steps_u, steps_v = beam_steps
         tu = np.linspace(0.0, math.pi, steps_u, endpoint=False)
         tv = np.linspace(0.0, math.pi, steps_v, endpoint=False)
         uu, vv = np.meshgrid(tu, tv, indexing="ij")
@@ -527,20 +528,33 @@ def _uncorr_sweep(terms, x_slices):
     return merged
 
 
-def region_boundary(kind, channel, *, eta_steps=401, split_steps=201,
+def region_boundary(kind, channel, *, eta_steps=None, split_steps=201,
                     x_steps=201, beam_steps=None):
     """Pareto staircase of one inner bound, swept over scheme parameters.
 
     kind: "cd", "md-uncorr" or "md-corr".  Symmetric channels sweep the
-    private-beam alignment eta; general channels sweep both beam angles.
-    Returns a RateCurve2D whose meta rows record the achieving scheme; its
-    hull() is the convex (time-shared) closure.
+    private-beam alignment eta over eta_steps points (401 when None);
+    general channels sweep both beam angles over beam_steps = (n_u, n_v)
+    points (49 and 97 when None).  The count the channel's sweep does not
+    use must stay None.  Returns a RateCurve2D whose meta rows record the
+    achieving scheme; its hull() is the convex (time-shared) closure.
     """
     if kind not in REGION_KINDS:
         raise ValueError(f"kind must be one of {REGION_KINDS}")
-    counts = [("eta_steps", eta_steps, 1), ("split_steps", split_steps, 1),
-              ("x_steps", x_steps, 3)]
-    counts += [("beam_steps", n, 1) for n in beam_steps or ()]
+    if is_symmetric_geometry(channel):
+        unused, shape, used, ignored = ("beam_steps", "symmetric",
+                                        "eta_steps", beam_steps)
+        eta_steps = 401 if eta_steps is None else eta_steps
+        counts = [("eta_steps", eta_steps, 1)]
+    else:
+        unused, shape, used, ignored = ("eta_steps", "general",
+                                        "beam_steps", eta_steps)
+        beam_steps = (49, 97) if beam_steps is None else beam_steps
+        counts = [("beam_steps", n, 1) for n in beam_steps]
+    if ignored is not None:
+        raise ValueError(f"parameter {unused!r} has no effect on a {shape}"
+                         f" channel, whose sweep is set by {used!r}")
+    counts += [("split_steps", split_steps, 1), ("x_steps", x_steps, 3)]
     for key, count, least in counts:
         if count < least:
             raise ValueError(f"{key} must be at least {least}, got {count}")

@@ -182,8 +182,16 @@ class RegionSystem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RegionSystem":
+        if not (isinstance(obj.get("rate_vars"), list)
+                and isinstance(obj.get("ineqs"), list)):
+            raise ValueError("a region system needs 'rate_vars' and 'ineqs'"
+                             " lists")
         ineqs = []
         for row in obj["ineqs"]:
+            if not (isinstance(row, dict) and isinstance(row.get("lhs"), dict)
+                    and isinstance(row.get("rhs", {}), dict)):
+                raise ValueError(f"inequality {row!r} needs 'lhs' and 'rhs'"
+                                 " objects")
             rhs = dict(row.get("rhs", {}))
             const = rhs.pop("const", "0")
             ineqs.append(LinIneq({v: Fraction(c) for v, c in row["lhs"].items()},

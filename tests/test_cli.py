@@ -7,6 +7,8 @@ library routines the files are supposed to serialize.
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,7 +233,8 @@ class TestBecbscDa:
         ("seed", float("inf")), ("seed", 2.7), ("seed", float("nan")),
         ("budget", float("inf")), ("budget", 1.5),
         ("rate_points", 2.5), ("x_points", 2.9),
-        ("seed", True), ("budget", True), ("a", True)])
+        ("seed", True), ("budget", True), ("a", True),
+        ("a", "1"), ("rate_points", "3"), ("seed", "7")])
     def test_non_integer_count_rejected_before_any_output(
             self, tmp_path, capsys, key, value):
         cfg = {"a": 1.0, "rate_points": 3, "x_points": 3, "budget": 1}
@@ -331,7 +334,8 @@ class TestMiso:
     @pytest.mark.parametrize("key, value", [
         ("eta_steps", 21.5), ("split_steps", float("inf")), ("x_steps", 11.2),
         ("beam_steps", [9, 4.5]), ("seed", float("nan")),
-        ("eta_steps", True), ("beam_steps", [9, True]), ("N", True)])
+        ("eta_steps", True), ("beam_steps", [9, True]), ("N", True),
+        ("split_steps", "3"), ("N", "1"), ("h1", [2, True])])
     def test_non_integer_grid_key_rejected_before_any_output(
             self, tmp_path, capsys, key, value):
         cfg = {"eta_steps": 21, "split_steps": 11, "x_steps": 11,
@@ -341,7 +345,7 @@ class TestMiso:
         out = tmp_path / "miso_out"
         assert cli.main(["miso", "--outer", "--params", params,
                          "--out", str(out)]) == 2
-        cast = "float" if key == "N" else "int"
+        cast = "float" if key in ("N", "h1") else "int"
         assert f"parameter {key!r} must be {cast}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -497,9 +501,23 @@ class TestFme:
             written[zero] = (out / "fme_projected.json").read_bytes()
         assert written[True] == written[False]
 
-    def test_missing_input_file_rejected(self, tmp_path):
-        assert cli.main(["fme", str(tmp_path / "missing.json"),
-                         "--out", str(tmp_path)]) == 2
+    def test_missing_input_file_rejected(self, tmp_path, capsys):
+        row = {"lhs": {"R1": "1"}, "rel": "<=", "rhs": {"I(X;Y)": "1"}}
+        bad = {"array.json": [], "no_rate_vars.json": {"ineqs": [row]},
+               "no_ineqs.json": {"rate_vars": ["R1"]},
+               "list_lhs.json": {"rate_vars": ["R1"],
+                                 "ineqs": [dict(row, lhs=["R1"])]},
+               "list_rhs.json": {"rate_vars": ["R1"],
+                                 "ineqs": [dict(row, rhs=["I(X;Y)"])]}}
+        for name, obj in bad.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        (tmp_path / "a_directory").mkdir()
+        out = tmp_path / "out"
+        for name in ["missing.json", "a_directory", *bad]:
+            assert cli.main(["fme", str(tmp_path / name),
+                             "--out", str(out)]) == 2, name
+            assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParams:
@@ -515,6 +533,19 @@ class TestParams:
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
+    def test_readme_lists_each_table_s_keys(self):
+        # README's "accepted keys" bullets, one per subcommand taking --params
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("The accepted keys are:\n\n", 1)[1].split("\n\n")[0]
+        listed = {}
+        for bullet in block.replace("\n  ", " ").splitlines():
+            command, keys = re.fullmatch(r"- `([\w-]+)`: (.*)", bullet).groups()
+            listed[command] = re.findall(r"`(\w+)`", keys)
+        tables = {command: cli.param_keys(table)
+                  for command, table in cli.SETTINGS.items()
+                  if cli.param_keys(table)}
+        assert listed == tables
+
 
 class TestHarness:
     def test_unknown_subcommand_exits_two(self, capsys):
@@ -524,6 +555,30 @@ class TestHarness:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()
+
+    # small runs that would finish, and then fail on their first write
+    SMALL_RUNS = {
+        "becbsc-regions": (["--alpha-steps", "3"], None),
+        "becbsc-da": (["--budget", "64"],
+                      {"a": 1.0, "rate_points": 3, "x_points": 3}),
+        "miso": ([], {"eta_steps": 5, "split_steps": 5, "x_steps": 5}),
+        "fme": ([], None)}
+
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_out_under_a_file_rejected_before_any_stage(self, tmp_path,
+                                                       capsys, command):
+        flags, cfg = self.SMALL_RUNS[command]
+        argv = [command] + flags
+        if cfg is not None:
+            argv += ["--params", write_params(tmp_path, "p.json", cfg)]
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        for out in (afile, afile / "sub"):
+            assert cli.main(argv + ["--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert "is not a directory" in captured.err
+            assert "wrote" not in captured.out
+        assert afile.read_text() == "keep\n"
 
 
 class TestGoldenDigests:

@@ -46,6 +46,8 @@ from compound_bc.miso import (
 from gaussian_oracle import gaussian_mutual_information
 
 SEED = 20259
+# a channel whose sweep runs over both beam angles
+GENERAL_CHANNEL = MisoChannel([1.8, 0.4], [-0.3, 1.2], [0.9, -1.1], 8.0, 1.0)
 
 
 def golden_max(fun, lo, hi, iters=200):
@@ -689,8 +691,7 @@ class TestRegionBoundary:
         assert np.all(hull.r2_at(grid) >= curve.r2_at(grid) - 1e-12)
 
     def test_general_channel_sweep(self):
-        channel = MisoChannel([1.8, 0.4], [-0.3, 1.2], [0.9, -1.1],
-                              8.0, 1.0)
+        channel = GENERAL_CHANNEL
         assert not is_symmetric_geometry(channel)
         kw = dict(beam_steps=(9, 17), split_steps=15, x_steps=9)
         cd = region_boundary("cd", channel, **kw)
@@ -705,8 +706,18 @@ class TestRegionBoundary:
         ("eta_steps", 0), ("split_steps", -3), ("x_steps", 2),
         ("beam_steps", (9, 0))])
     def test_rejects_bad_grid_counts(self, key, value):
-        with pytest.raises(ValueError, match=key):
-            region_boundary("cd", special_geometry(), **{key: value})
+        # beam_steps sets only a general channel's sweep
+        channel = GENERAL_CHANNEL if key == "beam_steps" else special_geometry()
+        with pytest.raises(ValueError, match=f"{key} must be at least"):
+            region_boundary("cd", channel, **{key: value})
+
+    @pytest.mark.parametrize("channel, key, value", [
+        (special_geometry(), "beam_steps", (9, 17)),
+        (GENERAL_CHANNEL, "eta_steps", 21)])
+    def test_rejects_the_grid_key_the_channel_ignores(self, channel, key,
+                                                      value):
+        with pytest.raises(ValueError, match=f"{key!r} has no effect"):
+            region_boundary("cd", channel, **{key: value})
 
     def test_rejects_unknown_kind(self):
         # kinds are matched exactly: no case or underscore folding
