@@ -12,7 +12,7 @@ the crossover alpha of a binary-symmetric auxiliary-to-input channel.
 
 `_mutual_informations` evaluates I(Q;Y1), I(Q;Y2) and I(X;Z|Q) in closed
 form for a batch of uniform-X auxiliary designs; the searches of `lines` run
-on it, and `marton_outer_curve` is a size-1 call into it.
+on it.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,6 @@ import numpy as np
 from .info import binary_convolve, binary_entropy
 
 DEFAULT_PARAMS = (0.1, 0.13, 0.46)
-UNIFORM_TOL = 1e-9  # how far P(X=1) may sit from 1/2 in require_uniform
 ALPHA0_TOL = 1e-10  # bisection width of alpha0_solve
 
 
@@ -47,41 +46,6 @@ class BecBscParams:
             raise ValueError(
                 f"requires e2 <= H2(p) (Y2 more capable than Z), "
                 f"got e2={e2} > {binary_entropy(p):.6g}")
-
-
-@dataclass(frozen=True)
-class AuxDesign:
-    """Auxiliary layer: a pmf on Q (at most 4 values) and binary X given Q.
-
-    bx[k] = P(X = 1 | Q = k).  Four Q values suffice for every curve in this
-    module, by the usual support-reduction argument on the per-letter
-    functionals (output entropies and the input conditional entropy).
-    """
-
-    pq: tuple
-    bx: tuple
-
-    def __post_init__(self):
-        pq = np.asarray(self.pq, dtype=float)
-        bx = np.asarray(self.bx, dtype=float)
-        if pq.ndim != 1 or not 1 <= pq.size <= 4:
-            raise ValueError("pq must hold between 1 and 4 probabilities")
-        if bx.shape != pq.shape:
-            raise ValueError("bx must supply one conditional per Q value")
-        if np.any(pq < -1e-12) or abs(pq.sum() - 1.0) > 1e-9:
-            raise ValueError("pq must be a pmf")
-        if np.any(bx < -1e-12) or np.any(bx > 1 + 1e-12):
-            raise ValueError("bx entries must lie in [0, 1]")
-        object.__setattr__(self, "pq", tuple(float(v) for v in pq))
-        object.__setattr__(self, "bx", tuple(float(v) for v in bx))
-
-    def x_marginal(self) -> float:
-        return float(np.dot(self.pq, self.bx))
-
-    def require_uniform(self):
-        m = self.x_marginal()
-        if abs(m - 0.5) > UNIFORM_TOL:
-            raise ValueError(f"X marginal must be uniform, got P(X=1)={m}")
 
 
 def _check_alpha(alpha):
@@ -156,19 +120,6 @@ def _mutual_informations(pq, bx, params):
     hz = binary_entropy(binary_convolve(params.p, bx))
     i_xz_q = np.einsum("nq,nq->n", pq, hz) - binary_entropy(params.p)
     return i_qy1, i_qy2, i_xz_q
-
-
-def marton_outer_curve(params: BecBscParams, design: AuxDesign) -> tuple:
-    """(R1_bound, sum_bound) of the no-interference-decoding outer region
-    {R1 <= min_j I(Q;Yj), R1 + R2 <= I(X;Z|Q) + min_j I(Q;Yj)} for one
-    explicit uniform-X auxiliary design, a size-1 call into the design
-    kernel `_mutual_informations`.
-    """
-    design.require_uniform()
-    i_qy1, i_qy2, i_xz_q = _mutual_informations(
-        np.asarray([design.pq]), np.asarray([design.bx]), params)
-    r1 = float(min(i_qy1[0], i_qy2[0]))
-    return r1, r1 + float(i_xz_q[0])
 
 
 def mrs_gerber_lower(params: BecBscParams, alpha: float) -> tuple:

@@ -33,7 +33,7 @@ from .becbsc import (
     mrs_gerber_lower,
 )
 from .info import binary_convolve, binary_entropy
-from .lines import d_a_curve, sample_t_a, t0_closed, t1_closed
+from .lines import ENVELOPE_BUDGET, d_a_curve, sample_t_a, t0_closed, t1_closed
 from .miso import (
     REGION_KINDS,
     MisoChannel,
@@ -278,8 +278,8 @@ def cmd_becbsc_da(args, cfg):
         alpha0 = alpha0_solve(params)
         r1_max = 1.0 - binary_entropy(binary_convolve(params.p1, alpha0))
         rates = np.linspace(0.05, 0.95, cfg["rate_points"]) * r1_max
-        gaps = d_a_curve(a, params, rates,
-                         search_budget=None if budget is None else (budget, 160),
+        envelope_budget = ENVELOPE_BUDGET if budget is None else (budget, 160)
+        gaps = d_a_curve(a, params, rates, search_budget=envelope_budget,
                          seed=seed)
 
     with _stage("supporting-line study"):
@@ -375,7 +375,7 @@ def cmd_miso(args, cfg):
             ku, kv = sample_cov_pairs(channel, num_random=cfg["num_random"],
                                       seed=cfg["seed"], extra_pairs=extra)
             families = constituent_curves(channel, ku, kv)
-            outer = outer_region(channel, seed=cfg["seed"], curves=families)
+            outer = outer_region(channel, curves=families)
             if args.time_sharing:
                 outer = outer.hull()
         inner_curves = hulls if args.time_sharing else curves

@@ -10,12 +10,10 @@ binary_entropy, binary_convolve, entropy
 mi_groups: I(A;B|C) on a joint pmf table of any dimension, the one generic
     information engine
 make_bsc, make_bec: row-stochastic channel matrices W[x, y] = W(y|x)
-classify_bec_bsc, ChannelOrdering
 """
 
 from __future__ import annotations
 
-import enum
 import numpy as np
 
 PMF_TOL = 1e-12
@@ -92,31 +90,3 @@ def mi_groups(table, names, group_a, group_b, given=()) -> float:
     val = h(a | c) + h(b | c) - h(a | b | c) - (h(c) if c else 0.0)
     return max(0.0, val)
 
-
-class ChannelOrdering(enum.Enum):
-    """How BEC(e) compares with BSC(p) as e grows, interval by interval."""
-
-    BSC_DEGRADED_OF_BEC = "bsc degraded with respect to bec"
-    BEC_LESS_NOISY_BSC = "bec less noisy than bsc"
-    BEC_MORE_CAPABLE_BSC = "bec more capable than bsc"
-    BSC_ESS_LESS_NOISY_BEC = "bsc essentially less noisy than bec"
-
-
-def classify_bec_bsc(p: float, e: float) -> ChannelOrdering:
-    """Classify the BEC(e) vs BSC(p) ordering by which interval e falls in.
-
-    Interval endpoints follow the standard comparison: [0, 2p], then
-    (2p, 4p(1-p)], then (4p(1-p), h2(p)], then (h2(p), 1].  Each boundary
-    value classifies with the interval to its left.
-    """
-    if not 0.0 < p < 0.5:
-        raise ValueError("BSC crossover must lie in (0, 0.5)")
-    if not 0.0 <= e <= 1.0:
-        raise ValueError("BEC erasure probability must lie in [0, 1]")
-    if e <= 2 * p:
-        return ChannelOrdering.BSC_DEGRADED_OF_BEC
-    if e <= 4 * p * (1 - p):
-        return ChannelOrdering.BEC_LESS_NOISY_BSC
-    if e <= binary_entropy(p):
-        return ChannelOrdering.BEC_MORE_CAPABLE_BSC
-    return ChannelOrdering.BSC_ESS_LESS_NOISY_BEC

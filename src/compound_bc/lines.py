@@ -10,15 +10,12 @@ conditionals X|Q with X uniform.  The curve is concave and non-increasing in
 x, so it is also the lower envelope of its affine majorants
 x -> F_a(lam) - lam x, where F_a(lam) is the unconstrained Lagrangian max.
 
-This module estimates t_a three ways and cross-checks them:
-
-* `brute_force_weighted`: seeded random-restart search with the budget
-  equality enforced by a ramped quadratic penalty (a lower estimate).
-* `evaluate_supporting_lines` / `SupportingLineEval`: the majorant envelope
-  sampled on a multiplier grid (an upper estimate, up to search noise in
-  F_a).
-* `t1_closed` / `t0_closed` / `F0_closed`: exact formulas at the edge
-  weights a = 1 and a = 0.
+`evaluate_supporting_lines` samples F_a on a multiplier grid and
+`SupportingLineEval` holds the induced envelope, the upper estimate of t_a
+(exact up to search noise in F_a) that `d_a_curve` inverts.  `sample_t_a`
+searches the budget-constrained problem directly, a lower estimate, and
+`t1_closed` / `t0_closed` / `F0_closed` are exact at the edge weights
+a = 1 and a = 0.
 
 `d_a_curve` compares the a = 1 curve against t_a in inverted coordinates
 (rate -> budget).  Where the gap is strictly positive, decoding tuned to the
@@ -29,16 +26,11 @@ multiplier band or a budget sweep are independent; they run as groups of
 batched `search.maximize` calls, at most `_BATCH_ROWS` rows per call.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .becbsc import (
-    AuxDesign,
-    BecBscParams,
-    _mutual_informations,
-    alpha0_solve,
-)
+from .becbsc import BecBscParams, _mutual_informations, alpha0_solve
 from .info import binary_convolve, binary_entropy
 from .search import (
     SearchSpec,
@@ -97,12 +89,6 @@ def _design_fields(theta):
     return pq, bx, excess
 
 
-def _theta_design(theta) -> AuxDesign:
-    pq, bx, _ = _design_fields(theta)
-    return AuxDesign(tuple(float(v) for v in pq[0]),
-                     tuple(float(v) for v in bx[0]))
-
-
 def _search_spec(search_budget, seeds):
     restarts, iterations = search_budget
     bounds = [(-THETA_BOUND, THETA_BOUND)] * 6
@@ -146,54 +132,6 @@ def _check_budget_x(params, x):
     return x_max
 
 
-def _budget_search(a, xs, params, search_budget, seeds):
-    """`brute_force_weighted` for every budget target in xs, one search each.
-
-    Returns the weighted values, the exact budgets I(X;Z|Q) and the raw
-    argmax points.
-    """
-    # maximize calls residual(P) right after objective(P) on the same array,
-    # so the objective keeps its budgets for that one residual call
-    kept = {}
-
-    def objective(theta, _):
-        pq, bx, excess = _design_fields(theta)
-        i1, i2, ixz = _mutual_informations(pq, bx, params)
-        kept.update(theta=theta, ixz=ixz, excess=excess)
-        return a * i1 + (1.0 - a) * i2 - _PULL * excess
-
-    def residual(theta, x):
-        if kept.pop("theta", None) is theta:
-            ixz, excess = kept["ixz"], kept["excess"]
-        else:
-            pq, bx, excess = _design_fields(theta)
-            _, _, ixz = _mutual_informations(pq, bx, params)
-        # inflated so clipped designs can never pass the feasibility filter
-        return np.abs(ixz - x) + 10.0 * excess
-
-    points = _batched_points(objective, xs, search_budget, seeds,
-                             equality=residual)
-    pq, bx, _ = _design_fields(points)
-    i1, i2, ixz = _mutual_informations(pq, bx, params)
-    return a * i1 + (1.0 - a) * i2, ixz, points
-
-
-def brute_force_weighted(a, x, params: BecBscParams,
-                         search_budget=DEFAULT_BUDGET, seed=0):
-    """Best found a*I(Q;Y1) + (1-a)*I(Q;Y2) with I(X;Z|Q) pinned to x.
-
-    Random-restart hill climb over the 6 raw design coordinates; the budget
-    equality is driven in by a ramped quadratic penalty and final candidates
-    are filtered at `search.FEAS_TOL`.  Returns (value, argmax AuxDesign).
-    Deterministic for a fixed seed.
-    """
-    _check_weight(a)
-    _check_budget_x(params, x)
-    values, _, points = _budget_search(a, np.array([float(x)]), params,
-                                       search_budget, [seed])
-    return float(values[0]), _theta_design(points[0])
-
-
 def _lagrangian_search(a, lambdas, params, search_budget, seeds):
     """Unconstrained max of the weighted sum plus lam*I(X;Z|Q) per multiplier.
 
@@ -221,15 +159,15 @@ class SupportingLineEval:
 
     `f_values[k]` is the Lagrangian max at `lambdas[k]`; each pair defines
     the majorant x -> f - lam*x and `t_values[i]` is the pointwise minimum
-    of the majorants at `xs[i]` (computed on construction when omitted).
-    Every majorant is non-increasing in x, hence so is the envelope.
+    of the majorants at `xs[i]`, computed on construction.  Every majorant
+    is non-increasing in x, hence so is the envelope.
     """
 
     a: float
     lambdas: np.ndarray
     f_values: np.ndarray
     xs: np.ndarray
-    t_values: np.ndarray = None
+    t_values: np.ndarray = field(init=False)
 
     def __post_init__(self):
         _check_weight(self.a)
@@ -244,13 +182,7 @@ class SupportingLineEval:
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "f_values", fv)
         object.__setattr__(self, "xs", xs)
-        if self.t_values is None:
-            object.__setattr__(self, "t_values", self.envelope(xs))
-        else:
-            tv = np.asarray(self.t_values, dtype=float)
-            if tv.shape != xs.shape:
-                raise ValueError("t_values must match xs in shape")
-            object.__setattr__(self, "t_values", tv)
+        object.__setattr__(self, "t_values", self.envelope(xs))
 
     def envelope(self, x):
         """min over the multiplier grid of f - lam*x, vectorized in x."""
@@ -293,15 +225,15 @@ def _pool_f_values(lambdas, weighted, budgets):
 
 
 def evaluate_supporting_lines(a, params: BecBscParams, lambda_grid=None,
-                              xs=None, search_budget=ENVELOPE_BUDGET,
-                              seed=0, canonical=2001) -> SupportingLineEval:
+                              search_budget=ENVELOPE_BUDGET, seed=0,
+                              canonical=2001) -> SupportingLineEval:
     """Sample F_a over a multiplier grid and build the induced envelope.
 
     Multiplier k gets its own search seeded with mix64(seed, k).  The pool
     of every argmax design found anywhere on the grid, plus `canonical`
     exact family members (0 disables them), is re-scored at every
     multiplier; both steps only tighten the sampled maxima toward the true
-    F_a.
+    F_a.  The envelope is tabulated at 65 budgets across the full range.
     """
     _check_weight(a)
     lambdas = default_lambda_grid() if lambda_grid is None \
@@ -309,8 +241,7 @@ def evaluate_supporting_lines(a, params: BecBscParams, lambda_grid=None,
     if lambdas.ndim != 1 or lambdas.size == 0 or np.any(lambdas < 0):
         raise ValueError(
             "lambda grid must be a nonempty 1-d array of nonnegative values")
-    if xs is None:
-        xs = np.linspace(0.0, 1.0 - binary_entropy(params.p), 65)
+    xs = np.linspace(0.0, 1.0 - binary_entropy(params.p), 65)
     seeds = [mix64(seed, k) for k in range(lambdas.size)]
     _, points = _lagrangian_search(a, lambdas, params, search_budget, seeds)
     pq, bx, _ = _design_fields(points)
@@ -321,7 +252,7 @@ def evaluate_supporting_lines(a, params: BecBscParams, lambda_grid=None,
     i1, i2, ixz = _mutual_informations(pq, bx, params)
     weighted = a * i1 + (1.0 - a) * i2
     f_values = _pool_f_values(lambdas, weighted, ixz)
-    return SupportingLineEval(float(a), lambdas, f_values, np.asarray(xs, float))
+    return SupportingLineEval(float(a), lambdas, f_values, xs)
 
 
 def _bisect_increasing(f, targets, lo=0.0, hi=0.5, steps=80):
@@ -384,30 +315,42 @@ def F0_closed(params: BecBscParams, lam):
 
 def sample_t_a(a, params: BecBscParams, xs, search_budget=DEFAULT_BUDGET,
                seed=0):
-    """Brute-force t_a at each budget in xs; budget i's search is seeded
-    with mix64(seed, i)."""
-    _check_weight(a)
-    _check_budget_x(params, xs)
-    xs = np.asarray(xs, dtype=float)
-    seeds = [mix64(seed, i) for i in range(xs.size)]
-    values, _, _ = _budget_search(a, xs.ravel(), params, search_budget, seeds)
-    return values.reshape(xs.shape)
+    """Best found a*I(Q;Y1) + (1-a)*I(Q;Y2) with I(X;Z|Q) pinned to each x.
 
-
-def _brute_curve_points(a, params, xs, search_budget, seed):
-    """(actual budget, value) pairs from one brute search per nominal x.
-
-    Recording each argmax design's exact budget instead of the nominal
-    target removes the bias the feasibility tolerance would otherwise
-    leave in the sampled curve.  Pairs are returned sorted by budget.
+    One random-restart hill climb over the 6 raw design coordinates per
+    budget, seeded with mix64(seed, i); the budget equality is driven in by
+    a ramped quadratic penalty and final candidates are filtered at
+    `search.FEAS_TOL`.  A lower estimate of t_a, deterministic for a fixed
+    seed.
     """
     _check_weight(a)
     _check_budget_x(params, xs)
     xs = np.asarray(xs, dtype=float)
+    # maximize calls residual(P) right after objective(P) on the same array,
+    # so the objective keeps its budgets for that one residual call
+    kept = {}
+
+    def objective(theta, _):
+        pq, bx, excess = _design_fields(theta)
+        i1, i2, ixz = _mutual_informations(pq, bx, params)
+        kept.update(theta=theta, ixz=ixz, excess=excess)
+        return a * i1 + (1.0 - a) * i2 - _PULL * excess
+
+    def residual(theta, x):
+        if kept.pop("theta", None) is theta:
+            ixz, excess = kept["ixz"], kept["excess"]
+        else:
+            pq, bx, excess = _design_fields(theta)
+            _, _, ixz = _mutual_informations(pq, bx, params)
+        # inflated so clipped designs can never pass the feasibility filter
+        return np.abs(ixz - x) + 10.0 * excess
+
     seeds = [mix64(seed, i) for i in range(xs.size)]
-    values, budgets, _ = _budget_search(a, xs, params, search_budget, seeds)
-    order = np.argsort(budgets)
-    return budgets[order], values[order]
+    points = _batched_points(objective, xs.ravel(), search_budget, seeds,
+                             equality=residual)
+    pq, bx, _ = _design_fields(points)
+    i1, i2, _ = _mutual_informations(pq, bx, params)
+    return (a * i1 + (1.0 - a) * i2).reshape(xs.shape)
 
 
 def invert_decreasing(xs, t_values, rates):
@@ -445,8 +388,8 @@ def _envelope_curve(a, params, x_lo, x_hi, search_budget, seed):
                                      search_budget=search_budget, seed=seed)
 
 
-def d_a_curve(a, params: BecBscParams, R1_grid, x_samples=33,
-              search_budget=None, seed=0, method="envelope"):
+def d_a_curve(a, params: BecBscParams, R1_grid,
+              search_budget=ENVELOPE_BUDGET, seed=0):
     """Normalized budget gap between the a = 1 curve and t_a at rates R1.
 
     Both curves are inverted to budget coordinates: d(R1) > 0 means the
@@ -455,12 +398,10 @@ def d_a_curve(a, params: BecBscParams, R1_grid, x_samples=33,
     the worst-case common rate for every a, strict positivity certifies
     rate points achievable only by decoding tuned to the channel instance.
 
-    The a = 1 side is always the closed form, sampled densely.  The t_a
-    side is estimated per `method`: "envelope" (default) uses the
-    supporting-line upper curve, so positive gaps are conservative up to
-    search noise in the majorant intercepts; "brute" uses direct
-    constrained searches at `x_samples` budgets, which err low and so
-    overstate the gap, but need no multiplier grid.
+    The a = 1 side is the closed form, sampled densely.  The t_a side is
+    the supporting-line upper curve of `_envelope_curve`, one search of
+    `search_budget` per multiplier, so positive gaps are conservative up to
+    search noise in the majorant intercepts.
 
     The rate grid must lie strictly inside (0, 1 - H2(p1 * alpha0)) with
     alpha0 the branch-crossing point from `becbsc.alpha0_solve`.
@@ -471,8 +412,6 @@ def d_a_curve(a, params: BecBscParams, R1_grid, x_samples=33,
     if rates.size == 0 or np.any(rates <= 0.0) or np.any(rates >= r1_max):
         raise ValueError(
             f"R1 grid must lie strictly inside (0, {r1_max:.6g})")
-    if method not in ("envelope", "brute"):
-        raise ValueError(f"unknown method {method!r}")
     if a == 1.0:
         # the weighted curve is the reference curve itself, gap is exact zero
         return np.zeros_like(rates)
@@ -482,15 +421,8 @@ def d_a_curve(a, params: BecBscParams, R1_grid, x_samples=33,
     x_hi = min(x_max, t1_inverse(params, float(rates.min())) + 0.004)
     xs_fine = np.linspace(x_lo, x_hi, 4001)
     ref_inv = invert_decreasing(xs_fine, t1_closed(params, xs_fine), rates)
-    if method == "envelope":
-        budget = ENVELOPE_BUDGET if search_budget is None else search_budget
-        env = _envelope_curve(a, params, x_lo, x_hi, budget, seed)
-        other_inv = invert_decreasing(xs_fine, env.envelope(xs_fine), rates)
-    else:
-        budget = DEFAULT_BUDGET if search_budget is None else search_budget
-        xs = np.linspace(x_lo, x_hi, int(x_samples))
-        actual_x, values = _brute_curve_points(a, params, xs, budget, seed)
-        other_inv = invert_decreasing(actual_x, values, rates)
+    env = _envelope_curve(a, params, x_lo, x_hi, search_budget, seed)
+    other_inv = invert_decreasing(xs_fine, env.envelope(xs_fine), rates)
     gap = ref_inv - other_inv
     largest = np.max(np.abs(gap))
     return gap / largest if largest > 0 else gap

@@ -186,12 +186,22 @@ class RegionSystem:
                 and isinstance(obj.get("ineqs"), list)):
             raise ValueError("a region system needs 'rate_vars' and 'ineqs'"
                              " lists")
+        for v in obj["rate_vars"]:
+            if not isinstance(v, str):
+                raise ValueError(f"rate variable {v!r} in 'rate_vars' must be"
+                                 " a string")
         ineqs = []
         for row in obj["ineqs"]:
             if not (isinstance(row, dict) and isinstance(row.get("lhs"), dict)
                     and isinstance(row.get("rhs", {}), dict)):
                 raise ValueError(f"inequality {row!r} needs 'lhs' and 'rhs'"
                                  " objects")
+            if "rel" not in row:
+                raise ValueError(f"inequality {row!r} needs a 'rel' field")
+            bad = [v for v in row["lhs"] if not isinstance(v, str)]
+            if bad:
+                raise ValueError(f"inequality {row!r} has non-string 'lhs'"
+                                 f" key {bad[0]!r}")
             rhs = dict(row.get("rhs", {}))
             const = rhs.pop("const", "0")
             ineqs.append(LinIneq({v: Fraction(c) for v, c in row["lhs"].items()},

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from compound_bc.becbsc import (
-    AuxDesign,
     BecBscParams,
     _mutual_informations,
     alpha0_solve,
@@ -16,7 +15,6 @@ from compound_bc.becbsc import (
     capacity_c2,
     corner_E_dominance,
     id_curve,
-    marton_outer_curve,
     mrs_gerber_lower,
     strict_inclusion_ratio_test,
 )
@@ -46,19 +44,6 @@ def test_params_validation():
         BecBscParams(0.1, 0.13, 0.48)  # above H2(0.1) = 0.46899...
     # equality e2 = H2(p) sits on the admissible boundary
     BecBscParams(0.1, 0.13, h2(0.1))
-
-
-def test_aux_design_validation():
-    with pytest.raises(ValueError, match="between 1 and 4"):
-        AuxDesign(pq=(0.2,) * 5, bx=(0.5,) * 5)
-    with pytest.raises(ValueError, match="pmf"):
-        AuxDesign(pq=(0.6, 0.6), bx=(0.5, 0.5))
-    with pytest.raises(ValueError, match="one conditional"):
-        AuxDesign(pq=(0.5, 0.5), bx=(0.5,))
-    d = AuxDesign(pq=(0.5, 0.5), bx=(0.2, 0.8))
-    assert d.x_marginal() == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(ValueError, match="uniform"):
-        AuxDesign(pq=(0.5, 0.5), bx=(0.2, 0.7)).require_uniform()
 
 
 def test_capacity_c1_endpoints_and_interior():
@@ -156,22 +141,27 @@ def test_corner_dominance():
     assert corner_E_dominance(PARAMS, [0.5]) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_marton_outer_curve_designs():
+def test_design_kernel_at_named_designs():
+    def kernel(pq, bx):
+        i_qy1, i_qy2, i_xz_q = _mutual_informations(
+            np.array([pq]), np.array([bx]), PARAMS)
+        return i_qy1[0], i_qy2[0], i_xz_q[0]
+
     # auxiliary equal to the input: no satellite layer remains
-    r1, total = marton_outer_curve(PARAMS, AuxDesign((0.5, 0.5), (0.0, 1.0)))
-    assert r1 == pytest.approx(min(1 - h2(0.13), 1 - 0.46), abs=1e-12)
-    assert total == pytest.approx(r1, abs=1e-12)
+    i_qy1, i_qy2, i_xz_q = kernel((0.5, 0.5), (0.0, 1.0))
+    assert i_qy1 == pytest.approx(1 - h2(0.13), abs=1e-12)
+    assert i_qy2 == pytest.approx(1 - 0.46, abs=1e-12)
+    assert i_xz_q == pytest.approx(0.0, abs=1e-12)
     # independent auxiliary: everything goes through the satellite
-    r1, total = marton_outer_curve(PARAMS, AuxDesign((1.0,), (0.5,)))
-    assert r1 == pytest.approx(0.0, abs=1e-12)
-    assert total == pytest.approx(1 - h2(0.1), abs=1e-12)
+    i_qy1, i_qy2, i_xz_q = kernel((1.0,), (0.5,))
+    assert i_qy1 == pytest.approx(0.0, abs=1e-12)
+    assert i_qy2 == pytest.approx(0.0, abs=1e-12)
+    assert i_xz_q == pytest.approx(1 - h2(0.1), abs=1e-12)
     # symmetric binary auxiliary with crossover 0.2
-    r1, total = marton_outer_curve(PARAMS, AuxDesign((0.5, 0.5), (0.2, 0.8)))
-    assert r1 == pytest.approx(
-        min(1 - h2(star(0.13, 0.2)), 0.54 * (1 - h2(0.2))), abs=1e-12)
-    assert total - r1 == pytest.approx(h2(0.26) - h2(0.1), abs=1e-12)
-    with pytest.raises(ValueError, match="uniform"):
-        marton_outer_curve(PARAMS, AuxDesign((0.5, 0.5), (0.2, 0.7)))
+    i_qy1, i_qy2, i_xz_q = kernel((0.5, 0.5), (0.2, 0.8))
+    assert i_qy1 == pytest.approx(1 - h2(star(0.13, 0.2)), abs=1e-12)
+    assert i_qy2 == pytest.approx(0.54 * (1 - h2(0.2)), abs=1e-12)
+    assert i_xz_q == pytest.approx(h2(0.26) - h2(0.1), abs=1e-12)
 
 
 def uniform_x_designs(rng, nq, n):

@@ -508,7 +508,13 @@ class TestFme:
                "list_lhs.json": {"rate_vars": ["R1"],
                                  "ineqs": [dict(row, lhs=["R1"])]},
                "list_rhs.json": {"rate_vars": ["R1"],
-                                 "ineqs": [dict(row, rhs=["I(X;Y)"])]}}
+                                 "ineqs": [dict(row, rhs=["I(X;Y)"])]},
+               "list_rate_var.json": {"rate_vars": [["R1"]], "ineqs": []},
+               "no_rel.json": {"rate_vars": ["R1"],
+                               "ineqs": [{"lhs": {"R1": "1"}}]}}
+        # the message names the offending entry and field
+        named = {"list_rate_var.json": "rate variable ['R1'] in 'rate_vars'",
+                 "no_rel.json": "{'lhs': {'R1': '1'}} needs a 'rel' field"}
         for name, obj in bad.items():
             (tmp_path / name).write_text(json.dumps(obj))
         (tmp_path / "a_directory").mkdir()
@@ -516,7 +522,9 @@ class TestFme:
         for name in ["missing.json", "a_directory", *bad]:
             assert cli.main(["fme", str(tmp_path / name),
                              "--out", str(out)]) == 2, name
-            assert "error:" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "error:" in err
+            assert named.get(name, "") in err, (name, err)
         assert not out.exists()
 
 

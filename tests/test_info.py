@@ -8,11 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from compound_bc.info import (
     PMF_TOL,
-    ChannelOrdering,
     _xlog2x,
     binary_convolve,
     binary_entropy,
-    classify_bec_bsc,
     entropy,
     make_bec,
     make_bsc,
@@ -281,17 +279,3 @@ def test_mi_groups_matches_oracle():
         assert mi_groups(t, names, a, b, c) == pytest.approx(
             cmi_oracle(t, names, a, b, c), abs=1e-12)
 
-
-def test_classify_bec_bsc_intervals():
-    p = 0.1
-    # thresholds: 2p = 0.2, 4p(1-p) = 0.36, h2(p) = 0.468996
-    assert classify_bec_bsc(p, 0.05) is ChannelOrdering.BSC_DEGRADED_OF_BEC
-    assert classify_bec_bsc(p, 0.2) is ChannelOrdering.BSC_DEGRADED_OF_BEC
-    assert classify_bec_bsc(p, 0.21) is ChannelOrdering.BEC_LESS_NOISY_BSC
-    assert classify_bec_bsc(p, 0.36) is ChannelOrdering.BEC_LESS_NOISY_BSC
-    assert classify_bec_bsc(p, 0.37) is ChannelOrdering.BEC_MORE_CAPABLE_BSC
-    assert classify_bec_bsc(p, 0.46) is ChannelOrdering.BEC_MORE_CAPABLE_BSC
-    assert classify_bec_bsc(p, 0.47) is ChannelOrdering.BSC_ESS_LESS_NOISY_BEC
-    assert classify_bec_bsc(p, 1.0) is ChannelOrdering.BSC_ESS_LESS_NOISY_BEC
-    with pytest.raises(ValueError):
-        classify_bec_bsc(0.0, 0.3)

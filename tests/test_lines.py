@@ -8,8 +8,8 @@ from compound_bc.becbsc import BecBscParams, alpha0_solve
 from compound_bc.lines import (
     F0_closed,
     SupportingLineEval,
+    _design_fields,
     _lagrangian_search,
-    brute_force_weighted,
     canonical_designs,
     d_a_curve,
     default_lambda_grid,
@@ -123,8 +123,6 @@ def test_supporting_line_eval_validation():
         SupportingLineEval(0.5, np.array([-1.0, 1.0]), f_vals, xs)
     with pytest.raises(ValueError, match="match the lambda grid"):
         SupportingLineEval(0.5, grid, np.array([0.5]), xs)
-    with pytest.raises(ValueError, match="match xs"):
-        SupportingLineEval(0.5, grid, f_vals, xs, t_values=np.array([1.0]))
 
 
 def test_canonical_design_families_are_input_uniform():
@@ -138,45 +136,62 @@ def test_canonical_design_families_are_input_uniform():
 # constrained brute-force search
 
 
-def test_brute_force_zero_budget_hits_the_no_leak_corner():
+def _capture_argmax_points(monkeypatch):
+    """Record the argmax points of every search `lines` runs."""
+    points = []
+    real = lines.maximize
+
+    def recording(objective, spec, equality=None, **kwargs):
+        results = real(objective, spec, equality=equality, **kwargs)
+        points.extend(r.point for r in results)
+        return results
+
+    monkeypatch.setattr(lines, "maximize", recording)
+    return points
+
+
+def test_brute_force_zero_budget_hits_the_no_leak_corner(monkeypatch):
     a = 0.7
-    value, design = brute_force_weighted(a, 0.0, PARAMS,
-                                         search_budget=(400, 400), seed=2)
+    points = _capture_argmax_points(monkeypatch)
+    value, = sample_t_a(a, PARAMS, [0.0], search_budget=(400, 400), seed=2)
     expected = a * (1 - h2(PARAMS.p1)) + (1 - a) * (1 - PARAMS.e2)
     assert value == pytest.approx(expected, abs=5e-3)
-    assert design.x_marginal() == pytest.approx(0.5, abs=1e-4)
+    pq, bx, _ = _design_fields(np.array(points))
+    assert np.sum(pq * bx, axis=1) == pytest.approx([0.5], abs=1e-4)
 
 
 def test_brute_force_tracks_first_instance_curve():
     for x in (0.1, 0.3):
-        value, _ = brute_force_weighted(1.0, x, PARAMS,
-                                        search_budget=(400, 400), seed=3)
+        value, = sample_t_a(1.0, PARAMS, [x], search_budget=(400, 400),
+                            seed=3)
         assert value == pytest.approx(t1_closed(PARAMS, x), abs=5e-3)
 
 
 def test_brute_force_tracks_second_instance_chord():
     for x in (0.1, 0.4):
-        value, _ = brute_force_weighted(0.0, x, PARAMS,
-                                        search_budget=(400, 400), seed=4)
+        value, = sample_t_a(0.0, PARAMS, [x], search_budget=(400, 400),
+                            seed=4)
         assert value == pytest.approx(t0_closed(PARAMS, x), abs=5e-3)
 
 
-def test_brute_force_is_deterministic_for_a_seed():
-    v1, d1 = brute_force_weighted(0.6, 0.25, PARAMS, search_budget=SMALL,
-                                  seed=9)
-    v2, d2 = brute_force_weighted(0.6, 0.25, PARAMS, search_budget=SMALL,
-                                  seed=9)
-    assert v1 == v2
-    assert d1.pq == d2.pq and d1.bx == d2.bx
+def test_brute_force_is_deterministic_for_a_seed(monkeypatch):
+    runs = []
+    for _ in range(2):
+        points = _capture_argmax_points(monkeypatch)
+        value = sample_t_a(0.6, PARAMS, [0.25], search_budget=SMALL, seed=9)
+        runs.append((value, np.array(points)))
+        monkeypatch.undo()
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert np.array_equal(runs[0][1], runs[1][1])
 
 
 def test_brute_force_rejects_bad_arguments():
     with pytest.raises(ValueError, match="outside"):
-        brute_force_weighted(0.5, -0.01, PARAMS, search_budget=SMALL)
+        sample_t_a(0.5, PARAMS, [-0.01], search_budget=SMALL)
     with pytest.raises(ValueError, match="outside"):
-        brute_force_weighted(0.5, X_MAX + 0.01, PARAMS, search_budget=SMALL)
+        sample_t_a(0.5, PARAMS, [X_MAX + 0.01], search_budget=SMALL)
     with pytest.raises(ValueError, match="weight"):
-        brute_force_weighted(1.2, 0.1, PARAMS, search_budget=SMALL)
+        sample_t_a(1.2, PARAMS, [0.1], search_budget=SMALL)
 
 
 def _count_design_fields(monkeypatch):
@@ -192,16 +207,14 @@ def _count_design_fields(monkeypatch):
 
 
 def test_constrained_step_evaluates_each_batch_once(monkeypatch):
-    baseline = brute_force_weighted(1.0, 0.1, PARAMS,
-                                    search_budget=(16, 60), seed=0)
+    baseline = sample_t_a(1.0, PARAMS, [0.1], search_budget=(16, 60), seed=0)
     calls = _count_design_fields(monkeypatch)
-    value, design = brute_force_weighted(1.0, 0.1, PARAMS,
-                                         search_budget=(16, 60), seed=0)
+    value = sample_t_a(1.0, PARAMS, [0.1], search_budget=(16, 60), seed=0)
     # iterations + 4 objective batches (start, two stage starts, final
-    # filter), the argmax re-score and the AuxDesign; the residual of each
-    # batch reuses the objective's evaluation
-    assert len(calls) <= 60 + 6
-    assert (value, design) == baseline
+    # filter) and the argmax re-score; the residual of each batch reuses
+    # the objective's evaluation
+    assert len(calls) <= 60 + 5
+    assert np.array_equal(value, baseline)
 
 
 def test_residual_recomputes_unless_given_the_scored_array(monkeypatch):
@@ -235,8 +248,7 @@ def test_residual_recomputes_unless_given_the_scored_array(monkeypatch):
 
     real_maximize, real_fields = lines.maximize, lines._design_fields
     monkeypatch.setattr(lines, "maximize", probing_maximize)
-    value, _ = brute_force_weighted(1.0, x, PARAMS, search_budget=(16, 60),
-                                    seed=0)
+    value, = sample_t_a(1.0, PARAMS, [x], search_budget=(16, 60), seed=0)
     assert probes == [6]
     assert np.isfinite(value)
 
@@ -292,8 +304,8 @@ def test_upper_curve_dominates_direct_search():
     ev = evaluate_supporting_lines(a, PARAMS, grid, search_budget=(16, 120),
                                    seed=2)
     for x in (0.1, 0.25, 0.45):
-        direct, _ = brute_force_weighted(a, x, PARAMS,
-                                         search_budget=(400, 400), seed=12)
+        direct, = sample_t_a(a, PARAMS, [x], search_budget=(400, 400),
+                             seed=12)
         assert direct <= ev.envelope(x) + 5e-3
 
 
@@ -308,9 +320,9 @@ def test_upper_curve_repeat_calls_return_identical_envelopes():
 
 def test_evaluate_supporting_lines_envelope_is_decreasing():
     grid = np.arange(0.0, 2.5001, 0.1)
-    xs = np.linspace(0.0, X_MAX, 25)
-    ev = evaluate_supporting_lines(0.8, PARAMS, grid, xs=xs,
-                                   search_budget=(8, 80), seed=4)
+    ev = evaluate_supporting_lines(0.8, PARAMS, grid, search_budget=(8, 80),
+                                   seed=4)
+    assert np.array_equal(ev.xs, np.linspace(0.0, X_MAX, 65))
     assert np.all(np.diff(ev.t_values) <= 1e-12)
     assert ev.f_values.shape == grid.shape
 
@@ -322,8 +334,8 @@ def test_evaluate_supporting_lines_envelope_is_decreasing():
 def test_weighted_curve_is_decreasing_and_midpoint_concave():
     a = 0.6
     xs = (0.05, 0.25, 0.45)
-    vals = [brute_force_weighted(a, x, PARAMS, search_budget=(500, 400),
-                                 seed=10 + i)[0]
+    vals = [sample_t_a(a, PARAMS, [x], search_budget=(500, 400),
+                       seed=10 + i)[0]
             for i, x in enumerate(xs)]
     assert vals[0] >= vals[1] - 5e-3
     assert vals[1] >= vals[2] - 5e-3
@@ -368,8 +380,6 @@ def test_d_a_rejects_rates_outside_the_domain():
         d_a_curve(0.92, PARAMS, np.array([0.0, 0.01]))
     with pytest.raises(ValueError, match="strictly inside"):
         d_a_curve(0.92, PARAMS, np.array([0.01, top]))
-    with pytest.raises(ValueError, match="method"):
-        d_a_curve(0.92, PARAMS, np.array([0.01]), method="magic")
 
 
 def test_d_a_is_identically_zero_when_curves_coincide():
@@ -379,15 +389,8 @@ def test_d_a_is_identically_zero_when_curves_coincide():
     assert np.all(d == 0.0)
 
 
-def test_d_a_brute_is_positive_and_normalized():
-    rates = np.linspace(0.1, 0.9, 9) * r1_domain_top(PARAMS)
-    d = d_a_curve(0.92, PARAMS, rates, x_samples=15,
-                  search_budget=(500, 400), seed=3, method="brute")
-    assert np.all(d > 1e-4)
-    assert np.abs(d).max() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_d_a_envelope_is_positive_at_modest_budget():
     rates = np.linspace(0.3, 0.7, 5) * r1_domain_top(PARAMS)
     d = d_a_curve(0.92, PARAMS, rates, search_budget=(4, 80), seed=1)
     assert np.all(d > 1e-4)
+    assert np.abs(d).max() == pytest.approx(1.0, abs=1e-12)

@@ -465,6 +465,13 @@ def test_region_system_json_roundtrip():
     assert set(json.loads(blob)["atoms"]) == {"I(Q,U;Y1)", "I(U;V|Q)", "I(Q,U,V;Y2)"}
 
 
+def test_region_system_from_json_names_a_non_string_lhs_key():
+    # JSON object keys are strings, so only a dict built in Python gets here
+    with pytest.raises(ValueError, match="non-string 'lhs' key 1"):
+        RegionSystem.from_json({"rate_vars": ["R1"],
+                                "ineqs": [{"lhs": {1: "1"}, "rel": "<="}]})
+
+
 def test_parse_atom():
     assert parse_atom("I(U;Y1|Q)") == ("I", ("U",), ("Y1",), ("Q",))
     assert parse_atom("I(Q,U;Y1)") == ("I", ("Q", "U"), ("Y1",), ())
