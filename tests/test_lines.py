@@ -389,8 +389,15 @@ def test_d_a_is_identically_zero_when_curves_coincide():
     assert np.all(d == 0.0)
 
 
+def test_d_a_brute_is_positive_and_normalized():
+    # the full rate window, with the largest gap scaled to exactly one
+    rates = np.linspace(0.1, 0.9, 9) * r1_domain_top(PARAMS)
+    d = d_a_curve(0.92, PARAMS, rates, search_budget=(8, 120), seed=3)
+    assert np.all(d > 1e-4)
+    assert np.abs(d).max() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_d_a_envelope_is_positive_at_modest_budget():
     rates = np.linspace(0.3, 0.7, 5) * r1_domain_top(PARAMS)
     d = d_a_curve(0.92, PARAMS, rates, search_budget=(4, 80), seed=1)
     assert np.all(d > 1e-4)
-    assert np.abs(d).max() == pytest.approx(1.0, abs=1e-12)
