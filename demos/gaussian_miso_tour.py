@@ -21,7 +21,13 @@ from compound_bc.miso import (
     special_geometry,
     strictness_uncorrelated_check,
 )
-from compound_bc.outer import dof_slopes, matched_cov_pairs, outer_region
+from compound_bc.outer import (
+    constituent_curves,
+    dof_slopes,
+    matched_cov_pairs,
+    outer_region,
+    sample_cov_pairs,
+)
 from compound_bc.search import DEFAULT_SEED
 
 GRIDS = dict(eta_steps=81, split_steps=51, x_steps=31)
@@ -75,10 +81,11 @@ def main():
     print("\n3. all three inner bounds inside the sampled outer bound")
     inners = {kind: region_boundary(kind, channel, **GRIDS)
               for kind in ("cd", "md-uncorr", "md-corr")}
-    pairs = [matched_cov_pairs(channel, c) for c in inners.values()]
+    pairs = [matched_cov_pairs(c) for c in inners.values()]
     extra = (np.concatenate([p[0] for p in pairs]),
              np.concatenate([p[1] for p in pairs]))
-    outer = outer_region(channel, seed=args.seed, extra_pairs=extra)
+    outer = outer_region(constituent_curves(channel, *sample_cov_pairs(
+        channel, seed=args.seed, extra_pairs=extra)))
     for kind, curve in inners.items():
         viol = float(np.max(outer.violation(curve.points)))
         print(f"   {kind:10s} max R1 {curve.r1_max:.4f},"
@@ -88,9 +95,9 @@ def main():
 
     print("\n4. high-power slopes of the outer bound")
     snrs = (20.0, 30.0, 40.0)
-    curves = [outer_region(special_geometry(2.0, 10.0 ** (s / 10.0), 1.0),
-                           num_random=4000, seed=args.seed)
-              for s in snrs]
+    channels = [special_geometry(2.0, 10.0 ** (s / 10.0), 1.0) for s in snrs]
+    curves = [outer_region(constituent_curves(ch, *sample_cov_pairs(
+        ch, num_random=4000, seed=args.seed))) for ch in channels]
     est = dof_slopes(snrs, curves)
     print(f"   d1 = {est.d1:.3f}, d2 = {est.d2:.3f},"
           f" sum slope = {est.sum_slope:.3f},"

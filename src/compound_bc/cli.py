@@ -32,6 +32,7 @@ from .becbsc import (
     id_curve,
     mrs_gerber_lower,
 )
+from .idregions import split_rate_example_system
 from .info import binary_convolve, binary_entropy
 from .lines import ENVELOPE_BUDGET, d_a_curve, sample_t_a, t0_closed, t1_closed
 from .miso import (
@@ -67,8 +68,6 @@ DEFAULT_ELIMINATE = ("S01", "S02")
 # meta keys of boundary points, in column order; absent keys are skipped
 MISO_PARAM_COLUMNS = ("eta", "theta_u", "theta_v", "p_u", "p_v", "order",
                       "x", "t", "alpha", "sum_constraint_active")
-
-BUNDLED_FME_EXAMPLE = Path(__file__).resolve().parent / "data" / "fme_example.json"
 
 
 class Setting:
@@ -369,13 +368,13 @@ def cmd_miso(args, cfg):
         with _stage("outer bound sampling"):
             # seed the sample with the covariances behind each inner boundary
             # so touching arcs compare exactly
-            matched = [matched_cov_pairs(channel, c) for c in curves.values()]
+            matched = [matched_cov_pairs(c) for c in curves.values()]
             extra = (np.concatenate([p[0] for p in matched]),
                      np.concatenate([p[1] for p in matched]))
             ku, kv = sample_cov_pairs(channel, num_random=cfg["num_random"],
                                       seed=cfg["seed"], extra_pairs=extra)
             families = constituent_curves(channel, ku, kv)
-            outer = outer_region(channel, curves=families)
+            outer = outer_region(families)
             if args.time_sharing:
                 outer = outer.hull()
         inner_curves = hulls if args.time_sharing else curves
@@ -416,18 +415,18 @@ def _classify_row(iq):
 
 
 def cmd_fme(args, cfg):
-    path = args.system
-    if path is None:
-        path = BUNDLED_FME_EXAMPLE
-        print(f"using bundled example system {path.name}")
-    system = RegionSystem.from_json(_read_object(path, "region file"))
+    if args.system is None:
+        print("using the built-in example system split_rate_example_system()")
+        system = split_rate_example_system()
+    else:
+        system = RegionSystem.from_json(_read_object(args.system, "region file"))
     print(f"loaded {len(system.ineqs)} inequalities over "
           f"rate variables {', '.join(system.rate_vars)}")
 
     if args.eliminate is not None:
         eliminate = [v for part in args.eliminate for v in part.split(",") if v]
     elif args.system is None:
-        eliminate = [v for v in DEFAULT_ELIMINATE if v in system.rate_vars]
+        eliminate = list(DEFAULT_ELIMINATE)
     else:
         eliminate = []
 
@@ -543,7 +542,8 @@ def build_parser():
     p = _subcommand(sub, "fme", cmd_fme,
                     "project rate variables out of a symbolic region system")
     p.add_argument("system", nargs="?",
-                   help="RegionSystem JSON file (default: bundled example)")
+                   help="RegionSystem JSON file (default: the built-in"
+                        " split-rate example)")
     p.add_argument("--eliminate", action="append", metavar="VARS",
                    help="comma-separated rate variables to project out")
     return parser

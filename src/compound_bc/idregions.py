@@ -185,6 +185,8 @@ def split_rate_example_system() -> RegionSystem:
     common stream, whose own rate is set to zero.  Eliminating (S01, S02)
     and pruning redundant rows recovers reduced_target_region().
     """
+    # each right side lists its atoms in sorted order, the order a saved
+    # system reloads in, which fixes the "atoms" list that `fme` writes
     zu = InfoExpr.atom("I(V;Z|Q,U)")
     return RegionSystem(
         ["R1", "R2", "S01", "S02"],
@@ -195,11 +197,11 @@ def split_rate_example_system() -> RegionSystem:
             ineq({"R1": 1, "S02": 1}, "<=", "I(Q,U;Y1)"),
             ineq({"R1": 1, "R2": 1, "S01": -1, "S02": -1}, "<=", "I(U,V;Y2|Q)"),
             ineq({"R1": 1, "R2": 1, "S01": -1, "S02": -1}, "<=",
-                 zu + InfoExpr.atom("I(U;Y1|Q)")),
+                 InfoExpr.atom("I(U;Y1|Q)") + zu),
             ineq({"R1": 1, "R2": 1, "S01": -1, "S02": -1}, "<=",
-                 zu + InfoExpr.atom("I(U;Y2,V|Q)")),
+                 InfoExpr.atom("I(U;Y2,V|Q)") + zu),
             ineq({"R1": 1, "R2": 1}, "<=", "I(Q,U,V;Y2)"),
-            ineq({"R1": 1, "R2": 1}, "<=", zu + InfoExpr.atom("I(Q,U;Y1)")),
+            ineq({"R1": 1, "R2": 1}, "<=", InfoExpr.atom("I(Q,U;Y1)") + zu),
             ineq({"S01": 1, "R1": -1}, "<=", 0),
             ineq({"S02": 1, "R2": -1}, "<=", 0),
             ineq({"S01": -1}, "<=", 0),

@@ -89,13 +89,6 @@ def _design_fields(theta):
     return pq, bx, excess
 
 
-def _search_spec(search_budget, seeds):
-    restarts, iterations = search_budget
-    bounds = [(-THETA_BOUND, THETA_BOUND)] * 6
-    return SearchSpec(dim=6, bounds=bounds, restarts=restarts,
-                      iterations=iterations, seed=seeds)
-
-
 def _batched_points(objective, values, search_budget, seeds, equality=None):
     """Argmax points of one seeded search per group value, shape (K, 6).
 
@@ -103,17 +96,18 @@ def _batched_points(objective, values, search_budget, seeds, equality=None):
     with `v` the group values repeated once per restart.  Groups run in
     batches of at most `_BATCH_ROWS` rows (at least one group each).
     """
-    restarts = search_budget[0]
+    restarts, iterations = search_budget
+    bounds = [(-THETA_BOUND, THETA_BOUND)] * 6
     size = max(1, _BATCH_ROWS // restarts)
     points = np.empty((len(seeds), 6))
     for start in range(0, len(seeds), size):
         v = np.repeat(values[start:start + size], restarts)
         batch_equality = None if equality is None \
             else (lambda theta: equality(theta, v))
-        spec = _search_spec(search_budget, seeds[start:start + size])
-        results = maximize(lambda theta: objective(theta, v), spec,
-                           equality=batch_equality)
-        points[start:start + size] = [r.point for r in results]
+        spec = SearchSpec(bounds, restarts, iterations,
+                          seeds[start:start + size])
+        points[start:start + size] = maximize(
+            lambda theta: objective(theta, v), spec, equality=batch_equality)
     return points
 
 
@@ -138,7 +132,8 @@ def _lagrangian_search(a, lambdas, params, search_budget, seeds):
     F_a(lam) = max over unconstrained designs (X uniform, |Q| <= 4) of
     a*I(Q;Y1) + (1-a)*I(Q;Y2) + lam*I(X;Z|Q), so F_a(lam) - lam*x >= t_a(x)
     for every x; convex in lam as a pointwise max of linear functions.  One
-    seeded search per multiplier; returns (values, raw argmax points).
+    seeded search per multiplier; returns the raw argmax points, shape
+    (len(lambdas), 6).
     """
     lambdas = np.asarray(lambdas, dtype=float)
 
@@ -147,10 +142,15 @@ def _lagrangian_search(a, lambdas, params, search_budget, seeds):
         i1, i2, ixz = _mutual_informations(pq, bx, params)
         return a * i1 + (1.0 - a) * i2 + lam * ixz - _PULL * excess
 
-    points = _batched_points(objective, lambdas, search_budget, seeds)
-    pq, bx, _ = _design_fields(points)
-    i1, i2, ixz = _mutual_informations(pq, bx, params)
-    return a * i1 + (1.0 - a) * i2 + lambdas * ixz, points
+    return _batched_points(objective, lambdas, search_budget, seeds)
+
+
+def _checked_lambdas(lambdas):
+    lam = np.asarray(lambdas, dtype=float)
+    if lam.ndim != 1 or lam.size == 0 or np.any(lam < 0):
+        raise ValueError(
+            "lambda grid must be a nonempty 1-d array of nonnegative values")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -171,10 +171,7 @@ class SupportingLineEval:
 
     def __post_init__(self):
         _check_weight(self.a)
-        lam = np.asarray(self.lambdas, dtype=float)
-        if lam.ndim != 1 or lam.size == 0 or np.any(lam < 0):
-            raise ValueError(
-                "lambda grid must be a nonempty 1-d array of nonnegative values")
+        lam = _checked_lambdas(self.lambdas)
         fv = np.asarray(self.f_values, dtype=float)
         if fv.shape != lam.shape:
             raise ValueError("f_values must match the lambda grid in shape")
@@ -224,7 +221,7 @@ def _pool_f_values(lambdas, weighted, budgets):
     return f_values
 
 
-def evaluate_supporting_lines(a, params: BecBscParams, lambda_grid=None,
+def evaluate_supporting_lines(a, params: BecBscParams, lambda_grid,
                               search_budget=ENVELOPE_BUDGET, seed=0,
                               canonical=2001) -> SupportingLineEval:
     """Sample F_a over a multiplier grid and build the induced envelope.
@@ -236,14 +233,10 @@ def evaluate_supporting_lines(a, params: BecBscParams, lambda_grid=None,
     F_a.  The envelope is tabulated at 65 budgets across the full range.
     """
     _check_weight(a)
-    lambdas = default_lambda_grid() if lambda_grid is None \
-        else np.asarray(lambda_grid, dtype=float)
-    if lambdas.ndim != 1 or lambdas.size == 0 or np.any(lambdas < 0):
-        raise ValueError(
-            "lambda grid must be a nonempty 1-d array of nonnegative values")
+    lambdas = _checked_lambdas(lambda_grid)
     xs = np.linspace(0.0, 1.0 - binary_entropy(params.p), 65)
     seeds = [mix64(seed, k) for k in range(lambdas.size)]
-    _, points = _lagrangian_search(a, lambdas, params, search_budget, seeds)
+    points = _lagrangian_search(a, lambdas, params, search_budget, seeds)
     pq, bx, _ = _design_fields(points)
     if canonical:
         cq, cb = canonical_designs(int(canonical))

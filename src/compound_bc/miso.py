@@ -474,8 +474,8 @@ TIME_SHARES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def _beam_grid(channel, eta_steps, beam_steps):
-    """Arrays of effective gains per beam cell plus per-cell labels: an eta
-    sweep when eta_steps is given, else a sweep of both beam angles."""
+    """Beam stacks b_u, b_v (one row per beam cell) plus per-cell labels:
+    an eta sweep when eta_steps is given, else a sweep of both beam angles."""
     if eta_steps is not None:
         scale = float(np.linalg.norm(channel.h1))
         etas = np.linspace(-1.0, 1.0, eta_steps)
@@ -497,7 +497,7 @@ def _beam_grid(channel, eta_steps, beam_steps):
         b_vs = np.stack([np.cos(vv), np.sin(vv)], axis=1)
         labels = [("theta_u", float(a), "theta_v", float(b))
                   for a, b in zip(uu, vv)]
-    return _beam_gains(channel, b_us, b_vs), labels
+    return b_us, b_vs, labels
 
 
 def _uncorr_sweep(terms, x_slices):
@@ -537,7 +537,8 @@ def region_boundary(kind, channel, *, eta_steps=None, split_steps=201,
     general channels sweep both beam angles over beam_steps = (n_u, n_v)
     points (49 and 97 when None).  The count the channel's sweep does not
     use must stay None.  Returns a RateCurve2D whose meta rows record the
-    achieving scheme; its hull() is the convex (time-shared) closure.
+    achieving scheme, including the swept beams b_u and b_v; its hull() is
+    the convex (time-shared) closure.
     """
     if kind not in REGION_KINDS:
         raise ValueError(f"kind must be one of {REGION_KINDS}")
@@ -559,7 +560,8 @@ def region_boundary(kind, channel, *, eta_steps=None, split_steps=201,
         if count < least:
             raise ValueError(f"{key} must be at least {least}, got {count}")
 
-    gains, labels = _beam_grid(channel, eta_steps, beam_steps)
+    b_us, b_vs, labels = _beam_grid(channel, eta_steps, beam_steps)
+    gains = _beam_gains(channel, b_us, b_vs)
     splits = np.linspace(0.0, 1.0, split_steps)
     p_u = channel.P * splits[None, :]
     p_v = channel.P - p_u
@@ -618,6 +620,7 @@ def region_boundary(kind, channel, *, eta_steps=None, split_steps=201,
         rem = flat_index if in_main else flat_index - n_main
         cell, split_idx = divmod(rem, n_splits)
         row = dict(zip(labels[cell][::2], labels[cell][1::2]))
+        row["b_u"], row["b_v"] = b_us[cell], b_vs[cell]
         row["p_u"] = float(p_u[0, split_idx])
         row["p_v"] = float(p_v[0, split_idx])
         if in_main:

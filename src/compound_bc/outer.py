@@ -117,33 +117,19 @@ def sample_cov_pairs(channel, num_random=NUM_RANDOM, seed=DEFAULT_SEED,
     return np.concatenate(stacks_u), np.concatenate(stacks_v)
 
 
-def _meta_beams(channel, row):
-    if "eta" in row:
-        scale = np.linalg.norm(channel.h1)
-        e1 = channel.h1 / scale
-        e2 = channel.h2 / scale
-        theta = 0.5 * math.asin(row["eta"])
-        return ((e1 + e2) / math.sqrt(2.0),
-                math.cos(theta) * e1 + math.sin(theta) * e2)
-    return (np.array([math.cos(row["theta_u"]), math.sin(row["theta_u"])]),
-            np.array([math.cos(row["theta_v"]), math.sin(row["theta_v"])]))
-
-
-def matched_cov_pairs(channel, curve):
+def matched_cov_pairs(curve):
     """Rank-1 covariance pairs of the schemes behind an inner boundary.
 
     Where an achievable boundary touches a constituent region it does so at
     its own transmit covariances, so folding these pairs into the outer
     sample (via the extra_pairs hook) makes the staircases tight exactly
-    there.
+    there.  The beams are the ones the sweep scored, read from the meta
+    rows of `miso.region_boundary`.
     """
     if curve.meta is None:
         raise ValueError("curve carries no scheme meta")
-    ku, kv = [], []
-    for row in curve.meta:
-        b_u, b_v = _meta_beams(channel, row)
-        ku.append(row["p_u"] * np.outer(b_u, b_u))
-        kv.append(row["p_v"] * np.outer(b_v, b_v))
+    ku = [row["p_u"] * np.outer(row["b_u"], row["b_u"]) for row in curve.meta]
+    kv = [row["p_v"] * np.outer(row["b_v"], row["b_v"]) for row in curve.meta]
     return np.array(ku), np.array(kv)
 
 
@@ -222,19 +208,14 @@ def constituent_curves(channel, ku, kv):
     return {name: RateCurve2D.from_samples(pts) for name, pts in samples.items()}
 
 
-def outer_region(channel, *, num_random=NUM_RANDOM, seed=DEFAULT_SEED,
-                 extra_pairs=None, curves=None):
-    """Intersection of the four constituent regions on a common R1 grid.
+def outer_region(curves):
+    """Intersection of the constituent staircases on a common R1 grid.
 
-    Each region is the staircase of its sampled rate points, so the result
-    sits inside the true intersection; its hull() is the convex
-    (time-shared) closure.  curves, when given, reuses precomputed
-    constituent staircases.
+    `curves` maps each family name to its staircase, as
+    `constituent_curves` returns them.  Each region is the staircase of its
+    sampled rate points, so the result sits inside the true intersection;
+    its hull() is the convex (time-shared) closure.
     """
-    if curves is None:
-        ku, kv = sample_cov_pairs(channel, num_random=num_random, seed=seed,
-                                  extra_pairs=extra_pairs)
-        curves = constituent_curves(channel, ku, kv)
     r1_cap = min(curve.r1_max for curve in curves.values())
     # the pointwise min of staircases only changes value at a constituent
     # breakpoint, so adding those to the grid makes the intersection exact

@@ -1,23 +1,23 @@
 """Seeded derivative-free maximization utilities.
 
 The main routine is a random-restart hill climb with coordinate-wise adaptive
-steps.  It runs K independent searches (groups) of R restarts each as one
-(K*R, dim) numpy batch in group-major order: rows k*R .. k*R + R - 1 belong to
-group k.  The group count is the number of seeds in `SearchSpec.seed`; an
-integer seed is one group.  Restart r of the group with seed s draws its
-initial point and noise from a Philox generator keyed by mix64(s, r), and each
-group's result is a pure max over its own restarts, so a group's result never
-depends on which other groups share its batch or on execution order.
+steps inside a box.  It runs K independent searches (groups) of R restarts
+each as one (K*R, dim) numpy batch in group-major order: rows k*R .. k*R +
+R - 1 belong to group k, one group per seed in `SearchSpec.seeds`.  Restart r
+of the group with seed s draws its initial point and noise from a Philox
+generator keyed by mix64(s, r), and each group's result is a pure max over
+its own restarts, so a group's result never depends on which other groups
+share its batch or on execution order.
 
 Equality constraints are handled by a quadratic penalty whose weight ramps up
 over stages (the same stages for every group); candidates are filtered for
-feasibility (|residual| <= 1e-4 by default) only at the very end.
+feasibility (|residual| <= FEAS_TOL) only at the very end.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +27,8 @@ _M64 = (1 << 64) - 1
 DEFAULT_SEED = 20259
 FEAS_TOL = 1e-4
 PENALTY_SCHEDULE = (1e2, 1e4, 1e6)
-# unbounded searches start normal with this scale; every coordinate step
-# starts at STEP0 and shrinks by DECAY after each rejected move
-INIT_SCALE = 3.0
+# every coordinate step starts at STEP0 and shrinks by DECAY after each
+# rejected move
 STEP0 = 1.0
 DECAY = 0.95
 
@@ -60,39 +59,26 @@ def sigmoid(z):
 class SearchSpec:
     """Search domain descriptor.
 
-    With `bounds` (a (dim, 2) array) the iterates start uniform in the box
-    and are clipped to it; without, they are unconstrained real vectors that
-    start normal with scale INIT_SCALE and the objective maps onto its
-    domain.  `seed` is one integer (one search) or a sequence of integers
-    (one search per entry); `restarts` and `iterations` are per search.
+    `bounds` is a (dim, 2) box: the iterates start uniform in it and are
+    clipped to it.  `seeds` holds one integer per search (group);
+    `restarts` and `iterations` are per search.
     """
 
-    dim: int
-    bounds: np.ndarray | None = None
-    restarts: int = 20
-    iterations: int = 300
-    seed: int | Sequence[int] = 0
+    bounds: np.ndarray
+    restarts: int
+    iterations: int
+    seeds: Sequence[int]
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restart count must be at least 1")
         if len(self.seeds) == 0:
             raise ValueError("seed sequence must hold at least one seed")
-        if self.bounds is not None:
-            self.bounds = np.asarray(self.bounds, dtype=float).reshape(self.dim, 2)
+        self.bounds = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
 
     @property
-    def seeds(self) -> tuple:
-        """One seed per group: (seed,) for an integer seed."""
-        return (self.seed,) if np.ndim(self.seed) == 0 else tuple(self.seed)
-
-
-@dataclass
-class SearchResult:
-    value: float
-    point: np.ndarray
-    trace: np.ndarray = field(repr=False)
-    residual: float = 0.0
+    def dim(self) -> int:
+        return len(self.bounds)
 
 
 def _initial_points(spec: SearchSpec):
@@ -100,21 +86,18 @@ def _initial_points(spec: SearchSpec):
     rows = len(spec.seeds) * spec.restarts
     inits = np.empty((rows, spec.dim))
     noise = np.empty((rows, spec.iterations))
+    lo, hi = spec.bounds[:, 0], spec.bounds[:, 1]
     row = 0
     for seed in spec.seeds:
         for r in range(spec.restarts):
             rng = np.random.Generator(np.random.Philox(key=mix64(seed, r)))
-            if spec.bounds is not None:
-                lo, hi = spec.bounds[:, 0], spec.bounds[:, 1]
-                inits[row] = lo + (hi - lo) * rng.random(spec.dim)
-            else:
-                inits[row] = rng.normal(0.0, INIT_SCALE, size=spec.dim)
+            inits[row] = lo + (hi - lo) * rng.random(spec.dim)
             noise[row] = rng.standard_normal(spec.iterations)
             row += 1
     return inits, noise
 
 
-def maximize(objective, spec: SearchSpec, equality=None, feas_tol=FEAS_TOL):
+def maximize(objective, spec: SearchSpec, equality=None):
     """Random-restart coordinate-perturbation maximization of K groups.
 
     objective(X) takes the (K*R, dim) group-major batch and returns (K*R,)
@@ -122,9 +105,9 @@ def maximize(objective, spec: SearchSpec, equality=None, feas_tol=FEAS_TOL):
     drive to zero.  Per-group parameters reach the callbacks as arrays
     repeated once per restart (np.repeat(values, R)).  Every equality(P)
     call comes right after an objective(P) call on the same, unmodified
-    array object, so the pair may share one evaluation.  Returns each
-    group's best feasible point: one SearchResult for an integer
-    spec.seed, a list of K for a sequence.  Deterministic for fixed seeds.
+    array object, so the pair may share one evaluation.  Returns the
+    (K, dim) array of each group's best point with |residual| <= FEAS_TOL.
+    Deterministic for fixed seeds.
     """
     groups, restarts = len(spec.seeds), spec.restarts
     X, noise = _initial_points(spec)
@@ -143,7 +126,6 @@ def maximize(objective, spec: SearchSpec, equality=None, feas_tol=FEAS_TOL):
     cur = np.where(np.isfinite(cur), cur, -np.inf)
 
     steps = np.full((groups * restarts, spec.dim), STEP0)
-    trace = np.empty((groups, spec.iterations))
     stage_len = -(-spec.iterations // len(schedule))  # ceil division
     it = 0
     for stage, w in enumerate(schedule):
@@ -154,38 +136,32 @@ def maximize(objective, spec: SearchSpec, equality=None, feas_tol=FEAS_TOL):
             c = it % spec.dim
             prop = X.copy()
             prop[:, c] += steps[:, c] * noise[:, it]
-            if spec.bounds is not None:
-                np.clip(prop[:, c], spec.bounds[c, 0], spec.bounds[c, 1],
-                        out=prop[:, c])
+            np.clip(prop[:, c], spec.bounds[c, 0], spec.bounds[c, 1],
+                    out=prop[:, c])
             vals = penalized(prop, w)
             vals = np.where(np.isfinite(vals), vals, -np.inf)
             better = vals > cur
             X[better] = prop[better]
             cur = np.where(better, vals, cur)
             steps[~better, c] *= DECAY
-            trace[:, it] = cur.reshape(groups, restarts).max(axis=1)
             it += 1
 
     final_vals = np.asarray(objective(X), dtype=float)
     final_vals = np.where(np.isfinite(final_vals), final_vals, -np.inf)
-    res = np.zeros(groups * restarts)
     if equality is not None:
         res = np.asarray(equality(X), dtype=float)
-        feasible = np.isfinite(res) & (np.abs(res) <= feas_tol)
+        feasible = np.isfinite(res) & (np.abs(res) <= FEAS_TOL)
         stuck = np.flatnonzero(~feasible.reshape(groups, restarts).any(axis=1))
         if stuck.size:
             k = stuck[0]
             closest = np.nanmin(np.abs(res[k * restarts:(k + 1) * restarts]))
             raise RuntimeError(
-                f"no restart reached constraint tolerance {feas_tol:g} "
+                f"no restart reached constraint tolerance {FEAS_TOL:g} "
                 f"(closest residual {closest:.3g})")
         final_vals = np.where(feasible, final_vals, -np.inf)
     best = np.argmax(final_vals.reshape(groups, restarts), axis=1) \
         + restarts * np.arange(groups)
-    results = [SearchResult(float(final_vals[i]), X[i].copy(), trace[k],
-                            float(res[i]))
-               for k, i in enumerate(best)]
-    return results[0] if np.ndim(spec.seed) == 0 else results
+    return X[best]
 
 
 def isotonic_project(values, decreasing=False):

@@ -47,10 +47,12 @@ from compound_bc.miso import (
     strictness_uncorrelated_check,
 )
 from compound_bc.outer import (
+    constituent_curves,
     dof_slopes,
     matched_cov_pairs,
     outer_region,
     random_cov_pairs,
+    sample_cov_pairs,
 )
 from compound_bc.polyhedra import RegionSystem, fme_eliminate, ineq, instantiate
 from compound_bc.search import SearchSpec, maximize
@@ -316,11 +318,11 @@ def test_09_inner_bounds_sit_inside_the_sampled_outer_bound():
         inners = {kind: region_boundary(kind, channel, eta_steps=81,
                                         split_steps=51, x_steps=31)
                   for kind in ("cd", "md-uncorr", "md-corr")}
-        pairs = [matched_cov_pairs(channel, curve)
-                 for curve in inners.values()]
+        pairs = [matched_cov_pairs(curve) for curve in inners.values()]
         extra = (np.concatenate([p[0] for p in pairs]),
                  np.concatenate([p[1] for p in pairs]))
-        outer = outer_region(channel, seed=SEED, extra_pairs=extra)
+        outer = outer_region(constituent_curves(channel, *sample_cov_pairs(
+            channel, seed=SEED, extra_pairs=extra)))
         for curve in inners.values():
             worst = max(worst, float(np.max(outer.violation(curve.points))))
     ok = worst <= 1e-6
@@ -331,9 +333,9 @@ def test_09_inner_bounds_sit_inside_the_sampled_outer_bound():
 
 def test_10_outer_bound_growth_slopes_match_two_degrees_of_freedom():
     snrs = (20.0, 30.0, 40.0)
-    curves = [outer_region(special_geometry(2.0, 10.0 ** (s / 10.0), 1.0),
-                           num_random=4000, seed=SEED)
-              for s in snrs]
+    channels = [special_geometry(2.0, 10.0 ** (s / 10.0), 1.0) for s in snrs]
+    curves = [outer_region(constituent_curves(ch, *sample_cov_pairs(
+        ch, num_random=4000, seed=SEED))) for ch in channels]
     est = dof_slopes(snrs, curves)
     ok = (0.9 <= est.d1 <= 1.1 and 0.9 <= est.d2 <= 1.1
           and 1.85 <= est.weighted_slope <= 2.15)
@@ -412,14 +414,13 @@ def test_11_structural_properties_hold():
         notes.append("information measures")
 
     # seeded searches must replay byte for byte
-    spec = SearchSpec(dim=3, restarts=6,
-                      iterations=150, seed=7)
+    spec = SearchSpec([[-5.0, 5.0]] * 3, restarts=6, iterations=150,
+                      seeds=[7])
 
     def f(X):
         return -np.sum((X - np.array([1.0, -2.0, 0.5])) ** 2, axis=1)
 
-    r1, r2 = maximize(f, spec), maximize(f, spec)
-    det_ok = r1.value == r2.value and np.array_equal(r1.point, r2.point)
+    det_ok = np.array_equal(maximize(f, spec), maximize(f, spec))
     t_pair = [sample_t_a(0.7, PARAMS, [0.1, 0.3], search_budget=(32, 100),
                          seed=SEED + 23) for _ in range(2)]
     det_ok = det_ok and np.array_equal(t_pair[0], t_pair[1])

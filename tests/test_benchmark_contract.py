@@ -26,7 +26,9 @@ def test_benchmark_workloads_run_under_the_tracer(tmp_path, monkeypatch):
             with tracer.span("setup"):
                 states = {name: setup(1, tmp_path)
                           for name, (setup, _) in workloads.WORKLOADS.items()}
-            for name in ("da-envelope", "fme-project"):
+            # ta-brute is the one pass whose searches reach the tracer's
+            # maximize wrapper with an equality constraint
+            for name in ("da-envelope", "ta-brute", "fme-project"):
                 run_pass = workloads.WORKLOADS[name][1]
                 with tracer.span("pass"):
                     result = run_pass(states[name], tmp_path)

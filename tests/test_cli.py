@@ -454,10 +454,6 @@ class TestFme:
         for values in example_valuations(atoms, 20, 555):
             assert regions_match(projected, target, values)
 
-    def test_bundled_file_equals_library_system(self):
-        bundled = RegionSystem.load(cli.BUNDLED_FME_EXAMPLE)
-        assert bundled.to_json() == split_rate_example_system().to_json()
-
     def test_empty_eliminate_list_is_identity(self, tmp_path):
         source = tmp_path / "system.json"
         split_rate_example_system().save(source)

@@ -141,10 +141,10 @@ def _capture_argmax_points(monkeypatch):
     points = []
     real = lines.maximize
 
-    def recording(objective, spec, equality=None, **kwargs):
-        results = real(objective, spec, equality=equality, **kwargs)
-        points.extend(r.point for r in results)
-        return results
+    def recording(objective, spec, equality=None):
+        found = real(objective, spec, equality=equality)
+        points.extend(found)
+        return found
 
     monkeypatch.setattr(lines, "maximize", recording)
     return points
@@ -221,7 +221,7 @@ def test_residual_recomputes_unless_given_the_scored_array(monkeypatch):
     x = 0.1
     probes = []
 
-    def probing_maximize(objective, spec, equality=None, **kwargs):
+    def probing_maximize(objective, spec, equality=None):
         rng = np.random.default_rng(3)
         P = rng.uniform(-4.0, 4.0, (spec.restarts, 6))
         Q = rng.uniform(-4.0, 4.0, (spec.restarts, 6))
@@ -244,7 +244,7 @@ def test_residual_recomputes_unless_given_the_scored_array(monkeypatch):
         assert np.array_equal(equality(Q), fresh(Q))  # another batch
         probes.append(len(calls))
         monkeypatch.undo()
-        return real_maximize(objective, spec, equality=equality, **kwargs)
+        return real_maximize(objective, spec, equality=equality)
 
     real_maximize, real_fields = lines.maximize, lines._design_fields
     monkeypatch.setattr(lines, "maximize", probing_maximize)
@@ -264,16 +264,24 @@ def test_sample_t_a_returns_one_value_per_budget():
 # Lagrangian intercepts
 
 
+def lagrangian_values(a, lambdas, search_budget, seeds):
+    """F_a at each multiplier: the Lagrangian scored at its argmax point."""
+    points = _lagrangian_search(a, lambdas, PARAMS, search_budget, seeds)
+    pq, bx, _ = _design_fields(points)
+    i1, i2, ixz = lines._mutual_informations(pq, bx, PARAMS)
+    return a * i1 + (1.0 - a) * i2 + np.asarray(lambdas) * ixz
+
+
 def test_F_a_at_zero_multiplier_is_the_unconstrained_peak():
     a = 0.7
-    values, _ = _lagrangian_search(a, [0.0], PARAMS, (300, 300), [6])
+    values = lagrangian_values(a, [0.0], (300, 300), [6])
     expected = a * (1 - h2(PARAMS.p1)) + (1 - a) * (1 - PARAMS.e2)
     assert values[0] == pytest.approx(expected, abs=5e-3)
 
 
 def test_F_a_matches_closed_intercepts_on_the_second_instance():
     lams = (0.5, 2.0)
-    values, _ = _lagrangian_search(0.0, lams, PARAMS, (300, 300), [7, 7])
+    values = lagrangian_values(0.0, lams, (300, 300), [7, 7])
     for lam, value in zip(lams, values):
         assert value == pytest.approx(F0_closed(PARAMS, lam), abs=5e-3)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -281,8 +289,7 @@ def test_F_a_matches_closed_intercepts_on_the_second_instance():
 
 
 def test_F_a_is_midpoint_convex_up_to_search_noise():
-    vals, _ = _lagrangian_search(0.4, (0.2, 0.6, 1.0), PARAMS, (300, 300),
-                                 [8, 8, 8])
+    vals = lagrangian_values(0.4, (0.2, 0.6, 1.0), (300, 300), [8, 8, 8])
     assert vals[1] <= (vals[0] + vals[2]) / 2 + 5e-3
 
 

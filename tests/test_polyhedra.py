@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from compound_bc.cli import BUNDLED_FME_EXAMPLE, DEFAULT_ELIMINATE
+from compound_bc.cli import DEFAULT_ELIMINATE
+from compound_bc.idregions import split_rate_example_system
 from compound_bc.info import make_bsc
 from compound_bc.polyhedra import (
     BOX,
@@ -242,10 +243,11 @@ def test_chernikov_pruning_keeps_a_row_merged_from_two_histories():
 
 
 def test_bundled_example_projection_is_the_plain_one():
-    bundled = RegionSystem.load(BUNDLED_FME_EXAMPLE)
-    eliminate = [v for v in DEFAULT_ELIMINATE if v in bundled.rate_vars]
-    assert (fme_eliminate_all(bundled, eliminate).to_json()
-            == fme_plain(bundled, eliminate).to_json())
+    # the system `fme` projects when given no file
+    system = split_rate_example_system()
+    eliminate = list(DEFAULT_ELIMINATE)
+    assert (fme_eliminate_all(system, eliminate).to_json()
+            == fme_plain(system, eliminate).to_json())
 
 
 def test_fme_ancestry_rides_only_on_the_rows_it_was_built_for():
