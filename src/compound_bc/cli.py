@@ -128,14 +128,13 @@ def _stage(operation):
 
 
 def _fmt(value):
+    if isinstance(value, float):
+        return f"{value + 0.0:.12g}"  # + 0.0 turns -0.0 into 0.0
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    v = float(value)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return f"{v:.12g}"
+    return f"{float(value) + 0.0:.12g}"
 
 
 def _writable(path):
@@ -148,7 +147,7 @@ def _writable(path):
 
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     _writable(path).write_text("\n".join(lines) + "\n")
     print(f"wrote {path} ({len(rows)} rows)")
 

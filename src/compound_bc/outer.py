@@ -66,16 +66,14 @@ def beacon_cov_pairs(channel):
     single-user and interference-free corners are always in the sample and
     the approach into each axis corner is traced finely.
     """
-    bases = [np.outer(d, d) for d in _beacon_directions(channel)]
-    bases.append(0.5 * np.eye(2))
-    splits = channel.P * _split_fractions()
-    ku, kv = [], []
-    for s in splits:
-        for base_u in bases:
-            for base_v in bases:
-                ku.append(s * base_u)
-                kv.append((channel.P - s) * base_v)
-    return np.array(ku), np.array(kv)
+    bases = np.array([np.outer(d, d) for d in _beacon_directions(channel)]
+                     + [0.5 * np.eye(2)])
+    splits = channel.P * _split_fractions()[:, None, None, None, None]
+    # split-major, then the K_u basis, then the K_v basis
+    grid = (len(splits), len(bases), len(bases), 2, 2)
+    ku = np.broadcast_to(splits * bases[:, None], grid)
+    kv = np.broadcast_to((channel.P - splits) * bases, grid)
+    return ku.reshape(-1, 2, 2), kv.reshape(-1, 2, 2)
 
 
 def random_cov_pairs(channel, num, seed=DEFAULT_SEED):
@@ -128,9 +126,13 @@ def matched_cov_pairs(curve):
     """
     if curve.meta is None:
         raise ValueError("curve carries no scheme meta")
-    ku = [row["p_u"] * np.outer(row["b_u"], row["b_u"]) for row in curve.meta]
-    kv = [row["p_v"] * np.outer(row["b_v"], row["b_v"]) for row in curve.meta]
-    return np.array(ku), np.array(kv)
+
+    def stack(power, beam):
+        p = np.array([row[power] for row in curve.meta])
+        b = np.array([row[beam] for row in curve.meta])
+        return p[:, None, None] * (b[:, :, None] * b[:, None, :])
+
+    return stack("p_u", "b_u"), stack("p_v", "b_v")
 
 
 def _validated_stacks(channel, ku, kv):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -380,8 +381,9 @@ class NumericRegion:
         """All basic feasible points (dimension <= 3 only).
 
         Every d-subset of rows, in `itertools.combinations` order, is a
-        candidate basis.  The subsets are taken VERTEX_CHUNK at a time and
-        each chunk is one stacked step: `det` drops the singular bases,
+        candidate basis.  Their row indices are built once, as one
+        (C(m, d), d) array, and taken VERTEX_CHUNK rows at a time; each
+        chunk is one stacked step: `det` drops the singular bases,
         one batched `solve` gives the candidate points and one product
         against all rows keeps the feasible ones.  `det` and `solve` are
         gufuncs that make the same LAPACK call on each stacked matrix as on
@@ -390,15 +392,20 @@ class NumericRegion:
         feasibility product may round differently from a per-point
         `A @ v` in the last bit, which can change the outcome only for a
         point that violates some row by `tol` to within that rounding.
-        Working memory is O(VERTEX_CHUNK * m) for m rows, box rows included.
+        Working memory is O(C(m, d) * d) for the int32 index array plus
+        O(VERTEX_CHUNK * m) per chunk, for m rows, box rows included.
         """
         d = self.dim
         if d > 3:
             raise NotImplementedError("vertex enumeration is limited to <= 3 dims")
-        combos = itertools.combinations(range(len(self.A)), d)
+        m = len(self.A)
+        # row indices fit int32, which halves the array against intp
+        combos = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(m), d)),
+            dtype=np.int32, count=math.comb(m, d) * d).reshape(-1, d)
         found = []
-        while chunk := list(itertools.islice(combos, VERTEX_CHUNK)):
-            rows = np.array(chunk, dtype=np.intp)
+        for start in range(0, len(combos), VERTEX_CHUNK):
+            rows = combos[start:start + VERTEX_CHUNK]
             M = self.A[rows]
             basic = ~(np.abs(np.linalg.det(M)) < 1e-12)
             rows, M = rows[basic], M[basic]

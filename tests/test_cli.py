@@ -45,9 +45,10 @@ def write_params(tmp_path, name, obj):
 MISO_SMALL = {"eta_steps": 81, "split_steps": 51, "x_steps": 31,
               "num_random": 2000}
 
-# SHA-256 of every file four runs write: becbsc-regions, becbsc-da and fme at
-# their defaults, and miso --outer --time-sharing --seed 7 on the MISO_SMALL
-# grid.
+# SHA-256 of every file five runs write: becbsc-regions, becbsc-da and fme at
+# their defaults, miso --outer --time-sharing --seed 7 on the MISO_SMALL grid,
+# and, as "miso-defaults", miso --time-sharing on its full default grid (eta
+# 401 x split 201 x x 201), which has no outer bound and so no seed.
 # A change that moves these bytes on purpose records the changed file, the
 # reason and the largest numeric difference, then updates the digest here.
 GOLDEN = {
@@ -94,6 +95,20 @@ GOLDEN = {
             "730e097ff1f04aeed3260ac1f420241ff3f476358c9dc9fb85e425edf1973607",
         "outer_cz.csv":
             "3b437366e4fdf9162a48c6f011e1fb342911ccec2b112d085fd72b64bf886a80",
+    },
+    "miso-defaults": {
+        "cd.csv":
+            "16fe081f3336e6a01bc6af52304861e5877d147aab0542b69eecf9db279b4296",
+        "cd_hull.csv":
+            "3ef9d3bc9fda0c17cc5038b9e76da3c5333fac7ab0d6723a99205ebd9e4b8f68",
+        "md_corr.csv":
+            "192564a728cdf345e784ffe564597e7002293c265aae15e8bb8fdeb81e2b27fe",
+        "md_corr_hull.csv":
+            "c4db03632238777ad52c5edbc3dbc458d78d0b520e8e2655639d4f627b78c47f",
+        "md_uncorr.csv":
+            "a0473801f714b7c9feaa74e769fe76193064f1dbf78444f0b846ce282a018e93",
+        "md_uncorr_hull.csv":
+            "946b0c9b7ccc69bed29c51152b7c7ed2cd883dd03371c35260e5b0644f955627",
     },
 }
 
@@ -592,6 +607,8 @@ class TestGoldenDigests:
             params = write_params(tmp_path, "p.json", MISO_SMALL)
             return ["miso", "--params", params, "--outer", "--time-sharing",
                     "--seed", "7"]
+        if name == "miso-defaults":
+            return ["miso", "--time-sharing"]
         return [name]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -810,6 +810,20 @@ def share_major_uncorr(terms, x_slices):
     return r1_main, alpha_main, x_main, t_main
 
 
+def full_ladder_shapes(monkeypatch):
+    """Wrap miso._full_ladder; the returned list collects the grid shape of
+    every call."""
+    shapes = []
+    full_ladder = miso._full_ladder
+
+    def spy(terms, x_slices, shares):
+        shapes.append(terms.r1_second.shape)
+        return full_ladder(terms, x_slices, shares)
+
+    monkeypatch.setattr(miso, "_full_ladder", spy)
+    return shapes
+
+
 def assert_bitwise(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
@@ -866,8 +880,8 @@ def special_parabolas():
 
 
 class TestStackedOracles:
-    """The unstacked kernels and the slice-major md-uncorr sweep reproduce
-    their stacked, share-major predecessors bit for bit."""
+    """The unstacked kernels and the coarse-to-fine md-uncorr sweep
+    reproduce their stacked, share-major predecessors bit for bit."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_minimax_matches_stacked_on_special_cases(self):
@@ -932,6 +946,97 @@ class TestStackedOracles:
             want = share_major_uncorr(terms, x_slices)
         for g, w in zip(got, want):
             assert_bitwise(g, w)
+
+    @pytest.mark.parametrize("x_steps", [31, 61])
+    def test_coarse_to_fine_ladder_matches_share_major_loop(self, monkeypatch,
+                                                            x_steps):
+        rng = np.random.default_rng(SEED + 13)
+        cells, splits = 16, 7
+        gains = {k: rng.normal(size=(cells, 1))
+                 for k in ("h1u", "h1v", "h2u", "h2v", "gu", "gv")}
+        p_u = 8.0 * np.linspace(0.0, 1.0, splits)[None, :]
+        fracs = np.geomspace(1e-7, 1.0, x_steps - 2) * (1.0 - 1e-9)
+        ladder = fracs[:, None, None] * np.broadcast_to(p_u, (cells, splits))
+        n, half = len(fracs), len(fracs) // 2
+        # split 0 is a p_u = 0 column, left at x = 0; cells 12-15 keep the
+        # plain ladder.  Cells 0-3: the ladder stops rising a third of the
+        # way up, a plateau
+        ladder[:, 0:4, 1:] = np.minimum(ladder[:, 0:4, 1:],
+                                        ladder[n // 3, 0:4, 1:])
+        # cells 4-7: a NaN slice on a coarse sample and one between two
+        ladder[miso.LADDER_STRIDE, 4:8, 1:] = np.nan
+        ladder[half + 3, 4:8, 1:] = np.nan
+        # cells 8-11: the ladder climbs, starts over and climbs again
+        ladder[half:, 8:12, 1:] = ladder[:n - half, 8:12, 1:]
+        x_slices = [0.0 * p_u, *ladder,
+                    np.minimum(CORRELATION_BREAKPOINT, p_u * (1.0 - 1e-9))]
+        shapes = full_ladder_shapes(monkeypatch)
+        with np.errstate(all="ignore"):
+            terms = scheme_terms(gains, p_u, 8.0 - p_u, 1.0)
+            got = _uncorr_sweep(terms, x_slices)
+            want = share_major_uncorr(terms, x_slices)
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)
+        # the full ladder ran, on gathered subsets of the grid only
+        gathered = [shape[0] for shape in shapes if len(shape) == 1]
+        assert gathered and max(gathered) < cells * splits
+
+    def test_coarse_to_fine_finds_the_first_maximum(self, monkeypatch):
+        # stand-in kernels give every share R1 = floor(x) and alpha = -x, so
+        # each cell's ladder is a designed integer R1 sequence whose slice
+        # index rides in the fraction of x
+        monkeypatch.setattr(miso, "uncorr_parabolas",
+                            lambda terms, x, shares: ([x] for _ in shares))
+        monkeypatch.setattr(miso, "envelope_rate",
+                            lambda paras: (-paras[0], np.floor(paras[0])))
+        i = np.arange(59.0)
+        designs = {
+            "rise": i,
+            "peak 7 above the coarse argmax": np.where(i <= 15, i, -100 - i),
+            "peak 7 below the coarse argmax": np.where(i < 9, i - 1000,
+                                                       1000 - i),
+            "two peaks": np.select([i <= 11, i <= 16, i <= 40],
+                                   [10 * i, 330 - 20 * i, 3 * i - 38],
+                                   202 - 3 * i),
+            "a spike tying a later plateau": np.where(
+                i == 2, 50, np.where(i < 16, i, 50)),
+            "plateau": np.full(59, 7.0),
+            "NaN on a coarse sample": np.where(
+                i == 16, np.nan, np.where(i <= 17, 83 + i, 270 - 10 * i)),
+            "all NaN": np.full(59, np.nan),
+            "p_u = 0": np.zeros(59),
+        }
+        p_u = np.array([0.0 if name == "p_u = 0" else 1.0
+                        for name in designs])
+        ladder = np.column_stack(list(designs.values())) + i[:, None] / 1000
+        ladder[:, p_u == 0] = 0.0
+        low = np.where(p_u > 0, -1e6, 0.0)
+        x_slices = [low, *ladder, low]
+        zeros = np.zeros(len(designs))
+        terms = miso.SchemeTerms(((zeros,) * 4,) * 2, p_u, 1.0 - p_u, 1.0,
+                                 zeros, zeros, zeros)
+        shapes = full_ladder_shapes(monkeypatch)
+        got = _uncorr_sweep(terms, x_slices)
+
+        r1, alpha, x = np.full(len(designs), -np.inf), zeros.copy(), zeros.copy()
+        for xs in x_slices:
+            upd = np.floor(xs) > r1
+            r1[upd], alpha[upd], x[upd] = np.floor(xs)[upd], -xs[upd], xs[upd]
+        for g, w in zip(got, (r1, alpha, x, zeros)):
+            assert_bitwise(g, w)
+        # per share, the full ladder ran on the five cells the coarse pass
+        # flags: two peaks, the tie, the plateau and both NaN designs
+        assert shapes == [(len(designs),)] + [(5,)] * len(TIME_SHARES)
+
+    def test_md_uncorr_long_ladder_matches_share_major_loop(self,
+                                                           monkeypatch):
+        # shares 0 and 1 tie along the ladder in many cells of this channel
+        grid = dict(beam_steps=(7, 13), split_steps=15, x_steps=61)
+        got = region_boundary("md-uncorr", GENERAL_CHANNEL, **grid)
+        monkeypatch.setattr(miso, "_uncorr_sweep", share_major_uncorr)
+        want = region_boundary("md-uncorr", GENERAL_CHANNEL, **grid)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert repr(got.meta) == repr(want.meta)
 
     @pytest.mark.parametrize("kind", ["cd", "md-uncorr", "md-corr"])
     @pytest.mark.parametrize("geometry", ["special", "general"])

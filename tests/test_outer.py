@@ -19,7 +19,9 @@ from compound_bc.miso import (
 from compound_bc.outer import (
     OUTER_FAMILIES,
     DofEstimate,
+    _beacon_directions,
     _family_samples,
+    _split_fractions,
     _validated_stacks,
     beacon_cov_pairs,
     constituent_curves,
@@ -49,6 +51,33 @@ def sampled_outer(channel, **sample):
     """The outer region over the pairs of sample_cov_pairs(channel, **sample)."""
     return outer_region(constituent_curves(
         channel, *sample_cov_pairs(channel, **sample)))
+
+
+def beacon_pairs_loop(channel):
+    """beacon_cov_pairs as the split-major triple loop it replaced."""
+    bases = [np.outer(d, d) for d in _beacon_directions(channel)]
+    bases.append(0.5 * np.eye(2))
+    splits = channel.P * _split_fractions()
+    ku, kv = [], []
+    for s in splits:
+        for base_u in bases:
+            for base_v in bases:
+                ku.append(s * base_u)
+                kv.append((channel.P - s) * base_v)
+    return np.array(ku), np.array(kv)
+
+
+def matched_pairs_loop(curve):
+    """matched_cov_pairs as the per-row loop it replaced."""
+    ku = [row["p_u"] * np.outer(row["b_u"], row["b_u"]) for row in curve.meta]
+    kv = [row["p_v"] * np.outer(row["b_v"], row["b_v"]) for row in curve.meta]
+    return np.array(ku), np.array(kv)
+
+
+def assert_same_bytes(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
 
 
 def random_full_rank_cov(rng, trace):
@@ -281,6 +310,21 @@ class TestSampling:
         ku, kv = beacon_cov_pairs(ch)
         hit = np.abs(ku - want).reshape(len(ku), -1).max(axis=1) < 1e-9
         assert np.any(hit & (np.abs(kv[:, 0, 0]) + np.abs(kv[:, 1, 1]) < 1e-12))
+
+    @pytest.mark.parametrize("channel", [fig_channel(), skew_channel(),
+                                         fig_channel(total_power=1e4)])
+    def test_beacon_pairs_are_bitwise_the_loop(self, channel):
+        assert_same_bytes(beacon_cov_pairs(channel),
+                          beacon_pairs_loop(channel))
+
+    @pytest.mark.parametrize("kind", ["cd", "md-uncorr", "md-corr"])
+    @pytest.mark.parametrize("channel, grid", [
+        (fig_channel(), dict(eta_steps=41, split_steps=21, x_steps=11)),
+        (skew_channel(), dict(beam_steps=(7, 13), split_steps=15,
+                              x_steps=11))])
+    def test_matched_pairs_are_bitwise_the_loop(self, kind, channel, grid):
+        inner = region_boundary(kind, channel, **grid)
+        assert_same_bytes(matched_cov_pairs(inner), matched_pairs_loop(inner))
 
     def test_matched_pairs_mirror_the_inner_schemes(self):
         ch = fig_channel()
