@@ -239,7 +239,10 @@ def _minimax_two_vec(a1, v1, c1, a2, v2, c2):
     where the leading coefficients cancel; a non-finite candidate falls back
     to v1.  Candidates are scored one at a time, and a later one replaces
     the best only when its value is strictly lower or is the first NaN,
-    which is np.argmin's rule over them in that order.
+    which is np.argmin's rule over them in that order.  A cell has either
+    the two quadratic roots or the linear one, so the linear root rides in
+    the first root's slot; a fallback to v1 never replaces the best, so
+    the missing candidates cost nothing.
     """
     a1, v1, c1, a2, v2, c2 = np.broadcast_arrays(a1, v1, c1, a2, v2, c2)
     qa = a1 - a2
@@ -249,9 +252,9 @@ def _minimax_two_vec(a1, v1, c1, a2, v2, c2):
     with np.errstate(divide="ignore", invalid="ignore"):
         disc = qb * qb - 4.0 * qa * qc
         root = np.sqrt(np.where(disc >= 0, disc, np.nan))
-        r_plus = np.where(quad, (-qb + root) / (2.0 * qa), np.nan)
+        linear = np.where(np.abs(qb) > 1e-300, -qc / qb, np.nan)
+        r_plus = np.where(quad, (-qb + root) / (2.0 * qa), linear)
         r_minus = np.where(quad, (-qb - root) / (2.0 * qa), np.nan)
-        linear = np.where(~quad & (np.abs(qb) > 1e-300), -qc / qb, np.nan)
     q1, q2 = np.empty(a1.shape), np.empty(a1.shape)
 
     def envelope(t):
@@ -265,7 +268,7 @@ def _minimax_two_vec(a1, v1, c1, a2, v2, c2):
 
     t_star = np.array(v1, dtype=float)
     value = envelope(t_star).copy()
-    for cand in (v2, r_plus, r_minus, linear):
+    for cand in (v2, r_plus, r_minus):
         t = np.where(np.isfinite(cand), cand, v1)
         env = envelope(t)
         # strictly lower, or NaN while the best is not (NaN compares false)
@@ -525,6 +528,17 @@ def _full_ladder(terms, x_slices, shares):
     return bests
 
 
+def _floor_rate(terms, x, share1):
+    """-1/2 log2 max(c_1, c_2) over the floors c_j of the md-uncorr
+    parabolas at slice x, computed as uncorr_parabolas computes them.  Each
+    parabola is at least its floor, so no alpha gives a higher R1."""
+    floors = []
+    for (hu, _, s, _), share in zip(terms.receivers, (share1, 1.0 - share1)):
+        private = hu * hu * x + terms.n
+        floors.append((private / terms.n) ** (-share) * private / s)
+    return -0.5 * np.log2(np.maximum(*floors))
+
+
 def _gather(terms, cells):
     """terms at the grid cells where the boolean mask `cells` is set, as
     1-d arrays."""
@@ -600,11 +614,20 @@ def _uncorr_sweep(terms, x_slices):
     powered = np.broadcast_to(terms.p_u != 0, shape)
     for share1, best, cells in zip(TIME_SHARES, bests, odd):
         cells &= powered
-        if cells.any():
-            full, = _full_ladder(
-                _gather(terms, cells),
-                [np.broadcast_to(x, shape)[cells] for x in x_slices],
-                (share1,))
+        if not cells.any():
+            continue
+        sub = _gather(terms, cells)
+        xs = [np.broadcast_to(x, shape)[cells] for x in x_slices]
+        # no slice beats an x = 0 slice that reaches the floor bound's
+        # maximum over the slices
+        ceiling = np.full(len(xs[0]), -np.inf)
+        for x in xs:
+            np.maximum(ceiling, _floor_rate(sub, x, share1), out=ceiling)
+        unsure = ~((best[2][cells] == xs[0]) & (best[0][cells] >= ceiling))
+        cells[cells] = unsure
+        if unsure.any():
+            full, = _full_ladder(_gather(sub, unsure),
+                                 [x[unsure] for x in xs], (share1,))
             for arr, new in zip(best, full):
                 arr[cells] = new
 
@@ -615,6 +638,86 @@ def _uncorr_sweep(terms, x_slices):
         for arr, new in zip(merged, best + (share1,)):
             np.copyto(arr, new, where=upd)
     return merged
+
+
+# cells of one md-corr block: a block's temporaries stay in cache
+CORR_BLOCK = 8192
+
+
+def _corr_start(shape):
+    """The md-corr running best (r1, alpha, x, sum flag) before any slice."""
+    return (np.full(shape, -np.inf), np.zeros(shape), np.zeros(shape),
+            np.zeros(shape, dtype=bool))
+
+
+def _corr_scan(terms, x, best, j0=0):
+    """Score the md-corr slice x on the grid columns j0 onward, keeping in
+    best = (r1, alpha, x, sum flag) the first strictly higher R1.  The grid
+    is scored in blocks of whole rows of about CORR_BLOCK cells, as views;
+    an axis that an array broadcasts along is kept whole."""
+    shape = terms.r1_second.shape
+    step = max(1, CORR_BLOCK // (int(np.prod(shape[1:])) - j0))
+    for r0 in range(0, shape[0], step):
+        index = (slice(r0, r0 + step), slice(j0, None))
+
+        def view(arr):
+            return np.asarray(arr)[tuple(
+                part if size == full else slice(None)
+                for part, size, full in zip(index, np.shape(arr), shape))]
+
+        block = SchemeTerms(tuple(tuple(map(view, rx))
+                                  for rx in terms.receivers),
+                            *map(view, terms[1:]))
+        xb = view(x)
+        r1, alpha, active = corr_optimal(corr_parabolas(block, xb), xb)
+        upd = r1 > view(best[0])
+        for arr, new in zip(best, (r1, alpha, xb, active)):
+            np.copyto(view(arr), new, where=upd)
+
+
+def _corr_sweep(terms, x_slices):
+    """Best md-corr (r1, alpha, x, sum flag) per cell: the first slice of
+    x_slices (x = 0, the x ladder, the breakpoint) whose R1 is the maximum.
+
+    A ladder slice x <= CORRELATION_BREAKPOINT cannot beat the breakpoint
+    slice, which is the largest x <= CORRELATION_BREAKPOINT in its column.
+    There the penalty 1/2 log2(2 pi e x) is <= 0, so the sum branch never
+    binds and R1 = -1/2 log2 min_alpha max_j q_j(alpha).  With u = p_u - x
+    and alpha = kappa u, receiver j's parabola is
+        q_j = (N / s_j) (1 + p_v u (kappa s_j - h_u h_v)^2
+                             / (tot_j (h_u^2 x + N))),
+    where s_j and tot_j do not depend on x.  For each kappa this falls as x
+    grows (u falls, h_u^2 x + N grows), so the max-min falls and R1 rises.
+    It falls strictly until R1 reaches the x-independent cap
+    -1/2 log2 max(N / s_1, N / s_2), and every later slice ties there.  So
+    each ladder slice is scored only on the columns where x exceeds the
+    breakpoint; x = p_u f grows with p_u, so those are a tail of columns,
+    taken as views.  The x = 0 and breakpoint slices are scored in full.
+    No computed R1 exceeds the cap, as each parabola is at least its floor
+    N / s_j; where the best R1 reaches it, the full scan may report an
+    earlier tying slice, so those cells are rescanned over every slice on
+    a gathered subset.  The monotonicity is exact in real arithmetic; the
+    tests check the float result bitwise against the full scan.
+    """
+    shape = terms.r1_second.shape
+    best = _corr_start(shape)
+    for i, x in enumerate(x_slices):
+        j0 = 0
+        if 0 < i < len(x_slices) - 1:
+            j0 = shape[1] - np.count_nonzero(x[0] > CORRELATION_BREAKPOINT)
+        if j0 < shape[1]:
+            _corr_scan(terms, x, best, j0)
+
+    cap = -0.5 * np.log2(np.maximum(*(terms.n / rx[2]
+                                      for rx in terms.receivers)))
+    cells = ~(best[0] < cap)
+    if cells.any():
+        sub, rescan = _gather(terms, cells), _corr_start(cells.sum())
+        for x in x_slices:
+            _corr_scan(sub, np.broadcast_to(x, shape)[cells], rescan)
+        for arr, new in zip(best, rescan):
+            arr[cells] = new
+    return best
 
 
 def region_boundary(kind, channel, *, eta_steps=None, split_steps=201,
@@ -668,8 +771,6 @@ def region_boundary(kind, channel, *, eta_steps=None, split_steps=201,
                                    p_u * (1.0 - 1e-9)))
 
         grid_shape = terms.r1_second.shape  # (beam cells, power splits)
-        r1_main = np.full(grid_shape, -np.inf)
-        alpha_main = np.zeros(grid_shape)
         x_main = np.zeros(grid_shape)
         # md-uncorr's sweep records the winning time share; the other kinds
         # have none and report an even split
@@ -681,12 +782,8 @@ def region_boundary(kind, channel, *, eta_steps=None, split_steps=201,
             r1_main, alpha_main, x_main, t_main = _uncorr_sweep(terms,
                                                                 x_slices)
         else:  # md-corr
-            best = (r1_main, alpha_main, x_main, sum_main)
-            for x in x_slices:
-                r1, alph, act = corr_optimal(corr_parabolas(terms, x), x)
-                upd = r1 > r1_main
-                for arr, new in zip(best, (r1, alph, x, act)):
-                    np.copyto(arr, new, where=upd)
+            r1_main, alpha_main, x_main, sum_main = _corr_sweep(terms,
+                                                                x_slices)
 
     # zero first-layer power carries no first-user rate
     r1_main = np.where(p_u > 0, r1_main, 0.0)

@@ -560,10 +560,25 @@ class RateCurve2D:
             slack_r1 = pts[:, 0] - self.r1_max
             return np.where(slack_r1 > 0.0,
                             np.maximum(slack_r2, slack_r1), slack_r2)
-        # box-union region: inside iff some sample dominates the query
-        diff1 = pts[:, :1] - self.points[None, :, 0]
-        diff2 = pts[:, 1:] - self.points[None, :, 1]
-        return np.min(np.maximum(diff1, diff2), axis=1)
+        # box-union region: the least over the samples i of
+        # max(q1 - s1_i, q2 - s2_i).  Along the staircase q1 - s1_i falls
+        # and q2 - s2_i rises, so the least maximum is the smaller of
+        # q1 - s1_{k-1} and q2 - s2_k at the first k where q2 - s2_k >=
+        # q1 - s1_k; a bisection finds k from the same float differences
+        s1, s2 = self.points[:, 0], self.points[:, 1]
+        q1, q2 = pts[:, 0], pts[:, 1]
+        n = len(s1)
+        k = np.zeros(len(pts), dtype=np.intp)
+        step = 1 << (n.bit_length() - 1)
+        while step:
+            last = np.minimum(k + step, n) - 1
+            below = (k + step <= n) & (q2 - s2[last] < q1 - s1[last])
+            k = np.where(below, k + step, k)
+            step >>= 1
+        before = np.where(k > 0, q1 - s1[np.maximum(k - 1, 0)], np.inf)
+        after = np.where(k < n, q2 - s2[np.minimum(k, n - 1)], np.inf)
+        return np.where(np.isnan(pts).any(axis=1), np.nan,
+                        np.minimum(before, after))
 
     def contains(self, other, tol=1e-9) -> ContainsReport:
         """Does this region contain the other curve's points (within tol)?"""

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -26,6 +26,7 @@ from compound_bc.miso import (
     _uncorr_sweep,
     beam_from_angle,
     cd_closed_form,
+    corr_optimal,
     corr_parabolas,
     corr_rate,
     envelope_rate,
@@ -1058,3 +1059,181 @@ class TestStackedOracles:
         want = region_boundary(kind, channel, **grid)
         assert got.points.tobytes() == want.points.tobytes()
         assert repr(got.meta) == repr(want.meta)
+
+
+# ---------------------------------------------------------------------------
+# The sweeps skip work that a bound shows cannot win; the full scans they
+# replaced are kept as bit-exact oracles.
+
+
+def full_scan_corr(terms, x_slices):
+    """The md-corr sweep that scored every slice on every cell."""
+    shape = terms.r1_second.shape
+    best = (np.full(shape, -np.inf), np.zeros(shape), np.zeros(shape),
+            np.zeros(shape, dtype=bool))
+    for x in x_slices:
+        r1, alpha, active = corr_optimal(corr_parabolas(terms, x), x)
+        upd = r1 > best[0]
+        for arr, new in zip(best, (r1, alpha, x, active)):
+            np.copyto(arr, new, where=upd)
+    return best
+
+
+def full_ladder_uncorr(terms, x_slices):
+    """md-uncorr from miso._full_ladder over every slice and time share,
+    merged in TIME_SHARES order."""
+    shape = terms.r1_second.shape
+    merged = (np.full(shape, -np.inf), np.zeros(shape), np.zeros(shape),
+              np.zeros(shape))
+    for share1, best in zip(TIME_SHARES,
+                            miso._full_ladder(terms, x_slices, TIME_SHARES)):
+        upd = best[0] > merged[0]
+        for arr, new in zip(merged, best + (share1,)):
+            np.copyto(arr, new, where=upd)
+    return merged
+
+
+def sweep_call(name, kind, channel, **grid):
+    """(terms, x_slices, result) of the call region_boundary makes to the
+    sweep miso.<name>."""
+    seen = []
+    sweep = getattr(miso, name)
+
+    def spy(terms, x_slices):
+        seen.append((terms, x_slices, sweep(terms, x_slices)))
+        return seen[-1][2]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(miso, name, spy)
+        region_boundary(kind, channel, **grid)
+    return seen[0]
+
+
+@st.composite
+def general_channels(draw):
+    rows = [draw(hnp.arrays(np.float64, 2, elements=st.floats(-2.0, 2.0)))
+            for _ in range(3)]
+    power = draw(st.one_of(st.floats(0.1, 1e4),
+                           st.sampled_from([0.1, 1.0, 8.0, 1e4])))
+    noise = draw(st.sampled_from([1.0, 0.5, 2.0]))
+    try:
+        channel = MisoChannel(*rows, power, noise)
+    except ValueError:
+        assume(False)
+    assume(not is_symmetric_geometry(channel))
+    return channel
+
+
+class TestSkippedSlices:
+    @settings(max_examples=100, deadline=None)
+    @given(channel=general_channels(),
+           beams=st.tuples(st.integers(1, 5), st.integers(1, 7)),
+           split_steps=st.integers(1, 12), x_steps=st.integers(3, 25),
+           block=st.sampled_from([16, 64, miso.CORR_BLOCK]))
+    def test_md_corr_tail_sweep_is_bitwise_the_full_scan(
+            self, channel, beams, split_steps, x_steps, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(miso, "CORR_BLOCK", block)
+            terms, x_slices, got = sweep_call(
+                "_corr_sweep", "md-corr", channel, beam_steps=beams,
+                split_steps=split_steps, x_steps=x_steps)
+        with np.errstate(all="ignore"):
+            want = full_scan_corr(terms, x_slices)
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)
+
+    def test_md_corr_ties_below_the_breakpoint_keep_the_first_slice(self):
+        terms, x_slices, got = sweep_call(
+            "_corr_sweep", "md-corr", GENERAL_CHANNEL, beam_steps=(49, 97),
+            split_steps=9, x_steps=21)
+        with np.errstate(all="ignore"):
+            want = full_scan_corr(terms, x_slices)
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)
+        # in hundreds of cells the first slice at the maximum lies below the
+        # breakpoint slice, which reaches the same R1
+        x_break = np.broadcast_to(x_slices[-1], want[2].shape)
+        assert np.count_nonzero((want[2] > 0) & (want[2] < x_break)) > 500
+
+    def test_floor_bound_never_changes_md_uncorr(self, monkeypatch):
+        masks = []
+        gather = miso._gather
+
+        def spy(terms, cells):
+            masks.append((cells.ndim, np.count_nonzero(cells)))
+            return gather(terms, cells)
+
+        monkeypatch.setattr(miso, "_gather", spy)
+        terms, x_slices, got = sweep_call(
+            "_uncorr_sweep", "md-uncorr", GENERAL_CHANNEL,
+            beam_steps=(7, 13), split_steps=15, x_steps=61)
+        with np.errstate(all="ignore"):
+            want = full_ladder_uncorr(terms, x_slices)
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)
+        # the bound spared most of the flagged cells the full ladder
+        flagged = sum(n for ndim, n in masks if ndim == 2)
+        fallback = sum(n for ndim, n in masks if ndim == 1)
+        assert 0 < fallback < flagged / 2
+        # the bound's floors are the kernel's own, bit for bit
+        with np.errstate(all="ignore"):
+            for x in x_slices[::10]:
+                for share1, paras in zip(TIME_SHARES, uncorr_parabolas(
+                        terms, x, TIME_SHARES)):
+                    floor = -0.5 * np.log2(np.maximum(paras[2], paras[5]))
+                    assert_bitwise(miso._floor_rate(terms, x, share1), floor)
+
+    def test_floor_bound_spares_only_a_winning_x_zero_slice(self,
+                                                           monkeypatch):
+        # stand-in kernels as in test_coarse_to_fine_finds_the_first_maximum,
+        # with the floor bound R1 = floor(x) itself, so it is tight
+        monkeypatch.setattr(miso, "uncorr_parabolas",
+                            lambda terms, x, shares: ([x] for _ in shares))
+        monkeypatch.setattr(miso, "envelope_rate",
+                            lambda paras: (-paras[0], np.floor(paras[0])))
+        monkeypatch.setattr(miso, "_floor_rate",
+                            lambda terms, x, share1: np.floor(x))
+        i = np.arange(59.0)
+        # every design ties along its coarse samples, so all are flagged;
+        # only where the x = 0 slice is the first maximum may the bound
+        # spare the full ladder
+        spike = np.where(i == 2, 50, np.where(i < 16, i, 50))
+        ladder = np.column_stack([spike, np.full(59, 7.0), np.full(59, 7.0)])
+        ladder += i[:, None] / 1000
+        x_zero = np.array([-1e6, 100.5, 7.5])
+        x_slices = [x_zero, *ladder, np.full(3, -1e6)]
+        zeros = np.zeros(3)
+        terms = miso.SchemeTerms(((zeros,) * 4,) * 2, np.ones(3), zeros, 1.0,
+                                 zeros, zeros, zeros)
+        shapes = full_ladder_shapes(monkeypatch)
+        got = _uncorr_sweep(terms, x_slices)
+
+        r1, alpha, x = np.full(3, -np.inf), zeros.copy(), zeros.copy()
+        for xs in x_slices:
+            upd = np.floor(xs) > r1
+            r1[upd], alpha[upd], x[upd] = np.floor(xs)[upd], -xs[upd], xs[upd]
+        for g, w in zip(got, (r1, alpha, x, zeros)):
+            assert_bitwise(g, w)
+        assert shapes == [(3,)] + [(1,)] * len(TIME_SHARES)
+
+    def test_md_corr_scores_at_most_30_percent_of_the_slices(self, monkeypatch):
+        scored = []
+        score = miso.corr_optimal
+
+        def spy(paras, x):
+            out = score(paras, x)
+            scored.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(miso, "corr_optimal", spy)
+        # the CLI's default channel and grid
+        region_boundary("md-corr", special_geometry(2.0, 10.0, 1.0))
+        assert sum(scored) <= 0.30 * 401 * 201 * 201
+
+    def test_md_uncorr_fallback_stays_small_on_a_general_grid(self,
+                                                              monkeypatch):
+        shapes = full_ladder_shapes(monkeypatch)
+        region_boundary("md-uncorr", GENERAL_CHANNEL, beam_steps=(49, 97),
+                        split_steps=61, x_steps=61)
+        # cell-shares that ran the full ladder on a gathered subset
+        assert sum(shape[0] for shape in shapes if len(shape) == 1) <= 25_000

@@ -671,6 +671,45 @@ def test_rate_curve_filter_skips_nan_r2_like_the_loop():
     assert curve.meta == [5, 3, 1]
 
 
+# The n x m body `RateCurve2D.violation` ran on staircases before it
+# bisected for the crossing, kept as a bit-exact reference oracle.
+
+def staircase_violation_grid(curve, pts):
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    diff1 = pts[:, :1] - curve.points[None, :, 0]
+    diff2 = pts[:, 1:] - curve.points[None, :, 1]
+    return np.min(np.maximum(diff1, diff2), axis=1)
+
+
+QUERY_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 1.0, 3.0, np.inf, -np.inf, np.nan]),
+    st.integers(-1, 5).map(float),
+    st.floats(-2.0, 6.0, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples=st.one_of(ROUNDED_SAMPLES, RATE_SAMPLES),
+       queries=hnp.arrays(np.float64, st.tuples(st.integers(1, 30),
+                                                st.just(2)),
+                          elements=QUERY_VALUES),
+       on_curve=st.lists(st.integers(0, 1000), max_size=10))
+def test_staircase_violation_is_bitwise_the_grid_minimum(samples, queries,
+                                                         on_curve):
+    curve = RateCurve2D.from_samples(samples)
+    # queries on the staircase's own corners and on their R1 or R2 lines
+    pts = curve.points
+    corners = pts[[i % len(pts) for i in on_curve]]
+    mixed = np.column_stack([corners[:, 0], corners[::-1, 1]])
+    queries = np.vstack([queries, corners, mixed])
+    with np.errstate(invalid="ignore"):
+        got = curve.violation(queries)
+        want = staircase_violation_grid(curve, queries)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    numbers = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+
 def test_rate_curve_degenerate_and_validation():
     origin = RateCurve2D.from_samples([(0.0, 0.0)])
     assert origin.r2_at(0.0) == 0.0
