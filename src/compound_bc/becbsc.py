@@ -76,11 +76,8 @@ def capacity_c2(params: BecBscParams, alpha: float) -> tuple:
 def id_curve(params: BecBscParams, alpha: float) -> tuple:
     """Rate region slice achieved when Z and Y2 resolve both streams while
     Y1 sticks to its own: {R1 <= c(alpha), R1 + R2 <= c(alpha) + s(alpha)}.
-    Returns the bounds (c, c + s)."""
-    _check_alpha(alpha)
-    c = 1 - binary_entropy(binary_convolve(params.p1, alpha))
-    s = binary_entropy(binary_convolve(params.p, alpha)) \
-        - binary_entropy(params.p)
+    Returns the bounds (c, c + s), with (c, s) the capacity_c1 point."""
+    c, s = capacity_c1(params, alpha)
     return c, c + s
 
 
@@ -125,13 +122,10 @@ def _mutual_informations(pq, bx, params):
 def mrs_gerber_lower(params: BecBscParams, alpha: float) -> tuple:
     """(R2, R1) on the analytic lower boundary of the no-interference-
     decoding region: the output-entropy convexity bound handles the BSC
-    branch and the erasure branch is linear in H2(alpha)."""
-    _check_alpha(alpha)
-    r2 = binary_entropy(binary_convolve(params.p, alpha)) \
-        - binary_entropy(params.p)
-    r1 = min(1 - binary_entropy(binary_convolve(params.p1, alpha)),
-             (1 - params.e2) * (1 - binary_entropy(alpha)))
-    return r2, r1
+    branch, the capacity_c1 point, and the erasure branch is linear in
+    H2(alpha)."""
+    r1_bsc, r2 = capacity_c1(params, alpha)
+    return r2, min(r1_bsc, (1 - params.e2) * (1 - binary_entropy(alpha)))
 
 
 def alpha0_solve(params: BecBscParams) -> float:

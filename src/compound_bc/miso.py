@@ -22,6 +22,8 @@ scheme APIs are size-1 calls into the same kernel.
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -506,26 +508,65 @@ def _beam_grid(channel, eta_steps, beam_steps):
 # stride of the md-uncorr coarse pass over the x ladder; the fine pass
 # scans the LADDER_STRIDE - 1 ladder slices on either side of its argmax
 LADDER_STRIDE = 8
+# cells of one sweep block: a block's temporaries stay in cache
+SWEEP_BLOCK = 16384
 
 
-def _keep_higher(best, scored, x):
-    """Replace the running best (r1, alpha, x) where r1 is strictly higher."""
-    alpha, r1 = scored
-    upd = r1 > best[0]
-    for arr, new in zip(best, (r1, alpha, x)):
-        np.copyto(arr, new, where=upd)
+def _start(shape, tag):
+    """A running best (r1, alpha, x, tag) before any slice."""
+    return (np.full(shape, -np.inf), np.zeros(shape), np.zeros(shape),
+            np.full(shape, tag))
 
 
-def _full_ladder(terms, x_slices, shares):
-    """Running best (r1, alpha, x) per time share over every slice, in
-    order.  Each slice's split terms serve all the shares."""
-    shape = terms.r1_second.shape
-    bests = [(np.full(shape, -np.inf), np.zeros(shape), np.zeros(shape))
-             for _ in shares]
-    for x in x_slices:
-        for best, paras in zip(bests, uncorr_parabolas(terms, x, shares)):
-            _keep_higher(best, envelope_rate(paras), x)
-    return bests
+def _keep_higher(best, new):
+    """Replace the running best (r1, alpha, x, tag) by new where new's R1
+    is strictly higher."""
+    upd = new[0] > best[0]
+    for arr, value in zip(best, new):
+        np.copyto(arr, value, where=upd)
+
+
+def _map_terms(f, terms):
+    """terms with every array replaced by f(array)."""
+    return SchemeTerms(tuple(tuple(map(f, rx)) for rx in terms.receivers),
+                       *map(f, terms[1:]))
+
+
+def _scan(score, terms, x_slices, best, cols=None):
+    """Score the slices x_slices in order, keeping in best the first
+    strictly higher R1; score(terms, x) returns (r1, alpha, tag).  Slice i
+    is scored on the grid columns cols[i] onward (all when cols is None),
+    and not at all when none are left.  The grid is scored in blocks of
+    whole rows of about SWEEP_BLOCK cells, as views; an axis that an array
+    broadcasts along is kept whole."""
+    shape = best[0].shape
+    width = int(np.prod(shape[1:]))
+    for x, j0 in zip(x_slices, repeat(0) if cols is None else cols):
+        if j0 == width:
+            continue
+        step = max(1, SWEEP_BLOCK // (width - j0))
+        for r0 in range(0, shape[0], step):
+            index = (slice(r0, r0 + step), slice(j0, None))
+
+            def view(arr):
+                return np.asarray(arr)[tuple(
+                    part if size == full else slice(None)
+                    for part, size, full in zip(index, np.shape(arr), shape))]
+
+            xb = view(x)
+            r1, alpha, tag = score(_map_terms(view, terms), xb)
+            _keep_higher(tuple(map(view, best)), (r1, alpha, xb, tag))
+
+
+def _rescan(score, terms, x_slices, cells, best):
+    """Rescan the masked cells over every slice and write them into best."""
+    def pick(arr):
+        return np.broadcast_to(arr, cells.shape)[cells]
+
+    sub = _start(np.count_nonzero(cells), best[3][cells])
+    _scan(score, _map_terms(pick, terms), map(pick, x_slices), sub)
+    for arr, new in zip(best, sub):
+        arr[cells] = new
 
 
 def _floor_rate(terms, x, share1):
@@ -537,16 +578,6 @@ def _floor_rate(terms, x, share1):
         private = hu * hu * x + terms.n
         floors.append((private / terms.n) ** (-share) * private / s)
     return -0.5 * np.log2(np.maximum(*floors))
-
-
-def _gather(terms, cells):
-    """terms at the grid cells where the boolean mask `cells` is set, as
-    1-d arrays."""
-    def pick(arr):
-        return np.broadcast_to(arr, cells.shape)[cells]
-
-    receivers = tuple(tuple(map(pick, rx)) for rx in terms.receivers)
-    return SchemeTerms(receivers, *map(pick, terms[1:]))
 
 
 def _uncorr_sweep(terms, x_slices):
@@ -561,20 +592,19 @@ def _uncorr_sweep(terms, x_slices):
     ascending order, the LADDER_STRIDE - 1 slices on either side of the
     coarse argmax (clipped to the ladder), with each cell's x picked from
     the stacked ladder.  A cell whose coarse samples hold a NaN, an exact
-    tie between neighbours or a rise after a fall runs the full ladder
-    instead, on a gathered subset of such cells; a cell with p_u = 0 never
-    does, as every slice in it is x = 0 and the x = 0 slice wins.  A
-    maximum the coarse samples give no sign of, such as a spike between
-    two samples of a monotone stretch, would be missed.  On the default
-    grid, the `miso-cli` benchmark grid and two general grids the result
-    is bit-identical to the full scan's; the tests pin small grids and the
-    default CLI output.  Merging the per-share bests in TIME_SHARES order,
-    replacing on a strictly higher R1, picks the (share, x) that a
-    share-major sweep would.
+    tie between neighbours or a rise after a fall is rescanned over every
+    slice instead, unless its x = 0 slice already reaches the parabola-floor
+    bound's maximum over the slices; a cell with p_u = 0 never is, as every
+    slice in it is x = 0 and the x = 0 slice wins.  A maximum the coarse
+    samples give no sign of, such as a spike between two samples of a
+    monotone stretch, would be missed.  On the default grid, the `miso-cli`
+    benchmark grid and two general grids the result is bit-identical to the
+    full scan's; the tests pin small grids and the default CLI output.
+    Merging the per-share bests in TIME_SHARES order, replacing on a
+    strictly higher R1, picks the (share, x) that a share-major sweep would.
     """
     shape = terms.r1_second.shape
     x_zero, ladder, x_break = x_slices[0], x_slices[1:-1], x_slices[-1]
-    bests = _full_ladder(terms, [x_zero], TIME_SHARES)
 
     # coarse pass: per share the first strict argmax `at` of the samples,
     # and `odd` where they are not strictly unimodal
@@ -596,83 +626,39 @@ def _uncorr_sweep(terms, x_slices):
             np.copyto(at[k], i, where=upd)
             prev[k] = r1
 
-    # fine pass, one share at a time: each cell's x comes from the stacked
+    # one share at a time: each fine-pass cell's x comes from the stacked
     # ladder, and the share stays a scalar exponent in uncorr_parabolas
     stacked = np.stack(np.broadcast_arrays(*ladder))
     stacked = np.broadcast_to(stacked, (len(ladder),) + shape)
-    for share1, best, center in zip(TIME_SHARES, bests, at):
-        for step in range(1 - LADDER_STRIDE, LADDER_STRIDE):
-            idx = np.clip(center + step, 0, len(ladder) - 1)
-            x = np.take_along_axis(stacked, idx[None], axis=0)[0]
-            paras = next(uncorr_parabolas(terms, x, (share1,)))
-            _keep_higher(best, envelope_rate(paras), x)
-
-    for best, paras in zip(bests,
-                           uncorr_parabolas(terms, x_break, TIME_SHARES)):
-        _keep_higher(best, envelope_rate(paras), x_break)
-
     powered = np.broadcast_to(terms.p_u != 0, shape)
-    for share1, best, cells in zip(TIME_SHARES, bests, odd):
-        cells &= powered
-        if not cells.any():
-            continue
-        sub = _gather(terms, cells)
-        xs = [np.broadcast_to(x, shape)[cells] for x in x_slices]
+    merged = _start(shape, 0.0)
+    for share1, center, cells in zip(TIME_SHARES, at, odd):
+        def score(block, x):
+            alpha, r1 = envelope_rate(next(uncorr_parabolas(block, x,
+                                                            (share1,))))
+            return r1, alpha, share1
+
+        window = (np.take_along_axis(
+            stacked, np.clip(center + step, 0, len(ladder) - 1)[None],
+            axis=0)[0] for step in range(1 - LADDER_STRIDE, LADDER_STRIDE))
+        best = _start(shape, share1)
+        _scan(score, terms, chain([x_zero], window, [x_break]), best)
+
         # no slice beats an x = 0 slice that reaches the floor bound's
         # maximum over the slices
-        ceiling = np.full(len(xs[0]), -np.inf)
-        for x in xs:
-            np.maximum(ceiling, _floor_rate(sub, x, share1), out=ceiling)
-        unsure = ~((best[2][cells] == xs[0]) & (best[0][cells] >= ceiling))
-        cells[cells] = unsure
-        if unsure.any():
-            full, = _full_ladder(_gather(sub, unsure),
-                                 [x[unsure] for x in xs], (share1,))
-            for arr, new in zip(best, full):
-                arr[cells] = new
+        cells &= powered
+        if cells.any():
+            def pick(arr):
+                return np.broadcast_to(arr, shape)[cells]
 
-    merged = (np.full(shape, -np.inf), np.zeros(shape), np.zeros(shape),
-              np.zeros(shape))
-    for share1, best in zip(TIME_SHARES, bests):
-        upd = best[0] > merged[0]
-        for arr, new in zip(merged, best + (share1,)):
-            np.copyto(arr, new, where=upd)
+            flagged = _map_terms(pick, terms)
+            ceiling = reduce(np.maximum, (_floor_rate(flagged, pick(x), share1)
+                                          for x in x_slices))
+            cells[cells] = ~((pick(best[2]) == pick(x_zero))
+                             & (pick(best[0]) >= ceiling))
+            _rescan(score, terms, x_slices, cells, best)
+        _keep_higher(merged, best)
     return merged
-
-
-# cells of one md-corr block: a block's temporaries stay in cache
-CORR_BLOCK = 8192
-
-
-def _corr_start(shape):
-    """The md-corr running best (r1, alpha, x, sum flag) before any slice."""
-    return (np.full(shape, -np.inf), np.zeros(shape), np.zeros(shape),
-            np.zeros(shape, dtype=bool))
-
-
-def _corr_scan(terms, x, best, j0=0):
-    """Score the md-corr slice x on the grid columns j0 onward, keeping in
-    best = (r1, alpha, x, sum flag) the first strictly higher R1.  The grid
-    is scored in blocks of whole rows of about CORR_BLOCK cells, as views;
-    an axis that an array broadcasts along is kept whole."""
-    shape = terms.r1_second.shape
-    step = max(1, CORR_BLOCK // (int(np.prod(shape[1:])) - j0))
-    for r0 in range(0, shape[0], step):
-        index = (slice(r0, r0 + step), slice(j0, None))
-
-        def view(arr):
-            return np.asarray(arr)[tuple(
-                part if size == full else slice(None)
-                for part, size, full in zip(index, np.shape(arr), shape))]
-
-        block = SchemeTerms(tuple(tuple(map(view, rx))
-                                  for rx in terms.receivers),
-                            *map(view, terms[1:]))
-        xb = view(x)
-        r1, alpha, active = corr_optimal(corr_parabolas(block, xb), xb)
-        upd = r1 > view(best[0])
-        for arr, new in zip(best, (r1, alpha, xb, active)):
-            np.copyto(view(arr), new, where=upd)
 
 
 def _corr_sweep(terms, x_slices):
@@ -699,24 +685,17 @@ def _corr_sweep(terms, x_slices):
     a gathered subset.  The monotonicity is exact in real arithmetic; the
     tests check the float result bitwise against the full scan.
     """
-    shape = terms.r1_second.shape
-    best = _corr_start(shape)
-    for i, x in enumerate(x_slices):
-        j0 = 0
-        if 0 < i < len(x_slices) - 1:
-            j0 = shape[1] - np.count_nonzero(x[0] > CORRELATION_BREAKPOINT)
-        if j0 < shape[1]:
-            _corr_scan(terms, x, best, j0)
+    def score(block, x):
+        return corr_optimal(corr_parabolas(block, x), x)
 
+    shape = terms.r1_second.shape
+    cols = [0] + [shape[1] - np.count_nonzero(x[0] > CORRELATION_BREAKPOINT)
+                  for x in x_slices[1:-1]] + [0]
+    best = _start(shape, False)
+    _scan(score, terms, x_slices, best, cols)
     cap = -0.5 * np.log2(np.maximum(*(terms.n / rx[2]
                                       for rx in terms.receivers)))
-    cells = ~(best[0] < cap)
-    if cells.any():
-        sub, rescan = _gather(terms, cells), _corr_start(cells.sum())
-        for x in x_slices:
-            _corr_scan(sub, np.broadcast_to(x, shape)[cells], rescan)
-        for arr, new in zip(best, rescan):
-            arr[cells] = new
+    _rescan(score, terms, x_slices, ~(best[0] < cap), best)
     return best
 
 

@@ -27,8 +27,10 @@ def test_benchmark_workloads_run_under_the_tracer(tmp_path, monkeypatch):
                 states = {name: setup(1, tmp_path)
                           for name, (setup, _) in workloads.WORKLOADS.items()}
             # ta-brute is the one pass whose searches reach the tracer's
-            # maximize wrapper with an equality constraint
-            for name in ("da-envelope", "ta-brute", "fme-project"):
+            # maximize wrapper with an equality constraint; miso-cli runs the
+            # MISO sweeps under its _minimax_two_vec and region_boundary
+            # wrappers
+            for name in ("da-envelope", "ta-brute", "miso-cli", "fme-project"):
                 run_pass = workloads.WORKLOADS[name][1]
                 with tracer.span("pass"):
                     result = run_pass(states[name], tmp_path)

@@ -812,16 +812,16 @@ def share_major_uncorr(terms, x_slices):
 
 
 def full_ladder_shapes(monkeypatch):
-    """Wrap miso._full_ladder; the returned list collects the grid shape of
+    """Wrap miso._rescan; the returned list collects (cells rescanned,) of
     every call."""
     shapes = []
-    full_ladder = miso._full_ladder
+    rescan = miso._rescan
 
-    def spy(terms, x_slices, shares):
-        shapes.append(terms.r1_second.shape)
-        return full_ladder(terms, x_slices, shares)
+    def spy(score, terms, x_slices, cells, best):
+        shapes.append((np.count_nonzero(cells),))
+        return rescan(score, terms, x_slices, cells, best)
 
-    monkeypatch.setattr(miso, "_full_ladder", spy)
+    monkeypatch.setattr(miso, "_rescan", spy)
     return shapes
 
 
@@ -979,8 +979,8 @@ class TestStackedOracles:
         for g, w in zip(got, want):
             assert_bitwise(g, w)
         # the full ladder ran, on gathered subsets of the grid only
-        gathered = [shape[0] for shape in shapes if len(shape) == 1]
-        assert gathered and max(gathered) < cells * splits
+        gathered = [n for n, in shapes]
+        assert 0 < max(gathered) < cells * splits
 
     def test_coarse_to_fine_finds_the_first_maximum(self, monkeypatch):
         # stand-in kernels give every share R1 = floor(x) and alpha = -x, so
@@ -1017,7 +1017,9 @@ class TestStackedOracles:
         terms = miso.SchemeTerms(((zeros,) * 4,) * 2, p_u, 1.0 - p_u, 1.0,
                                  zeros, zeros, zeros)
         shapes = full_ladder_shapes(monkeypatch)
-        got = _uncorr_sweep(terms, x_slices)
+        # the stand-in terms have s = 0, so the floor bound divides by zero
+        with np.errstate(all="ignore"):
+            got = _uncorr_sweep(terms, x_slices)
 
         r1, alpha, x = np.full(len(designs), -np.inf), zeros.copy(), zeros.copy()
         for xs in x_slices:
@@ -1027,7 +1029,7 @@ class TestStackedOracles:
             assert_bitwise(g, w)
         # per share, the full ladder ran on the five cells the coarse pass
         # flags: two peaks, the tie, the plateau and both NaN designs
-        assert shapes == [(len(designs),)] + [(5,)] * len(TIME_SHARES)
+        assert shapes == [(5,)] * len(TIME_SHARES)
 
     def test_md_uncorr_long_ladder_matches_share_major_loop(self,
                                                            monkeypatch):
@@ -1079,14 +1081,29 @@ def full_scan_corr(terms, x_slices):
     return best
 
 
+def full_ladder(terms, x_slices, shares):
+    """The md-uncorr scan before the coarse-to-fine search: running best
+    (r1, alpha, x) per time share over every slice, in order."""
+    shape = terms.r1_second.shape
+    bests = [(np.full(shape, -np.inf), np.zeros(shape), np.zeros(shape))
+             for _ in shares]
+    for x in x_slices:
+        for best, paras in zip(bests, uncorr_parabolas(terms, x, shares)):
+            alpha, r1 = envelope_rate(paras)
+            upd = r1 > best[0]
+            for arr, new in zip(best, (r1, alpha, x)):
+                np.copyto(arr, new, where=upd)
+    return bests
+
+
 def full_ladder_uncorr(terms, x_slices):
-    """md-uncorr from miso._full_ladder over every slice and time share,
-    merged in TIME_SHARES order."""
+    """md-uncorr from full_ladder over every slice and time share, merged
+    in TIME_SHARES order."""
     shape = terms.r1_second.shape
     merged = (np.full(shape, -np.inf), np.zeros(shape), np.zeros(shape),
               np.zeros(shape))
     for share1, best in zip(TIME_SHARES,
-                            miso._full_ladder(terms, x_slices, TIME_SHARES)):
+                            full_ladder(terms, x_slices, TIME_SHARES)):
         upd = best[0] > merged[0]
         for arr, new in zip(merged, best + (share1,)):
             np.copyto(arr, new, where=upd)
@@ -1124,23 +1141,41 @@ def general_channels(draw):
     return channel
 
 
+# small random general grids, each swept in blocks of a random size
+BLOCKED_GRIDS = dict(
+    channel=general_channels(),
+    beams=st.tuples(st.integers(1, 5), st.integers(1, 7)),
+    split_steps=st.integers(1, 12), x_steps=st.integers(3, 25),
+    block=st.sampled_from([16, 64, miso.SWEEP_BLOCK]))
+
+
+def assert_blocked_sweep_is_the_oracle(name, kind, oracle, channel, beams,
+                                       split_steps, x_steps, block):
+    """miso.<name>, scored in blocks of `block` cells, is bitwise oracle's
+    full scan of the same terms and slices."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(miso, "SWEEP_BLOCK", block)
+        terms, x_slices, got = sweep_call(
+            name, kind, channel, beam_steps=beams, split_steps=split_steps,
+            x_steps=x_steps)
+    with np.errstate(all="ignore"):
+        want = oracle(terms, x_slices)
+    for g, w in zip(got, want):
+        assert_bitwise(g, w)
+
+
 class TestSkippedSlices:
     @settings(max_examples=100, deadline=None)
-    @given(channel=general_channels(),
-           beams=st.tuples(st.integers(1, 5), st.integers(1, 7)),
-           split_steps=st.integers(1, 12), x_steps=st.integers(3, 25),
-           block=st.sampled_from([16, 64, miso.CORR_BLOCK]))
-    def test_md_corr_tail_sweep_is_bitwise_the_full_scan(
-            self, channel, beams, split_steps, x_steps, block):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(miso, "CORR_BLOCK", block)
-            terms, x_slices, got = sweep_call(
-                "_corr_sweep", "md-corr", channel, beam_steps=beams,
-                split_steps=split_steps, x_steps=x_steps)
-        with np.errstate(all="ignore"):
-            want = full_scan_corr(terms, x_slices)
-        for g, w in zip(got, want):
-            assert_bitwise(g, w)
+    @given(**BLOCKED_GRIDS)
+    def test_md_corr_tail_sweep_is_bitwise_the_full_scan(self, **grid):
+        assert_blocked_sweep_is_the_oracle("_corr_sweep", "md-corr",
+                                           full_scan_corr, **grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**BLOCKED_GRIDS)
+    def test_md_uncorr_blocked_sweep_is_bitwise_the_full_ladder(self, **grid):
+        assert_blocked_sweep_is_the_oracle("_uncorr_sweep", "md-uncorr",
+                                           full_ladder_uncorr, **grid)
 
     def test_md_corr_ties_below_the_breakpoint_keep_the_first_slice(self):
         terms, x_slices, got = sweep_call(
@@ -1156,14 +1191,16 @@ class TestSkippedSlices:
         assert np.count_nonzero((want[2] > 0) & (want[2] < x_break)) > 500
 
     def test_floor_bound_never_changes_md_uncorr(self, monkeypatch):
-        masks = []
-        gather = miso._gather
+        floor_sizes = []
+        floor_rate = miso._floor_rate
 
-        def spy(terms, cells):
-            masks.append((cells.ndim, np.count_nonzero(cells)))
-            return gather(terms, cells)
+        def spy(terms, x, share1):
+            out = floor_rate(terms, x, share1)
+            floor_sizes.append(out.size)
+            return out
 
-        monkeypatch.setattr(miso, "_gather", spy)
+        monkeypatch.setattr(miso, "_floor_rate", spy)
+        shapes = full_ladder_shapes(monkeypatch)
         terms, x_slices, got = sweep_call(
             "_uncorr_sweep", "md-uncorr", GENERAL_CHANNEL,
             beam_steps=(7, 13), split_steps=15, x_steps=61)
@@ -1171,9 +1208,10 @@ class TestSkippedSlices:
             want = full_ladder_uncorr(terms, x_slices)
         for g, w in zip(got, want):
             assert_bitwise(g, w)
-        # the bound spared most of the flagged cells the full ladder
-        flagged = sum(n for ndim, n in masks if ndim == 2)
-        fallback = sum(n for ndim, n in masks if ndim == 1)
+        # the bound spared most of the flagged cells the full ladder; it
+        # scores every slice of each share on that share's flagged cells
+        flagged = sum(floor_sizes) / len(x_slices)
+        fallback = sum(n for n, in shapes)
         assert 0 < fallback < flagged / 2
         # the bound's floors are the kernel's own, bit for bit
         with np.errstate(all="ignore"):
@@ -1214,7 +1252,7 @@ class TestSkippedSlices:
             r1[upd], alpha[upd], x[upd] = np.floor(xs)[upd], -xs[upd], xs[upd]
         for g, w in zip(got, (r1, alpha, x, zeros)):
             assert_bitwise(g, w)
-        assert shapes == [(3,)] + [(1,)] * len(TIME_SHARES)
+        assert shapes == [(1,)] * len(TIME_SHARES)
 
     def test_md_corr_scores_at_most_30_percent_of_the_slices(self, monkeypatch):
         scored = []
@@ -1236,4 +1274,4 @@ class TestSkippedSlices:
         region_boundary("md-uncorr", GENERAL_CHANNEL, beam_steps=(49, 97),
                         split_steps=61, x_steps=61)
         # cell-shares that ran the full ladder on a gathered subset
-        assert sum(shape[0] for shape in shapes if len(shape) == 1) <= 25_000
+        assert sum(n for n, in shapes) <= 25_000
