@@ -33,7 +33,7 @@ def entropy(p) -> float:
 def binary_entropy(x):
     """h2(x) = -x log2 x - (1-x) log2(1-x), vectorized, h2(0) = h2(1) = 0."""
     x = np.asarray(x, dtype=float)
-    if np.any((x < -PMF_TOL) | (x > 1 + PMF_TOL)):
+    if not np.all((x >= -PMF_TOL) & (x <= 1 + PMF_TOL)):  # NaN fails too
         raise ValueError("binary_entropy argument outside [0, 1]")
     x = np.clip(x, 0.0, 1.0)
     out = -_xlog2x(x) - _xlog2x(1.0 - x)

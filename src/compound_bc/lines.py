@@ -78,9 +78,7 @@ def _design_fields(theta):
     before clipping, zero exactly for valid uniform-X designs.
     """
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    logits = np.zeros((theta.shape[0], 4))
-    logits[:, :3] = theta[:, :3]
-    pq = softmax(logits, axis=1)
+    pq = softmax(np.column_stack([theta[:, :3], np.zeros(len(theta))]), axis=1)
     bx = np.empty_like(pq)
     bx[:, :3] = sigmoid(theta[:, 3:])
     raw = (0.5 - np.einsum("nq,nq->n", pq[:, :3], bx[:, :3])) / pq[:, 3]
@@ -119,7 +117,7 @@ def _check_weight(a):
 def _check_budget_x(params, x):
     x_max = 1.0 - binary_entropy(params.p)
     arr = np.asarray(x, dtype=float)
-    bad = (arr < 0.0) | (arr > x_max + 1e-12)
+    bad = ~((arr >= 0.0) & (arr <= x_max + 1e-12))  # NaN is bad too
     if np.any(bad):
         raise ValueError(
             f"budget x={float(arr[bad][0])} outside [0, {x_max:.6g}]")
@@ -147,7 +145,7 @@ def _lagrangian_search(a, lambdas, params, search_budget, seeds):
 
 def _checked_lambdas(lambdas):
     lam = np.asarray(lambdas, dtype=float)
-    if lam.ndim != 1 or lam.size == 0 or np.any(lam < 0):
+    if lam.ndim != 1 or lam.size == 0 or not np.all(lam >= 0):
         raise ValueError(
             "lambda grid must be a nonempty 1-d array of nonnegative values")
     return lam
@@ -284,7 +282,7 @@ def t1_inverse(params: BecBscParams, r1):
     """
     rates = np.asarray(r1, dtype=float)
     top = 1.0 - binary_entropy(params.p1)
-    if np.any(rates < -1e-12) or np.any(rates > top + 1e-12):
+    if not np.all((rates >= -1e-12) & (rates <= top + 1e-12)):
         raise ValueError(f"rate outside [0, {top:.6g}]")
     # 1 - H2(p1 * p_x) decreases in p_x, so bisect on its negation
     p_x = _bisect_increasing(
@@ -301,7 +299,7 @@ def t0_closed(params: BecBscParams, x):
 
 def F0_closed(params: BecBscParams, lam):
     """Exact a = 0 majorant intercept: max{(1 - H2(p)) * lam, 1 - e2}."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"multiplier must be nonnegative, got {lam}")
     return max((1.0 - binary_entropy(params.p)) * lam, 1.0 - params.e2)
 
@@ -402,7 +400,7 @@ def d_a_curve(a, params: BecBscParams, R1_grid,
     rates = np.asarray(R1_grid, dtype=float)
     alpha0 = alpha0_solve(params)
     r1_max = 1.0 - binary_entropy(binary_convolve(params.p1, alpha0))
-    if rates.size == 0 or np.any(rates <= 0.0) or np.any(rates >= r1_max):
+    if rates.size == 0 or not np.all((rates > 0.0) & (rates < r1_max)):
         raise ValueError(
             f"R1 grid must lie strictly inside (0, {r1_max:.6g})")
     if a == 1.0:

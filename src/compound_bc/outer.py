@@ -155,6 +155,15 @@ def _validated_stacks(channel, ku, kv):
     return ku * shrink[:, None, None], kv * shrink[:, None, None]
 
 
+def _congruence(s, stack):
+    """S^T K S per K of the stack: the sum of (S[i, a] K[n, i, j]) S[j, b]
+    from 0 over row-major (i, j), bitwise np.einsum("ia,nij,jb->nab")."""
+    out = np.zeros((len(stack), s.shape[1], s.shape[1]))
+    for i, j, a in np.ndindex(*stack.shape[1:], s.shape[1]):
+        out[:, a] += (s[i, a] * stack[:, i, j])[:, None] * s[j]  # (n, k) temps
+    return out
+
+
 def _family_samples(channel, ku, kv):
     """Rate samples of all four constituent regions, one row per pair."""
     n = channel.N
@@ -165,8 +174,8 @@ def _family_samples(channel, ku, kv):
 
     def logdet_rates(stack2k, cov):
         k = stack2k.shape[1]
-        m = np.einsum("ia,nij,jb->nab", stack2k, cov, stack2k)
-        m = m + n * np.eye(k)
+        m = _congruence(stack2k, cov)
+        m += n * np.eye(k)
         sign, logdet = np.linalg.slogdet(m)
         if np.any(sign <= 0):
             raise ValueError("augmented output covariance must be positive definite")

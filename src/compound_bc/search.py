@@ -4,10 +4,10 @@ The main routine is a random-restart hill climb with coordinate-wise adaptive
 steps inside a box.  It runs K independent searches (groups) of R restarts
 each as one (K*R, dim) numpy batch in group-major order: rows k*R .. k*R +
 R - 1 belong to group k, one group per seed in `SearchSpec.seeds`.  Restart r
-of the group with seed s draws its initial point and noise from a Philox
-generator keyed by mix64(s, r), and each group's result is a pure max over
-its own restarts, so a group's result never depends on which other groups
-share its batch or on execution order.
+of the group with seed s draws its initial point and noise from one Philox
+bit generator re-keyed to mix64(s, r), a stream equal to a fresh
+Philox(key=mix64(s, r)).  Each group's result is a pure max over its own
+restarts, so it never depends on which other groups share its batch.
 
 Equality constraints are handled by a quadratic penalty whose weight ramps up
 over stages (the same stages for every group); candidates are filtered for
@@ -16,6 +16,7 @@ feasibility (|residual| <= FEAS_TOL) only at the very end.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -42,17 +43,18 @@ def mix64(a: int, b: int) -> int:
 
 
 def softmax(z, axis=-1):
-    z = np.asarray(z, dtype=float)
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    # elementwise max and sum across `axis`: bitwise numpy's below length 8
+    s = np.moveaxis(np.asarray(z, dtype=float), axis, 0)
+    e = np.exp(s - functools.reduce(np.maximum, s))
+    return np.moveaxis(e / functools.reduce(np.add, e), 0, axis)
 
 
 def sigmoid(z):
     z = np.asarray(z, dtype=float)
     # exp(-|z|) <= 1 never overflows; each branch is the stable form on its side
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 @dataclass
@@ -84,17 +86,18 @@ class SearchSpec:
 def _initial_points(spec: SearchSpec):
     """Initial points and noise tensors of every restart, group-major."""
     rows = len(spec.seeds) * spec.restarts
-    inits = np.empty((rows, spec.dim))
+    unit = np.empty((rows, spec.dim))
     noise = np.empty((rows, spec.iterations))
+    rng = np.random.Generator(np.random.Philox(key=0))
+    fresh = rng.bit_generator.state  # counter 0, empty buffer, no uint32
+    for row in range(rows):
+        k, r = divmod(row, spec.restarts)
+        fresh["state"]["key"][0] = mix64(spec.seeds[k], r)
+        rng.bit_generator.state = fresh
+        rng.random(out=unit[row])
+        rng.standard_normal(out=noise[row])
     lo, hi = spec.bounds[:, 0], spec.bounds[:, 1]
-    row = 0
-    for seed in spec.seeds:
-        for r in range(spec.restarts):
-            rng = np.random.Generator(np.random.Philox(key=mix64(seed, r)))
-            inits[row] = lo + (hi - lo) * rng.random(spec.dim)
-            noise[row] = rng.standard_normal(spec.iterations)
-            row += 1
-    return inits, noise
+    return lo + (hi - lo) * unit, noise
 
 
 def maximize(objective, spec: SearchSpec, equality=None):
@@ -141,9 +144,9 @@ def maximize(objective, spec: SearchSpec, equality=None):
             vals = penalized(prop, w)
             vals = np.where(np.isfinite(vals), vals, -np.inf)
             better = vals > cur
-            X[better] = prop[better]
-            cur = np.where(better, vals, cur)
-            steps[~better, c] *= DECAY
+            np.copyto(X[:, c], prop[:, c], where=better)  # only c moved
+            np.copyto(cur, vals, where=better)
+            steps[:, c] *= np.where(better, 1.0, DECAY)
             it += 1
 
     final_vals = np.asarray(objective(X), dtype=float)

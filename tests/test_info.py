@@ -159,7 +159,8 @@ def test_binary_entropy_is_bitwise_the_masked_kernel(x):
 @settings(max_examples=100, deadline=None)
 @given(x=kernel_inputs(st.floats(0.0, 1.0)), bad=st.one_of(
     st.floats(max_value=-2 * PMF_TOL, allow_nan=False),
-    st.floats(min_value=1 + 2 * PMF_TOL, allow_nan=False)))
+    st.floats(min_value=1 + 2 * PMF_TOL, allow_nan=False),
+    st.just(np.nan)))
 def test_binary_entropy_rejects_values_outside_the_unit_interval(x, bad):
     with pytest.raises(ValueError, match="outside"):
         binary_entropy(np.append(x, bad))

@@ -55,6 +55,8 @@ def test_t1_closed_endpoints_and_roundtrip():
     assert np.all(np.diff(vals) < 0)
     with pytest.raises(ValueError, match="outside"):
         t1_closed(PARAMS, 1.5 * X_MAX)
+    with pytest.raises(ValueError, match="x=nan outside"):
+        t1_closed(PARAMS, np.array([0.1, np.nan, 0.2]))
 
 
 def test_t1_closed_names_the_first_out_of_range_budget():
@@ -75,6 +77,8 @@ def test_t1_inverse_roundtrip():
         0.0, abs=1e-9)
     with pytest.raises(ValueError, match="outside"):
         t1_inverse(PARAMS, 1 - h2(PARAMS.p1) + 1e-3)
+    with pytest.raises(ValueError, match="outside"):
+        t1_inverse(PARAMS, np.nan)
 
 
 def test_t0_closed_is_the_full_budget_chord():
@@ -92,8 +96,9 @@ def test_F0_closed_two_branches_meet_at_the_kink():
     steep = F0_closed(PARAMS, 2 * KINK)
     assert steep == pytest.approx(2 * KINK * (1 - h2(PARAMS.p)), abs=1e-12)
     assert F0_closed(PARAMS, KINK) == pytest.approx(1 - PARAMS.e2, abs=1e-12)
-    with pytest.raises(ValueError, match="nonnegative"):
-        F0_closed(PARAMS, -0.2)
+    for lam in (-0.2, np.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            F0_closed(PARAMS, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +289,9 @@ def test_F_a_matches_closed_intercepts_on_the_second_instance():
     values = lagrangian_values(0.0, lams, (300, 300), [7, 7])
     for lam, value in zip(lams, values):
         assert value == pytest.approx(F0_closed(PARAMS, lam), abs=5e-3)
-    with pytest.raises(ValueError, match="nonnegative"):
-        evaluate_supporting_lines(0.5, PARAMS, [-1.0], search_budget=SMALL)
+    for bad in ([-1.0], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            evaluate_supporting_lines(0.5, PARAMS, bad, search_budget=SMALL)
 
 
 def test_F_a_is_midpoint_convex_up_to_search_noise():
@@ -387,6 +393,8 @@ def test_d_a_rejects_rates_outside_the_domain():
         d_a_curve(0.92, PARAMS, np.array([0.0, 0.01]))
     with pytest.raises(ValueError, match="strictly inside"):
         d_a_curve(0.92, PARAMS, np.array([0.01, top]))
+    with pytest.raises(ValueError, match="strictly inside"):
+        d_a_curve(0.92, PARAMS, np.array([0.01, np.nan]))
 
 
 def test_d_a_is_identically_zero_when_curves_coincide():

@@ -7,9 +7,15 @@ determinants, never through the formula under test.
 """
 
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from compound_bc.miso import (
     MisoChannel,
@@ -20,6 +26,7 @@ from compound_bc.outer import (
     OUTER_FAMILIES,
     DofEstimate,
     _beacon_directions,
+    _congruence,
     _family_samples,
     _split_fractions,
     _validated_stacks,
@@ -501,3 +508,53 @@ class TestDofSlopes:
         assert 1.85 <= est.weighted_slope <= 2.15
         # the balanced corner sits at (1/2, 1), giving 3/2 per power octave
         assert est.sum_slope == pytest.approx(1.5, abs=0.1)
+
+
+CONGRUENCE_EDGES = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, -1e300]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(2, 3), n=st.integers(1, 12))
+def test_congruence_is_bitwise_the_unoptimized_einsum(data, k, n):
+    # the gain matrices have k = 2 ([Y_j Z]) or k = 3 ([Z Y1 Y2]) columns;
+    # einsum sums a lone 1x1 product (k = n = 1) in another order.  Inputs
+    # are finite, as `_validated_stacks` admits; a product may still
+    # overflow, and the sign of a NaN is not compared
+    def arrays(shape):
+        return data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+            st.sampled_from(CONGRUENCE_EDGES), st.floats(-10.0, 10.0),
+            st.floats(allow_nan=False, allow_infinity=False))))
+
+    s, stack = arrays((2, k)), arrays((n, 2, 2))
+    with np.errstate(all="ignore"):
+        got = _congruence(s, stack)
+        want = np.einsum("ia,nij,jb->nab", s, stack, s)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    signed = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[signed]), np.signbit(want[signed]))
+
+
+def test_congruence_is_bitwise_the_einsum_on_sampled_stacks():
+    for channel in (special_geometry(2.0, 10.0, 1.0),
+                    MisoChannel([1.8, 0.4], [-0.3, 1.2], [0.9, -1.1], 8, 1)):
+        ku, kv = _validated_stacks(channel, *sample_cov_pairs(channel,
+                                                              seed=SEED))
+        for s in (np.column_stack([channel.g, channel.h1, channel.h2]),
+                  np.column_stack([channel.h1, channel.g])):
+            for stack in (ku, kv):
+                got = _congruence(s, stack)
+                want = np.einsum("ia,nij,jb->nab", s, stack, s)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_gaussian_demo_writes_its_curves(tmp_path, monkeypatch):
+    demo = Path(__file__).parents[1] / "demos" / "gaussian_miso_tour.py"
+    monkeypatch.setattr(sys, "argv", [str(demo), "--out", str(tmp_path)])
+    runpy.run_path(str(demo), run_name="__main__")
+    for name in ("cd", "md_uncorr", "md_corr", "outer"):
+        table = np.genfromtxt(tmp_path / f"{name}.csv", delimiter=",",
+                              names=True)
+        assert table.dtype.names == ("R1", "R2") and len(table) > 1
+        assert np.all(np.isfinite(table["R1"]) & np.isfinite(table["R2"]))

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from compound_bc import search
 from compound_bc.search import (
     SearchSpec,
+    _initial_points,
     isotonic_project,
     maximize,
     mix64,
@@ -63,6 +64,51 @@ def test_sigmoid_is_bitwise_the_masked_kernel(z):
         view = z[::2, 1:]
         assert np.array_equal(sigmoid(view), sigmoid_masked(view),
                               equal_nan=True)
+
+
+def softmax_reduce(z, axis=-1):
+    """`softmax` with numpy's axis reductions, its body before the
+    elementwise rewrite (oracle)."""
+    z = np.asarray(z, dtype=float)
+    z = z - z.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+SOFTMAX_EDGES = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
+
+
+def _bitwise_equal(got, want):
+    # NaN equals NaN and its sign is not compared: the two max reductions
+    # may pass on differently signed NaNs, which carry no value
+    signed = ~np.isnan(want)
+    return (got.shape == want.shape
+            and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got[signed]),
+                               np.signbit(want[signed])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), length=st.integers(1, 7),
+       axis=st.sampled_from([0, 1, -1]), ndim=st.integers(2, 3),
+       strided=st.booleans())
+def test_softmax_is_bitwise_the_axis_reductions(data, length, axis, ndim,
+                                                strided):
+    shape = data.draw(st.lists(st.integers(1, 6), min_size=ndim,
+                               max_size=ndim))
+    shape[axis] = length
+    if strided:  # every other row and column of a twice-as-wide array
+        shape[0] *= 2
+        shape[-1] *= 2
+    z = data.draw(hnp.arrays(np.float64, tuple(shape), elements=st.one_of(
+        st.sampled_from(SOFTMAX_EDGES), st.floats(-50.0, 50.0),
+        st.floats())))
+    if strided:
+        z = z[::2, ..., 1::2]
+    assert z.shape[axis] == length
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN in both
+        assert _bitwise_equal(softmax(z, axis=axis),
+                              softmax_reduce(z, axis=axis))
 
 
 def test_maximize_concave_box():
@@ -171,6 +217,156 @@ def test_groups_match_separate_searches(data, groups, dim, restarts,
     for one, batched in zip(separate, together):
         assert one.shape == (1, dim)
         assert np.array_equal(one[0], batched)
+
+
+def initial_points_per_restart(spec):
+    """`_initial_points` as it was: one fresh Philox generator per restart
+    (oracle)."""
+    rows = len(spec.seeds) * spec.restarts
+    inits = np.empty((rows, spec.dim))
+    noise = np.empty((rows, spec.iterations))
+    lo, hi = spec.bounds[:, 0], spec.bounds[:, 1]
+    row = 0
+    for seed in spec.seeds:
+        for r in range(spec.restarts):
+            rng = np.random.Generator(np.random.Philox(key=mix64(seed, r)))
+            inits[row] = lo + (hi - lo) * rng.random(spec.dim)
+            noise[row] = rng.standard_normal(spec.iterations)
+            row += 1
+    return inits, noise
+
+
+def maximize_masked(objective, spec, equality=None):
+    """`maximize` as it was: per-restart generators and boolean-mask row
+    scatters in each step (oracle)."""
+    groups, restarts = len(spec.seeds), spec.restarts
+    X, noise = initial_points_per_restart(spec)
+    schedule = list(search.PENALTY_SCHEDULE) if equality is not None else [0.0]
+
+    def penalized(P, w):
+        vals = np.asarray(objective(P), dtype=float)
+        if equality is not None and w > 0:
+            res = np.asarray(equality(P), dtype=float)
+            vals = vals - w * res * res
+        return vals
+
+    cur = penalized(X, schedule[0])
+    if not np.all(np.isfinite(cur).reshape(groups, restarts).any(axis=1)):
+        raise ValueError("objective is non-finite at every restart's initial point")
+    cur = np.where(np.isfinite(cur), cur, -np.inf)
+
+    steps = np.full((groups * restarts, spec.dim), search.STEP0)
+    stage_len = -(-spec.iterations // len(schedule))
+    it = 0
+    for stage, w in enumerate(schedule):
+        if stage > 0:
+            cur = penalized(X, w)
+            cur = np.where(np.isfinite(cur), cur, -np.inf)
+        for _ in range(min(stage_len, spec.iterations - it)):
+            c = it % spec.dim
+            prop = X.copy()
+            prop[:, c] += steps[:, c] * noise[:, it]
+            np.clip(prop[:, c], spec.bounds[c, 0], spec.bounds[c, 1],
+                    out=prop[:, c])
+            vals = penalized(prop, w)
+            vals = np.where(np.isfinite(vals), vals, -np.inf)
+            better = vals > cur
+            X[better] = prop[better]
+            cur = np.where(better, vals, cur)
+            steps[~better, c] *= search.DECAY
+            it += 1
+
+    final_vals = np.asarray(objective(X), dtype=float)
+    final_vals = np.where(np.isfinite(final_vals), final_vals, -np.inf)
+    if equality is not None:
+        res = np.asarray(equality(X), dtype=float)
+        feasible = np.isfinite(res) & (np.abs(res) <= search.FEAS_TOL)
+        stuck = np.flatnonzero(~feasible.reshape(groups, restarts).any(axis=1))
+        if stuck.size:
+            k = stuck[0]
+            closest = np.nanmin(np.abs(res[k * restarts:(k + 1) * restarts]))
+            raise RuntimeError(
+                f"no restart reached constraint tolerance {search.FEAS_TOL:g} "
+                f"(closest residual {closest:.3g})")
+        final_vals = np.where(feasible, final_vals, -np.inf)
+    best = np.argmax(final_vals.reshape(groups, restarts), axis=1) \
+        + restarts * np.arange(groups)
+    return X[best]
+
+
+SEEDS = st.one_of(st.sampled_from([0, 2 ** 64 - 1]),
+                  st.integers(0, 2 ** 64 - 1))
+
+
+def _boxes(dim):
+    return st.lists(st.tuples(st.floats(-5.0, 0.0), st.floats(0.0, 5.0)),
+                    min_size=dim, max_size=dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), groups=st.integers(1, 6), dim=st.integers(1, 6),
+       restarts=st.integers(1, 5), iterations=st.integers(0, 40))
+def test_initial_points_are_bitwise_fresh_generators(data, groups, dim,
+                                                     restarts, iterations):
+    seeds = data.draw(st.lists(SEEDS, min_size=groups, max_size=groups))
+    spec = SearchSpec(data.draw(_boxes(dim)), restarts, iterations, seeds)
+    got, want = _initial_points(spec), initial_points_per_restart(spec)
+    for one, other in zip(got, want):
+        assert _bitwise_equal(one, other)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), groups=st.integers(1, 6), dim=st.integers(1, 6),
+       restarts=st.integers(1, 4),
+       iterations=st.one_of(st.just(1), st.integers(1, 60)),
+       constrained=st.booleans(), holes=st.booleans())
+def test_maximize_is_bitwise_the_masked_step(data, groups, dim, restarts,
+                                             iterations, constrained, holes):
+    seeds = data.draw(st.lists(SEEDS, min_size=groups, max_size=groups))
+    unit = st.floats(-1.5, 1.5, allow_nan=False)
+    centers = np.array(data.draw(st.lists(
+        st.lists(unit, min_size=dim, max_size=dim),
+        min_size=groups, max_size=groups)))
+    targets = np.array(data.draw(st.lists(unit, min_size=groups,
+                                          max_size=groups)))
+    objective, equality = _grouped_problem(centers, targets, restarts)
+    if holes:  # non-finite values where the first coordinate is large
+        smooth = objective
+
+        def objective(X):
+            return np.where(X[:, 0] > 1.0, np.nan, smooth(X))
+
+    spec = SearchSpec(data.draw(_boxes(dim)), restarts, iterations, seeds)
+    equality = equality if constrained else None
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        # loose enough that short constrained searches often pass
+        mp.setattr(search, "FEAS_TOL", 0.3)
+        for run in (maximize, maximize_masked):
+            try:
+                outcomes.append(run(objective, spec, equality=equality))
+            except (ValueError, RuntimeError) as exc:
+                outcomes.append((type(exc), str(exc)))
+    got, want = outcomes
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert _bitwise_equal(got, want)
+
+
+def test_initial_points_build_one_philox_per_call(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    spec = SearchSpec([[0.0, 1.0]] * 3, restarts=8, iterations=5,
+                      seeds=[1, 2, 3])
+    _initial_points(spec)
+    assert len(built) <= 1
 
 
 @pytest.mark.parametrize("stuck", [0, 2, 3])
