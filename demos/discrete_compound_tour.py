@@ -20,7 +20,6 @@ from compound_bc.becbsc import (
     mrs_gerber_lower,
     strict_inclusion_ratio_test,
 )
-from compound_bc.info import binary_convolve, binary_entropy
 from compound_bc.lines import d_a_curve
 from compound_bc.search import DEFAULT_SEED
 
@@ -77,7 +76,7 @@ def main():
 
     print("\n4. budget gap at decoding weight a = 0.92 (small envelope pass)")
     alpha0 = alpha0_solve(params)
-    r1_max = 1.0 - binary_entropy(binary_convolve(params.p1, alpha0))
+    r1_max = capacity_c1(params, alpha0)[0]
     rates = np.linspace(0.1, 0.9, 9) * r1_max
     gaps = d_a_curve(0.92, params, rates, search_budget=(4, 80),
                      seed=args.seed)

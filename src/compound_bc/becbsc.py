@@ -49,13 +49,16 @@ class BecBscParams:
 
 
 def _check_alpha(alpha):
-    if not 0 <= alpha <= 0.5:
-        raise ValueError(f"alpha must lie in [0, 0.5], got {alpha}")
+    arr = np.asarray(alpha, dtype=float)
+    bad = ~((arr >= 0.0) & (arr <= 0.5))  # NaN is bad too
+    if np.any(bad):
+        raise ValueError(f"alpha must lie in [0, 0.5], got {arr[bad][0]}")
 
 
 def capacity_c1(params: BecBscParams, alpha: float):
     """Boundary point of the degraded pair (Y1, Z): cloud to Y1, satellite
-    to Z.  Returns (R1_max, R2_max) for the given cloud crossover."""
+    to Z.  Returns (R1_max, R2_max) for the given cloud crossover.  It,
+    capacity_c2, id_curve and mrs_gerber_lower broadcast over alpha arrays."""
     _check_alpha(alpha)
     r1 = 1 - binary_entropy(binary_convolve(params.p1, alpha))
     r2 = binary_entropy(binary_convolve(params.p, alpha)) \
@@ -66,7 +69,7 @@ def capacity_c1(params: BecBscParams, alpha: float):
 def capacity_c2(params: BecBscParams, alpha: float) -> tuple:
     """Rate region slice of the pair (Y2, Z), where Y2 is more capable:
     the satellite layer goes to Y2 and the cloud to Z.  Returns the bounds
-    (b1, b2, bs) of {R1 <= b1, R2 <= b2, R1 + R2 <= bs}."""
+    (b1, b2, bs) of {R1 <= b1, R2 <= b2, R1 + R2 <= bs}; bs is a scalar."""
     _check_alpha(alpha)
     return ((1 - params.e2) * binary_entropy(alpha),
             1 - binary_entropy(binary_convolve(params.p, alpha)),
@@ -124,8 +127,8 @@ def mrs_gerber_lower(params: BecBscParams, alpha: float) -> tuple:
     decoding region: the output-entropy convexity bound handles the BSC
     branch, the capacity_c1 point, and the erasure branch is linear in
     H2(alpha)."""
-    r1_bsc, r2 = capacity_c1(params, alpha)
-    return r2, min(r1_bsc, (1 - params.e2) * (1 - binary_entropy(alpha)))
+    r1, r2 = capacity_c1(params, alpha)
+    return r2, np.minimum(r1, (1 - params.e2) * (1 - binary_entropy(alpha)))
 
 
 def alpha0_solve(params: BecBscParams) -> float:

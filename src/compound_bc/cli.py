@@ -33,7 +33,7 @@ from .becbsc import (
     mrs_gerber_lower,
 )
 from .idregions import split_rate_example_system
-from .info import binary_convolve, binary_entropy
+from .info import binary_entropy
 from .lines import ENVELOPE_BUDGET, d_a_curve, sample_t_a, t0_closed, t1_closed
 from .miso import (
     REGION_KINDS,
@@ -236,31 +236,20 @@ def _resolve(args):
 
 def cmd_becbsc_regions(args, cfg):
     params = BecBscParams(cfg["p"], cfg["p1"], cfg["e2"])
-    out = Path(args.out)
     alphas = np.linspace(0.0, 0.5, cfg["alpha_steps"])
 
-    c1_rows, c2_rows, id_rows, mg_rows = [], [], [], []
     with _stage("becbsc boundary evaluation"):
-        for alpha in alphas:
-            r1, r2 = capacity_c1(params, alpha)
-            c1_rows.append((alpha, max(r1, 0.0), max(r2, 0.0)))
+        b1, b2, bs = capacity_c2(params, alphas)
+        c2_r1 = np.minimum(b1, bs)
+        c, cs = id_curve(params, alphas)
+        mg_r2, mg_r1 = mrs_gerber_lower(params, alphas)
+        curves = {"c1": capacity_c1(params, alphas),
+                  "c2": (c2_r1, np.minimum(b2, bs - c2_r1)),
+                  "id": (c, cs - c), "mrs_gerber": (mg_r1, mg_r2)}
 
-            b1, b2, bs = capacity_c2(params, alpha)
-            r1 = min(b1, bs)
-            r2 = min(b2, bs - r1)
-            c2_rows.append((alpha, max(r1, 0.0), max(r2, 0.0)))
-
-            c, cs = id_curve(params, alpha)
-            id_rows.append((alpha, max(c, 0.0), max(cs - c, 0.0)))
-
-            r2, r1 = mrs_gerber_lower(params, alpha)
-            mg_rows.append((alpha, max(r1, 0.0), max(r2, 0.0)))
-
-    header = ("alpha", "R1", "R2")
-    _write_csv(out / "c1.csv", header, c1_rows)
-    _write_csv(out / "c2.csv", header, c2_rows)
-    _write_csv(out / "id.csv", header, id_rows)
-    _write_csv(out / "mrs_gerber.csv", header, mg_rows)
+    for name, curve in curves.items():
+        _write_csv(Path(args.out, f"{name}.csv"), ("alpha", "R1", "R2"),
+                   list(zip(alphas, *np.maximum(curve, 0.0))))
     return EXIT_OK
 
 
@@ -274,7 +263,7 @@ def cmd_becbsc_da(args, cfg):
 
     with _stage("budget-gap curve"):
         alpha0 = alpha0_solve(params)
-        r1_max = 1.0 - binary_entropy(binary_convolve(params.p1, alpha0))
+        r1_max = capacity_c1(params, alpha0)[0]
         rates = np.linspace(0.05, 0.95, cfg["rate_points"]) * r1_max
         envelope_budget = ENVELOPE_BUDGET if budget is None else (budget, 160)
         gaps = d_a_curve(a, params, rates, search_budget=envelope_budget,

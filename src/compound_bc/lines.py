@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .becbsc import BecBscParams, _mutual_informations, alpha0_solve
+from .becbsc import BecBscParams, _mutual_informations, alpha0_solve, capacity_c1
 from .info import binary_convolve, binary_entropy
 from .search import (
     SearchSpec,
@@ -270,7 +270,7 @@ def t1_closed(params: BecBscParams, x):
     h_p = binary_entropy(params.p)
     p_x = _bisect_increasing(
         lambda m: binary_entropy(binary_convolve(params.p, m)) - h_p, xs)
-    out = 1.0 - binary_entropy(binary_convolve(params.p1, p_x))
+    out = capacity_c1(params, p_x)[0]
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
@@ -287,7 +287,7 @@ def t1_inverse(params: BecBscParams, r1):
     # 1 - H2(p1 * p_x) decreases in p_x, so bisect on its negation
     p_x = _bisect_increasing(
         lambda m: binary_entropy(binary_convolve(params.p1, m)), 1.0 - rates)
-    out = binary_entropy(binary_convolve(params.p, p_x)) - binary_entropy(params.p)
+    out = capacity_c1(params, p_x)[1]
     return float(out[0]) if rates.ndim == 0 else out.reshape(rates.shape)
 
 
@@ -399,7 +399,7 @@ def d_a_curve(a, params: BecBscParams, R1_grid,
     """
     rates = np.asarray(R1_grid, dtype=float)
     alpha0 = alpha0_solve(params)
-    r1_max = 1.0 - binary_entropy(binary_convolve(params.p1, alpha0))
+    r1_max = capacity_c1(params, alpha0)[0]
     if rates.size == 0 or not np.all((rates > 0.0) & (rates < r1_max)):
         raise ValueError(
             f"R1 grid must lie strictly inside (0, {r1_max:.6g})")

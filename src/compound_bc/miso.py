@@ -94,13 +94,11 @@ class MisoChannel:
 
 @dataclass(frozen=True)
 class DpcScheme:
-    """One transmit strategy: beams, power split, private slice, DPC knobs.
+    """One transmit strategy: beams, power split and private slice.
 
     b_u, b_v: unit beams for the user-1 and user-2 streams
     p_u, p_v: stream powers (p_u + p_v may not exceed the channel's P)
     x: slice of p_u re-used as per-candidate private descriptions, 0 <= x <= p_u
-    alpha: DPC parameter of the user-1 stream (None when an op optimizes it)
-    t: time share of candidate 1's private description, in [0, 1]
     """
 
     b_u: np.ndarray
@@ -108,20 +106,14 @@ class DpcScheme:
     p_u: float
     p_v: float
     x: float = 0.0
-    alpha: float = None
-    t: float = 0.5
 
     def __post_init__(self):
         object.__setattr__(self, "b_u", unit_beam(self.b_u, "b_u"))
         object.__setattr__(self, "b_v", unit_beam(self.b_v, "b_v"))
-        if self.p_u < 0 or self.p_v < 0:
+        if not (self.p_u >= 0 and self.p_v >= 0):  # NaN fails too
             raise ValueError("stream powers must be nonnegative")
         if not 0 <= self.x <= self.p_u + 1e-12:
             raise ValueError("private slice x must lie in [0, p_u]")
-        if not 0 <= self.t <= 1:
-            raise ValueError("time share t must lie in [0, 1]")
-        if self.alpha is not None and not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
 
 
 @dataclass(frozen=True)
@@ -137,8 +129,9 @@ class GaussRatePoint:
 
 
 def _point(r1, r2):
-    # scalar APIs clamp tiny negatives from float noise; the kernel does not
-    return GaussRatePoint(max(0.0, float(r1)), max(0.0, float(r2)))
+    # scalar APIs clamp tiny negatives from float noise, the kernel does not;
+    # np.maximum keeps a NaN, so GaussRatePoint rejects it
+    return GaussRatePoint(*map(float, np.maximum(0.0, (r1, r2))))
 
 
 def _check_power(channel, scheme):
@@ -354,7 +347,7 @@ def p_of_eta(eta, p_u, p_v, n):
     geometry, as a function of the private-beam alignment eta in [-1, 1]."""
     if not -1 <= eta <= 1:
         raise ValueError("eta must lie in [-1, 1]")
-    if p_u < 0 or p_v < 0 or n <= 0:
+    if not (p_u >= 0 and p_v >= 0 and n > 0):  # NaN fails too
         raise ValueError("powers must be nonnegative and noise positive")
     p_tot = p_u + p_v
     rad = math.sqrt((p_tot + 2 * n) ** 2 + (eta * eta - 1) * p_v * p_v)

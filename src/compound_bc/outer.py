@@ -262,6 +262,8 @@ def dof_slopes(snr_db, curves):
     curves = list(curves)
     if snr_db.size < 3:
         raise ValueError("need at least 3 SNR points")
+    if not np.all(np.isfinite(snr_db)):
+        raise ValueError("SNR points must be finite")
     if snr_db.max() - snr_db.min() < 20.0 - 1e-9:
         raise ValueError("SNR points must span at least 20 dB")
     if len(curves) != snr_db.size:

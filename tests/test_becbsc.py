@@ -1,4 +1,5 @@
 import math
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -6,9 +7,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from compound_bc.becbsc import (
     BecBscParams,
+    _check_alpha,
     _mutual_informations,
     alpha0_solve,
     capacity_c1,
@@ -18,7 +23,7 @@ from compound_bc.becbsc import (
     mrs_gerber_lower,
     strict_inclusion_ratio_test,
 )
-from compound_bc.info import make_bec, make_bsc, mi_groups
+from compound_bc.info import binary_entropy, make_bec, make_bsc, mi_groups
 from compound_bc.polyhedra import NumericRegion
 
 
@@ -59,6 +64,56 @@ def test_capacity_c1_endpoints_and_interior():
     assert star(0.1, 0.2) == pytest.approx(0.26, abs=1e-15)
     with pytest.raises(ValueError, match="alpha"):
         capacity_c1(PARAMS, 0.6)
+
+
+@st.composite
+def valid_params(draw):
+    """(p, p1, e2) in the mixed regime 4p(1-p) < 4p1(1-p1) < e2 <= H2(p)."""
+    p = draw(st.floats(1e-3, 0.45))
+    p1_max = (1.0 - math.sqrt(1.0 - binary_entropy(p))) / 2.0
+    p1 = draw(st.floats(p, p1_max, exclude_min=True, exclude_max=True))
+    e2 = draw(st.floats(4 * p1 * (1 - p1), binary_entropy(p),
+                        exclude_min=True))
+    try:
+        return BecBscParams(p, p1, e2)
+    except ValueError:  # a rounding step off the admissible boundary
+        assume(False)
+
+
+# 0, 1/2 and the smallest subnormal, followed by drawn crossovers
+ALPHA_GRIDS = hnp.arrays(np.float64, st.integers(0, 12),
+                         elements=st.floats(0.0, 0.5)).map(
+    lambda drawn: np.concatenate([[0.0, 0.5, 5e-324], drawn]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=valid_params(), alphas=ALPHA_GRIDS)
+def test_closed_forms_on_an_array_are_their_scalar_calls(params, alphas):
+    # a scalar call is a size-1 call into the same kernel, bit for bit
+    for form in (capacity_c1, capacity_c2, id_curve, mrs_gerber_lower):
+        whole = form(params, alphas)
+        each = [form(params, float(a)) for a in alphas]
+        for k, column in enumerate(whole):
+            column = np.broadcast_to(column, alphas.shape)
+            assert np.array_equal(column, [row[k] for row in each]), \
+                (form.__name__, k)
+    # the C2 sum bound does not depend on alpha and stays a scalar
+    assert capacity_c2(params, alphas)[2] == 1 - params.e2
+
+
+@pytest.mark.parametrize("alpha, first", [
+    ([0.1, math.nan, 0.7], "nan"),
+    ([0.2, 0.6, -0.1], "0.6"),
+    ([[0.0, 0.5], [-1e-300, 0.3]], "-1e-300"),
+    (math.nan, "nan"),
+    (0.5 + 1e-16, "0.5000000000000001"),
+])
+def test_check_alpha_names_the_first_bad_entry(alpha, first):
+    with pytest.raises(ValueError, match=f"got {re.escape(first)}$"):
+        _check_alpha(np.array(alpha))
+    for form in (capacity_c1, capacity_c2, id_curve, mrs_gerber_lower):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            form(PARAMS, np.array(alpha))
 
 
 def region(rows, bounds):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compound_bc import cli
+from compound_bc import becbsc, cli
 from compound_bc.becbsc import BecBscParams, capacity_c1, mrs_gerber_lower
 from compound_bc.idregions import (
     example_valuations,
@@ -171,6 +171,21 @@ class TestBecbscRegions:
         for name in ("c1", "c2", "id", "mrs_gerber"):
             assert (tmp_path / "a" / f"{name}.csv").read_bytes() == \
                 (tmp_path / "b" / f"{name}.csv").read_bytes()
+
+    def test_closed_form_calls_do_not_grow_with_the_grid(self, tmp_path,
+                                                         monkeypatch):
+        # one call per curve on the whole alpha grid, not one per alpha
+        calls = []
+        check = becbsc._check_alpha
+        monkeypatch.setattr(becbsc, "_check_alpha",
+                            lambda alpha: calls.append(1) or check(alpha))
+        counts = []
+        for steps in ("2", "201"):
+            calls.clear()
+            assert cli.main(["becbsc-regions", "--out", str(tmp_path / steps),
+                             "--alpha-steps", steps]) == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 4
 
 
 class TestBecbscDa:

@@ -22,6 +22,7 @@ from compound_bc.miso import (
     GaussRatePoint,
     MisoChannel,
     _minimax_two_vec,
+    _point,
     _terms,
     _uncorr_sweep,
     beam_from_angle,
@@ -100,19 +101,20 @@ def random_channel(rng):
 
 
 def random_scheme(rng, channel, with_x=False):
+    """(scheme, DPC parameter alpha, time share t), drawn in that order."""
     p_u = rng.uniform(0.5, 0.7 * channel.P)
     p_v = rng.uniform(0.0, channel.P - p_u)
     x = rng.uniform(0.0, 0.9 * p_u) if with_x else 0.0
-    return DpcScheme(beam_from_angle(rng.uniform(0, math.pi)),
-                     beam_from_angle(rng.uniform(0, math.pi)),
-                     p_u, p_v, x=x, alpha=rng.uniform(-1.5, 1.5),
-                     t=rng.uniform(0, 1))
+    scheme = DpcScheme(beam_from_angle(rng.uniform(0, math.pi)),
+                       beam_from_angle(rng.uniform(0, math.pi)), p_u, p_v, x=x)
+    return scheme, rng.uniform(-1.5, 1.5), rng.uniform(0, 1)
 
 
-def stream_rate(channel, j, scheme, x=0.0):
-    """Receiver j's user-1 stream rate at scheme.alpha, slice x private."""
+def stream_rate(channel, j, scheme, alpha, x=0.0):
+    """Receiver j's user-1 stream rate at DPC parameter alpha, slice x
+    private."""
     a, v, c = corr_parabolas(_terms(channel, scheme), x)[3 * j - 3:3 * j]
-    return float(parabola_rate(a, v, c, scheme.alpha))
+    return float(parabola_rate(a, v, c, alpha))
 
 
 def split_at(channel, j, scheme, x=0.0):
@@ -129,16 +131,16 @@ def cd_corner(channel, scheme):
     return max(float(r1), 0.0), float(terms.r2_first)
 
 
-def uncorr_r1(channel, scheme):
-    """Max-min R1 with time-shared private descriptions."""
-    [paras] = uncorr_parabolas(_terms(channel, scheme), scheme.x, [scheme.t])
+def uncorr_r1(channel, scheme, t):
+    """Max-min R1 with private descriptions time-shared t : 1 - t."""
+    [paras] = uncorr_parabolas(_terms(channel, scheme), scheme.x, [t])
     return max(float(envelope_rate(paras)[1]), 0.0)
 
 
-def corr_at_alpha(channel, scheme):
-    """Correlated-description R1 at scheme.alpha, sum constraint active?"""
+def corr_at_alpha(channel, scheme, alpha):
+    """Correlated-description R1 at alpha, sum constraint active?"""
     r1, _, active = corr_rate(corr_parabolas(_terms(channel, scheme), scheme.x),
-                              scheme.x, [scheme.alpha])
+                              scheme.x, [alpha])
     return float(r1), bool(active)
 
 
@@ -170,22 +172,21 @@ def split_cov(h_u, h_v, p_u, p_v, x, n, alpha, alpha1):
     return cov
 
 
-def oracle_common_rate(channel, j, scheme):
+def oracle_common_rate(channel, j, scheme, alpha):
     h = channel.receiver(j)
     h_u = float(h @ scheme.b_u)
     h_v = float(h @ scheme.b_v)
-    cov = stream_cov(h_u, h_v, scheme.p_u, scheme.p_v, channel.N,
-                     scheme.alpha)
+    cov = stream_cov(h_u, h_v, scheme.p_u, scheme.p_v, channel.N, alpha)
     return (gaussian_mutual_information(cov, [0], [1])
             - gaussian_mutual_information(cov, [0], [2]))
 
 
-def oracle_split_rate(channel, j, scheme, alpha1):
+def oracle_split_rate(channel, j, scheme, alpha, alpha1):
     h = channel.receiver(j)
     h_u = float(h @ scheme.b_u)
     h_v = float(h @ scheme.b_v)
     cov = split_cov(h_u, h_v, scheme.p_u, scheme.p_v, scheme.x, channel.N,
-                    scheme.alpha, alpha1)
+                    alpha, alpha1)
     return (gaussian_mutual_information(cov, [0, 1], [2])
             - gaussian_mutual_information(cov, [0, 1], [3]))
 
@@ -222,30 +223,29 @@ class TestCommonRate:
         rng = np.random.default_rng(SEED)
         for _ in range(25):
             channel = random_channel(rng)
-            scheme = random_scheme(rng, channel)
+            scheme, alpha, _ = random_scheme(rng, channel)
             for j in (1, 2):
-                got = stream_rate(channel, j, scheme)
-                want = oracle_common_rate(channel, j, scheme)
+                got = stream_rate(channel, j, scheme, alpha)
+                want = oracle_common_rate(channel, j, scheme, alpha)
                 assert got == pytest.approx(want, abs=1e-9)
 
     def test_alpha_at_beta_removes_interference(self):
         channel = special_geometry()
         b_u, b_v = special_beams(0.3)
-        base = DpcScheme(b_u, b_v, 6.0, 4.0, alpha=0.0)
-        beta, _ = split_at(channel, 1, base)
-        scheme = DpcScheme(b_u, b_v, 6.0, 4.0, alpha=beta)
+        scheme = DpcScheme(b_u, b_v, 6.0, 4.0)
+        beta, _ = split_at(channel, 1, scheme)
         h_u = float(channel.h1 @ b_u)
         expect = 0.5 * math.log2((h_u ** 2 * 6.0 + 1.0) / 1.0)
-        assert stream_rate(channel, 1, scheme) == pytest.approx(
+        assert stream_rate(channel, 1, scheme, beta) == pytest.approx(
             expect, abs=1e-12)
 
     def test_pv_zero_is_alpha_independent(self):
         channel = special_geometry()
         b_u, b_v = special_beams(-0.2)
+        scheme = DpcScheme(b_u, b_v, 5.0, 0.0)
         vals = set()
         for alpha in (-1.0, 0.0, 2.0):
-            scheme = DpcScheme(b_u, b_v, 5.0, 0.0, alpha=alpha)
-            vals.add(round(stream_rate(channel, 2, scheme), 14))
+            vals.add(round(stream_rate(channel, 2, scheme, alpha), 14))
         h_u = float(channel.h2 @ b_u)
         expect = 0.5 * math.log2(h_u ** 2 * 5.0 + 1.0)
         assert vals == {round(expect, 14)}
@@ -263,36 +263,35 @@ class TestPrivateOptimal:
         rng = np.random.default_rng(SEED + 1)
         for _ in range(10):
             channel = random_channel(rng)
-            scheme = random_scheme(rng, channel)
-            [paras] = uncorr_parabolas(_terms(channel, scheme), 0.0,
-                                       [scheme.t])
+            scheme, alpha, t = random_scheme(rng, channel)
+            [paras] = uncorr_parabolas(_terms(channel, scheme), 0.0, [t])
             for j in (1, 2):
-                got = parabola_rate(*paras[3 * j - 3:3 * j], scheme.alpha)
-                assert got == pytest.approx(stream_rate(channel, j, scheme),
-                                            abs=1e-12)
+                got = parabola_rate(*paras[3 * j - 3:3 * j], alpha)
+                assert got == pytest.approx(
+                    stream_rate(channel, j, scheme, alpha), abs=1e-12)
 
     def test_alpha_at_shifted_beta_removes_interference(self):
         channel = special_geometry()
         b_u, b_v = special_beams(0.4)
-        probe = DpcScheme(b_u, b_v, 6.0, 4.0, x=1.0, alpha=0.0)
-        beta_x, _ = split_at(channel, 1, probe, 1.0)
-        scheme = DpcScheme(b_u, b_v, 6.0, 4.0, x=1.0, alpha=beta_x)
+        scheme = DpcScheme(b_u, b_v, 6.0, 4.0, x=1.0)
+        beta_x, _ = split_at(channel, 1, scheme, 1.0)
         h_u = float(channel.h1 @ b_u)
         expect = 0.5 * math.log2(h_u ** 2 * 6.0 + 1.0)
-        assert stream_rate(channel, 1, scheme, 1.0) == pytest.approx(
+        assert stream_rate(channel, 1, scheme, beta_x, 1.0) == pytest.approx(
             expect, abs=1e-12)
 
     def test_matches_oracle_maximum_over_inner_parameter(self):
         rng = np.random.default_rng(SEED + 2)
         for _ in range(15):
             channel = random_channel(rng)
-            scheme = random_scheme(rng, channel, with_x=True)
+            scheme, alpha, _ = random_scheme(rng, channel, with_x=True)
             if scheme.p_v == 0:
                 continue
             for j in (1, 2):
-                closed = stream_rate(channel, j, scheme, scheme.x)
+                closed = stream_rate(channel, j, scheme, alpha, scheme.x)
                 _, best = golden_max(
-                    lambda a1: oracle_split_rate(channel, j, scheme, a1),
+                    lambda a1: oracle_split_rate(channel, j, scheme, alpha,
+                                                 a1),
                     -8.0, 8.0)
                 assert closed == pytest.approx(best, abs=1e-6)
 
@@ -300,7 +299,7 @@ class TestPrivateOptimal:
         # receiver 1's full time share adds its private link to its rate
         channel = special_geometry()
         b_u, b_v = special_beams(0.0)
-        scheme = DpcScheme(b_u, b_v, 6.0, 4.0, x=2.0, alpha=0.0)
+        scheme = DpcScheme(b_u, b_v, 6.0, 4.0, x=2.0)
         h_u = float(channel.h1 @ b_u)
         expect = 0.5 * math.log2((h_u ** 2 * 2.0 + 1.0) / 1.0)
         full, idle = (parabola_rate(*paras[:3], 0.0) for paras in
@@ -367,15 +366,14 @@ class TestCdRegion:
         rng = np.random.default_rng(SEED + 4)
         for _ in range(10):
             channel = random_channel(rng)
-            scheme = random_scheme(rng, channel)
+            scheme, _, _ = random_scheme(rng, channel)
             if scheme.p_u <= 0:
                 continue
             r1, _ = cd_corner(channel, scheme)
 
             def worst_rate(alpha):
-                probe = DpcScheme(scheme.b_u, scheme.b_v, scheme.p_u,
-                                  scheme.p_v, alpha=alpha)
-                return min(stream_rate(channel, j, probe) for j in (1, 2))
+                return min(stream_rate(channel, j, scheme, alpha)
+                           for j in (1, 2))
 
             grid = np.linspace(-6, 6, 4001)
             k = int(np.argmax([worst_rate(a) for a in grid]))
@@ -428,6 +426,19 @@ class TestCdClosedForm:
             cd_closed_form(1.5, 6.0, 4.0, 1.0)
         with pytest.raises(ValueError):
             p_of_eta(0.0, 6.0, 4.0, 0.0)
+        # NaN powers and noise fail the checks instead of reaching the rates
+        nan = math.nan
+        for args in ((nan, 4.0, 1.0), (6.0, nan, 1.0), (6.0, 4.0, nan)):
+            with pytest.raises(ValueError, match="noise positive"):
+                p_of_eta(0.2, *args)
+        with pytest.raises(ValueError, match="noise positive"):
+            cd_closed_form(0.2, 1.0, nan, 1.0)
+        with pytest.raises(ValueError, match="noise positive"):
+            strictness_uncorrelated_check(nan, 1.0, 1.0, 0.2)
+        # the clamp keeps a NaN rate, which GaussRatePoint rejects
+        with pytest.raises(ValueError, match="nonnegative"):
+            _point(nan, 0.0)
+        assert _point(-1e-17, -0.0) == GaussRatePoint(0.0, 0.0)
 
 
 class TestMdUncorrelated:
@@ -437,9 +448,9 @@ class TestMdUncorrelated:
         for _ in range(8):
             b_u, b_v = special_beams(rng.uniform(-1, 1))
             p_u = rng.uniform(1, 9)
-            scheme = DpcScheme(b_u, b_v, p_u, 10.0 - p_u, x=0.0,
-                               t=rng.uniform(0, 1))
-            assert uncorr_r1(channel, scheme) == pytest.approx(
+            scheme = DpcScheme(b_u, b_v, p_u, 10.0 - p_u, x=0.0)
+            t = rng.uniform(0, 1)
+            assert uncorr_r1(channel, scheme, t) == pytest.approx(
                 cd_corner(channel, scheme)[0], abs=1e-12)
 
     def test_equal_share_matches_symmetric_closed_form(self):
@@ -449,12 +460,12 @@ class TestMdUncorrelated:
             residual = p_of_eta(eta, p_u, p_v, n)
             b_u, b_v = special_beams(eta)
             for x in (0.05, 0.4, 1.5):
-                scheme = DpcScheme(b_u, b_v, p_u, p_v, x=x, t=0.5)
+                scheme = DpcScheme(b_u, b_v, p_u, p_v, x=x)
                 denom = ((p_u - x) / math.sqrt(x + 2 * n)
                          * math.sqrt(2 * n) / p_u * residual
                          + math.sqrt(2 * n) * math.sqrt(x + 2 * n))
                 expect = 0.5 * math.log2((p_u + 2 * n) / denom)
-                assert uncorr_r1(channel, scheme) == pytest.approx(
+                assert uncorr_r1(channel, scheme, 0.5) == pytest.approx(
                     expect, abs=1e-9)
 
     def test_alpha_maximum_agrees_with_dense_grid(self):
@@ -465,11 +476,11 @@ class TestMdUncorrelated:
             b_v = beam_from_angle(rng.uniform(0, math.pi))
             p_u = rng.uniform(2, 8)
             scheme = DpcScheme(b_u, b_v, p_u, 10.0 - p_u,
-                               x=rng.uniform(0.01, 0.8 * p_u),
-                               t=rng.uniform(0, 1))
+                               x=rng.uniform(0.01, 0.8 * p_u))
+            t = rng.uniform(0, 1)
             def objective(alpha):
                 vals = []
-                for j, share in ((1, scheme.t), (2, 1.0 - scheme.t)):
+                for j, share in ((1, t), (2, 1.0 - t)):
                     h = channel.receiver(j)
                     h_u = float(h @ b_u)
                     beta_x, i_x = split_at(channel, j, scheme, scheme.x)
@@ -484,7 +495,7 @@ class TestMdUncorrelated:
             k = int(np.argmax([objective(a) for a in grid]))
             _, best = golden_max(objective, grid[max(k - 1, 0)],
                                  grid[min(k + 1, 4000)])
-            assert uncorr_r1(channel, scheme) == pytest.approx(
+            assert uncorr_r1(channel, scheme, t) == pytest.approx(
                 max(best, 0.0), abs=1e-6)
 
 
@@ -493,10 +504,9 @@ class TestMdCorrelated:
         channel = special_geometry()
         b_u, b_v = special_beams(1.0)  # both receivers see identical gains
         x = 0.05
-        probe = DpcScheme(b_u, b_v, 6.0, 4.0, x=x, alpha=0.0)
-        beta_x, _ = split_at(channel, 1, probe, x)
-        scheme = DpcScheme(b_u, b_v, 6.0, 4.0, x=x, alpha=beta_x)
-        r1, sum_active = corr_at_alpha(channel, scheme)
+        scheme = DpcScheme(b_u, b_v, 6.0, 4.0, x=x)
+        beta_x, _ = split_at(channel, 1, scheme, x)
+        r1, sum_active = corr_at_alpha(channel, scheme, beta_x)
         h_u = float(channel.h1 @ b_u)
         assert r1 == pytest.approx(
             0.5 * math.log2(h_u ** 2 * 6.0 + 1.0), abs=1e-12)
@@ -561,8 +571,8 @@ class TestMdCorrelated:
     def test_sum_constraint_binds_for_large_slice(self):
         channel = special_geometry()
         b_u, b_v = special_beams(-0.5)
-        scheme = DpcScheme(b_u, b_v, 6.0, 4.0, x=3.0, alpha=0.2)
-        _, sum_active = corr_at_alpha(channel, scheme)
+        scheme = DpcScheme(b_u, b_v, 6.0, 4.0, x=3.0)
+        _, sum_active = corr_at_alpha(channel, scheme, 0.2)
         assert sum_active
 
 
@@ -641,10 +651,13 @@ class TestGeometryAndTypes:
             DpcScheme(b_u, b_v, -1.0, 4.0)
         with pytest.raises(ValueError, match="x must lie"):
             DpcScheme(b_u, b_v, 2.0, 4.0, x=3.0)
-        with pytest.raises(ValueError, match="time share"):
-            DpcScheme(b_u, b_v, 2.0, 4.0, t=1.5)
-        with pytest.raises(ValueError, match="finite"):
-            DpcScheme(b_u, b_v, 2.0, 4.0, alpha=math.nan)
+        for p_u, p_v in ((math.nan, 4.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                DpcScheme(b_u, b_v, p_u, p_v)
+        # md_correlated_optimal once read a NaN power as a zero rate pair
+        with pytest.raises(ValueError, match="nonnegative"):
+            md_correlated_optimal(special_geometry(2, 10, 1), DpcScheme(
+                [1, 0], [0, 1], 1.0, math.nan, 0.5))
 
     def test_power_budget_enforced_in_ops(self):
         channel = special_geometry(total_power=5.0)

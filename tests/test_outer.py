@@ -485,6 +485,10 @@ class TestDofSlopes:
             dof_slopes([10.0, 15.0, 25.0], curves)
         with pytest.raises(ValueError, match="one curve"):
             dof_slopes([10.0, 20.0, 30.0], curves[:2])
+        # a non-finite SNR is rejected before it reaches the fit
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                dof_slopes([10.0, 20.0, bad], curves)
 
     def test_time_sharing_inner_has_unit_sum_slope(self):
         snrs = [20.0, 30.0, 40.0]
