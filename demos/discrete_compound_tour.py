@@ -14,8 +14,8 @@ import numpy as np
 from compound_bc.becbsc import (
     BecBscParams,
     alpha0_solve,
+    c2_corner,
     capacity_c1,
-    capacity_c2,
     corner_E_dominance,
     mrs_gerber_lower,
     strict_inclusion_ratio_test,
@@ -55,14 +55,11 @@ def main():
     print("\n2. corner rates of the two capacity regions by input bias")
     print(f"   {'alpha':>7} {'C1 R1':>8} {'C1 R2':>8} "
           f"{'C2 R1':>8} {'C2 R2':>8} {'lower R1':>9} {'lower R2':>9}")
-    rows = []
-    for alpha in (0.05, 0.15, 0.25, 0.35, 0.45):
-        c1_r1, c1_r2 = capacity_c1(params, alpha)
-        b1, b2, bs = capacity_c2(params, alpha)
-        r1 = min(b1, bs)
-        r2 = min(b2, bs - r1)
-        low2, low1 = mrs_gerber_lower(params, alpha)
-        rows.append((alpha, c1_r1, c1_r2, r1, r2, low1, low2))
+    alphas = np.array([0.05, 0.15, 0.25, 0.35, 0.45])
+    low2, low1 = mrs_gerber_lower(params, alphas)
+    rows = np.column_stack([alphas, *capacity_c1(params, alphas),
+                            *c2_corner(params, alphas), low1, low2]).tolist()
+    for alpha, c1_r1, c1_r2, r1, r2, low1, low2 in rows:
         print(f"   {alpha:7.2f} {c1_r1:8.4f} {c1_r2:8.4f} "
               f"{r1:8.4f} {r2:8.4f} {low1:9.4f} {low2:9.4f}")
     maybe_write(args.out, "corners.csv",

@@ -12,14 +12,14 @@ the crossover alpha of a binary-symmetric auxiliary-to-input channel.
 
 `_mutual_informations` evaluates I(Q;Y1), I(Q;Y2) and I(X;Z|Q) in closed
 form for a batch of uniform-X auxiliary designs; the searches of `lines` run
-on it.
+on its two pieces, `_conditional_entropies` and `_weighted_informations`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .info import binary_convolve, binary_entropy
+from .info import _h2, binary_convolve, binary_entropy
 
 DEFAULT_PARAMS = (0.1, 0.13, 0.46)
 ALPHA0_TOL = 1e-10  # bisection width of alpha0_solve
@@ -76,6 +76,13 @@ def capacity_c2(params: BecBscParams, alpha: float) -> tuple:
             1 - params.e2)
 
 
+def c2_corner(params: BecBscParams, alpha):
+    """(R1, R2) = (min(b1, bs), min(b2, bs - R1)) of capacity_c2's bounds."""
+    b1, b2, bs = capacity_c2(params, alpha)
+    r1 = np.minimum(b1, bs)
+    return r1, np.minimum(b2, bs - r1)
+
+
 def id_curve(params: BecBscParams, alpha: float) -> tuple:
     """Rate region slice achieved when Z and Y2 resolve both streams while
     Y1 sticks to its own: {R1 <= c(alpha), R1 + R2 <= c(alpha) + s(alpha)}.
@@ -111,15 +118,22 @@ def corner_E_dominance(params: BecBscParams, alpha_grid) -> float:
     return float(np.min(vals))
 
 
+def _conditional_entropies(bx, params):
+    """(H2(p1 * b), H2(b), H2(p * b)) per conditional b; bx lies in [0, 1]."""
+    return (_h2(binary_convolve(params.p1, bx)), _h2(bx),
+            _h2(binary_convolve(params.p, bx)))
+
+
+def _weighted_informations(pq, h1, hx, hz, params, h_p):
+    """_mutual_informations from the conditionals' entropies; h_p = H2(p)."""
+    w1, wx, wz = (np.einsum("nq,nq->n", pq, h) for h in (h1, hx, hz))
+    return 1.0 - w1, (1.0 - params.e2) * (1.0 - wx), wz - h_p
+
+
 def _mutual_informations(pq, bx, params):
     """(I(Q;Y1), I(Q;Y2), I(X;Z|Q)) for a batch of designs with X uniform."""
-    h1 = binary_entropy(binary_convolve(params.p1, bx))
-    i_qy1 = 1.0 - np.einsum("nq,nq->n", pq, h1)
-    hx = binary_entropy(bx)
-    i_qy2 = (1.0 - params.e2) * (1.0 - np.einsum("nq,nq->n", pq, hx))
-    hz = binary_entropy(binary_convolve(params.p, bx))
-    i_xz_q = np.einsum("nq,nq->n", pq, hz) - binary_entropy(params.p)
-    return i_qy1, i_qy2, i_xz_q
+    return _weighted_informations(pq, *_conditional_entropies(bx, params),
+                                  params, binary_entropy(params.p))
 
 
 def mrs_gerber_lower(params: BecBscParams, alpha: float) -> tuple:

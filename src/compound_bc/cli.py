@@ -27,8 +27,8 @@ from .becbsc import (
     DEFAULT_PARAMS,
     BecBscParams,
     alpha0_solve,
+    c2_corner,
     capacity_c1,
-    capacity_c2,
     id_curve,
     mrs_gerber_lower,
 )
@@ -239,13 +239,10 @@ def cmd_becbsc_regions(args, cfg):
     alphas = np.linspace(0.0, 0.5, cfg["alpha_steps"])
 
     with _stage("becbsc boundary evaluation"):
-        b1, b2, bs = capacity_c2(params, alphas)
-        c2_r1 = np.minimum(b1, bs)
         c, cs = id_curve(params, alphas)
-        mg_r2, mg_r1 = mrs_gerber_lower(params, alphas)
         curves = {"c1": capacity_c1(params, alphas),
-                  "c2": (c2_r1, np.minimum(b2, bs - c2_r1)),
-                  "id": (c, cs - c), "mrs_gerber": (mg_r1, mg_r2)}
+                  "c2": c2_corner(params, alphas), "id": (c, cs - c),
+                  "mrs_gerber": mrs_gerber_lower(params, alphas)[::-1]}
 
     for name, curve in curves.items():
         _write_csv(Path(args.out, f"{name}.csv"), ("alpha", "R1", "R2"),

@@ -2,7 +2,8 @@
 
 Everything works in bits (log base 2) and treats 0*log(0) as 0.  Arguments
 of `binary_entropy` are checked against a 1e-12 tolerance and rejected on
-failure rather than silently clipped.
+failure rather than silently clipped; hot loops whose arguments lie in
+[0, 1] by construction call its unchecked kernel `_h2` instead.
 
 Main entry points
 -----------------
@@ -35,9 +36,13 @@ def binary_entropy(x):
     x = np.asarray(x, dtype=float)
     if not np.all((x >= -PMF_TOL) & (x <= 1 + PMF_TOL)):  # NaN fails too
         raise ValueError("binary_entropy argument outside [0, 1]")
-    x = np.clip(x, 0.0, 1.0)
-    out = -_xlog2x(x) - _xlog2x(1.0 - x)
+    out = _h2(np.clip(x, 0.0, 1.0))
     return float(out) if out.ndim == 0 else out
+
+
+def _h2(x):
+    """Unchecked h2 of a float array whose entries lie in [0, 1]."""
+    return -_xlog2x(x) - _xlog2x(1.0 - x)
 
 
 def binary_convolve(a, b):

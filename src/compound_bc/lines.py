@@ -14,8 +14,7 @@ x -> F_a(lam) - lam x, where F_a(lam) is the unconstrained Lagrangian max.
 `SupportingLineEval` holds the induced envelope, the upper estimate of t_a
 (exact up to search noise in F_a) that `d_a_curve` inverts.  `sample_t_a`
 searches the budget-constrained problem directly, a lower estimate, and
-`t1_closed` / `t0_closed` / `F0_closed` are exact at the edge weights
-a = 1 and a = 0.
+`t1_closed` / `t0_closed` are exact at the edge weights a = 1 and a = 0.
 
 `d_a_curve` compares the a = 1 curve against t_a in inverted coordinates
 (rate -> budget).  Where the gap is strictly positive, decoding tuned to the
@@ -23,14 +22,18 @@ actual channel instance reaches rates that no single worst-case code does.
 
 All searches are deterministic given their seed.  The searches of a
 multiplier band or a budget sweep are independent; they run as groups of
-batched `search.maximize` calls, at most `_BATCH_ROWS` rows per call.
+batched `search.maximize` calls, at most `_BATCH_ROWS` rows per call, scored
+by a `_DesignScores`: it re-scores only the design columns a step moved, with
+the unchecked entropy kernel (its arguments lie in [0, 1] by construction).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .becbsc import BecBscParams, _mutual_informations, alpha0_solve, capacity_c1
+from .becbsc import (BecBscParams, _conditional_entropies,
+                     _mutual_informations, _weighted_informations,
+                     alpha0_solve, capacity_c1)
 from .info import binary_convolve, binary_entropy
 from .search import (
     SearchSpec,
@@ -68,23 +71,48 @@ def default_lambda_grid():
     return np.linspace(0.0, LAMBDA_MAX, n + 1)
 
 
-def _design_fields(theta):
-    """Map raw search points (n, 6) to design pmfs.
+class _DesignScores:
+    """(I(Q;Y1), I(Q;Y2), I(X;Z|Q), excess) of raw search points (n, 6).
 
-    The first three coordinates are logits for the Q pmf (fourth logit
+    The first three coordinates are logits for the Q pmf `pq` (fourth logit
     pinned to 0), the last three are Bernoulli logits for X given the first
-    three Q values.  The fourth conditional is set to balance the X marginal
-    to 1/2; `excess` is how far outside [0, 1] that balancing value fell
-    before clipping, zero exactly for valid uniform-X designs.
+    three Q values (`bx`).  The fourth conditional is set to balance the X
+    marginal to 1/2; `excess` is how far outside [0, 1] that balancing value
+    fell before clipping, zero exactly for valid uniform-X designs.
+
+    A call re-derives only what the logit columns that differ elementwise
+    from the previous batch's copy feed (NaN always differs; every field is
+    even in the sign of a zero logit), plus the balancing conditional, so
+    any call sequence is scored exactly.  A `maximize` step moves one
+    column: about two of the four conditionals get re-scored.
     """
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    pq = softmax(np.column_stack([theta[:, :3], np.zeros(len(theta))]), axis=1)
-    bx = np.empty_like(pq)
-    bx[:, :3] = sigmoid(theta[:, 3:])
-    raw = (0.5 - np.einsum("nq,nq->n", pq[:, :3], bx[:, :3])) / pq[:, 3]
-    bx[:, 3] = np.clip(raw, 0.0, 1.0)
-    excess = np.abs(raw - bx[:, 3])
-    return pq, bx, excess
+
+    def __init__(self, params):
+        self.params, self.h_p = params, binary_entropy(params.p)
+        self.theta = np.empty((0, 6))
+
+    def __call__(self, theta):
+        if self.theta.shape != theta.shape:  # start over: every column moves
+            self.theta = np.full_like(theta, np.nan)
+            self.bx = np.empty((len(theta), 4))
+            self.h = [np.empty_like(self.bx) for _ in range(3)]
+        moved = [(theta[:, c] != self.theta[:, c]).any() for c in range(6)]
+        np.copyto(self.theta, theta)
+        if any(moved[:3]):
+            self.pq = softmax(
+                np.column_stack([theta[:, :3], np.zeros(len(theta))]), axis=1)
+        pq, bx = self.pq, self.bx
+        cols = [j for j in range(3) if moved[3 + j]]
+        if cols:
+            bx[:, cols] = sigmoid(theta[:, [3 + j for j in cols]])
+        raw = (0.5 - np.einsum("nq,nq->n", pq[:, :3], bx[:, :3])) / pq[:, 3]
+        bx[:, 3] = np.clip(raw, 0.0, 1.0)
+        cols.append(3)
+        for h, new in zip(self.h, _conditional_entropies(bx[:, cols],
+                                                         self.params)):
+            h[:, cols] = new
+        return (*_weighted_informations(pq, *self.h, self.params, self.h_p),
+                np.abs(raw - bx[:, 3]))
 
 
 def _batched_points(objective, values, search_budget, seeds, equality=None):
@@ -134,10 +162,10 @@ def _lagrangian_search(a, lambdas, params, search_budget, seeds):
     (len(lambdas), 6).
     """
     lambdas = np.asarray(lambdas, dtype=float)
+    scores = _DesignScores(params)
 
     def objective(theta, lam):
-        pq, bx, excess = _design_fields(theta)
-        i1, i2, ixz = _mutual_informations(pq, bx, params)
+        i1, i2, ixz, excess = scores(theta)
         return a * i1 + (1.0 - a) * i2 + lam * ixz - _PULL * excess
 
     return _batched_points(objective, lambdas, search_budget, seeds)
@@ -235,12 +263,10 @@ def evaluate_supporting_lines(a, params: BecBscParams, lambda_grid,
     xs = np.linspace(0.0, 1.0 - binary_entropy(params.p), 65)
     seeds = [mix64(seed, k) for k in range(lambdas.size)]
     points = _lagrangian_search(a, lambdas, params, search_budget, seeds)
-    pq, bx, _ = _design_fields(points)
+    i1, i2, ixz, _ = _DesignScores(params)(points)
     if canonical:
-        cq, cb = canonical_designs(int(canonical))
-        pq = np.vstack([pq, cq])
-        bx = np.vstack([bx, cb])
-    i1, i2, ixz = _mutual_informations(pq, bx, params)
+        pool = _mutual_informations(*canonical_designs(int(canonical)), params)
+        i1, i2, ixz = (np.concatenate(v) for v in zip((i1, i2, ixz), pool))
     weighted = a * i1 + (1.0 - a) * i2
     f_values = _pool_f_values(lambdas, weighted, ixz)
     return SupportingLineEval(float(a), lambdas, f_values, xs)
@@ -297,13 +323,6 @@ def t0_closed(params: BecBscParams, x):
     return (1.0 - params.e2) * (1.0 - x / x_max)
 
 
-def F0_closed(params: BecBscParams, lam):
-    """Exact a = 0 majorant intercept: max{(1 - H2(p)) * lam, 1 - e2}."""
-    if not lam >= 0:
-        raise ValueError(f"multiplier must be nonnegative, got {lam}")
-    return max((1.0 - binary_entropy(params.p)) * lam, 1.0 - params.e2)
-
-
 def sample_t_a(a, params: BecBscParams, xs, search_budget=DEFAULT_BUDGET,
                seed=0):
     """Best found a*I(Q;Y1) + (1-a)*I(Q;Y2) with I(X;Z|Q) pinned to each x.
@@ -320,10 +339,10 @@ def sample_t_a(a, params: BecBscParams, xs, search_budget=DEFAULT_BUDGET,
     # maximize calls residual(P) right after objective(P) on the same array,
     # so the objective keeps its budgets for that one residual call
     kept = {}
+    scores = _DesignScores(params)
 
     def objective(theta, _):
-        pq, bx, excess = _design_fields(theta)
-        i1, i2, ixz = _mutual_informations(pq, bx, params)
+        i1, i2, ixz, excess = scores(theta)
         kept.update(theta=theta, ixz=ixz, excess=excess)
         return a * i1 + (1.0 - a) * i2 - _PULL * excess
 
@@ -331,16 +350,14 @@ def sample_t_a(a, params: BecBscParams, xs, search_budget=DEFAULT_BUDGET,
         if kept.pop("theta", None) is theta:
             ixz, excess = kept["ixz"], kept["excess"]
         else:
-            pq, bx, excess = _design_fields(theta)
-            _, _, ixz = _mutual_informations(pq, bx, params)
+            _, _, ixz, excess = scores(theta)
         # inflated so clipped designs can never pass the feasibility filter
         return np.abs(ixz - x) + 10.0 * excess
 
     seeds = [mix64(seed, i) for i in range(xs.size)]
     points = _batched_points(objective, xs.ravel(), search_budget, seeds,
                              equality=residual)
-    pq, bx, _ = _design_fields(points)
-    i1, i2, _ = _mutual_informations(pq, bx, params)
+    i1, i2, _, _ = _DesignScores(params)(points)
     return (a * i1 + (1.0 - a) * i2).reshape(xs.shape)
 
 

@@ -413,9 +413,9 @@ def strictness_uncorrelated_check(p_u, p_v, n, eta, x_steps=2001):
     closed form; the sufficient condition for R1 strictly increasing at x = 0
     is residual interference > p_u / 2.
     """
-    if p_u <= 0:
+    residual = p_of_eta(eta, p_u, p_v, n)  # rejects p_u < 0 and NaN first
+    if p_u == 0:
         return StrictnessReport(False, 0.0, 0.0)
-    residual = p_of_eta(eta, p_u, p_v, n)
     condition = residual > p_u / 2.0
 
     xs = np.linspace(0.0, p_u * (1.0 - 1e-9), x_steps)

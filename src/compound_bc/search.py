@@ -108,9 +108,10 @@ def maximize(objective, spec: SearchSpec, equality=None):
     drive to zero.  Per-group parameters reach the callbacks as arrays
     repeated once per restart (np.repeat(values, R)).  Every equality(P)
     call comes right after an objective(P) call on the same, unmodified
-    array object, so the pair may share one evaluation.  Returns the
-    (K, dim) array of each group's best point with |residual| <= FEAS_TOL.
-    Deterministic for fixed seeds.
+    array object, so the pair may share one evaluation.  A proposal moves
+    one column of a copy of the accepted batch (the `lines` scorer uses
+    that for speed only).  Returns the (K, dim) array of each group's best
+    point with |residual| <= FEAS_TOL.  Deterministic for fixed seeds.
     """
     groups, restarts = len(spec.seeds), spec.restarts
     X, noise = _initial_points(spec)

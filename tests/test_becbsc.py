@@ -72,6 +72,8 @@ def valid_params(draw):
     p = draw(st.floats(1e-3, 0.45))
     p1_max = (1.0 - math.sqrt(1.0 - binary_entropy(p))) / 2.0
     p1 = draw(st.floats(p, p1_max, exclude_min=True, exclude_max=True))
+    # near p1_max, 4p1(1-p1) can round up to H2(p), leaving no e2 to draw
+    assume(4 * p1 * (1 - p1) < binary_entropy(p))
     e2 = draw(st.floats(4 * p1 * (1 - p1), binary_entropy(p),
                         exclude_min=True))
     try:

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from compound_bc import lines
+from compound_bc import becbsc, info, lines
 from compound_bc.becbsc import BecBscParams, alpha0_solve
 from compound_bc.lines import (
-    F0_closed,
     SupportingLineEval,
-    _design_fields,
     _lagrangian_search,
     canonical_designs,
     d_a_curve,
@@ -20,6 +21,8 @@ from compound_bc.lines import (
     t1_closed,
     t1_inverse,
 )
+from compound_bc.info import binary_convolve, binary_entropy
+from compound_bc.search import mix64, sigmoid, softmax
 
 
 def h2(x):
@@ -36,6 +39,13 @@ PARAMS = BecBscParams()
 X_MAX = 1 - h2(PARAMS.p)
 KINK = (1 - PARAMS.e2) / (1 - h2(PARAMS.p))
 SMALL = (120, 200)  # restarts, iterations for fast stochastic checks
+
+
+def F0_closed(params, lam):
+    """Exact a = 0 majorant intercept: max{(1 - H2(p)) * lam, 1 - e2}."""
+    if not lam >= 0:
+        raise ValueError(f"multiplier must be nonnegative, got {lam}")
+    return max((1.0 - binary_entropy(params.p)) * lam, 1.0 - params.e2)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +171,7 @@ def test_brute_force_zero_budget_hits_the_no_leak_corner(monkeypatch):
     value, = sample_t_a(a, PARAMS, [0.0], search_budget=(400, 400), seed=2)
     expected = a * (1 - h2(PARAMS.p1)) + (1 - a) * (1 - PARAMS.e2)
     assert value == pytest.approx(expected, abs=5e-3)
-    pq, bx, _ = _design_fields(np.array(points))
+    pq, bx, _ = full_fields(np.array(points))
     assert np.sum(pq * bx, axis=1) == pytest.approx([0.5], abs=1e-4)
 
 
@@ -199,26 +209,27 @@ def test_brute_force_rejects_bad_arguments():
         sample_t_a(1.2, PARAMS, [0.1], search_budget=SMALL)
 
 
-def _count_design_fields(monkeypatch):
+def _count_scores(monkeypatch):
+    """Record the batch of every design-scorer evaluation."""
     calls = []
-    real = lines._design_fields
+    real = lines._DesignScores.__call__
 
-    def counting(theta):
+    def counting(self, theta):
         calls.append(theta)
-        return real(theta)
+        return real(self, theta)
 
-    monkeypatch.setattr(lines, "_design_fields", counting)
+    monkeypatch.setattr(lines._DesignScores, "__call__", counting)
     return calls
 
 
 def test_constrained_step_evaluates_each_batch_once(monkeypatch):
     baseline = sample_t_a(1.0, PARAMS, [0.1], search_budget=(16, 60), seed=0)
-    calls = _count_design_fields(monkeypatch)
+    calls = _count_scores(monkeypatch)
     value = sample_t_a(1.0, PARAMS, [0.1], search_budget=(16, 60), seed=0)
     # iterations + 4 objective batches (start, two stage starts, final
-    # filter) and the argmax re-score; the residual of each batch reuses
-    # the objective's evaluation
-    assert len(calls) <= 60 + 5
+    # filter) and the argmax re-score; the residual of each batch reuses the
+    # objective's evaluation
+    assert len(calls) == 60 + 5
     assert np.array_equal(value, baseline)
 
 
@@ -232,11 +243,10 @@ def test_residual_recomputes_unless_given_the_scored_array(monkeypatch):
         Q = rng.uniform(-4.0, 4.0, (spec.restarts, 6))
 
         def fresh(theta):
-            pq, bx, excess = real_fields(theta)
-            _, _, ixz = lines._mutual_informations(pq, bx, PARAMS)
+            _, _, ixz, excess = full_scores(theta)
             return np.abs(ixz - x) + 10.0 * excess
 
-        calls = _count_design_fields(monkeypatch)
+        calls = _count_scores(monkeypatch)
         objective(P)
         assert len(calls) == 1
         assert np.array_equal(equality(P), fresh(P))  # shared evaluation
@@ -251,7 +261,7 @@ def test_residual_recomputes_unless_given_the_scored_array(monkeypatch):
         monkeypatch.undo()
         return real_maximize(objective, spec, equality=equality)
 
-    real_maximize, real_fields = lines.maximize, lines._design_fields
+    real_maximize = lines.maximize
     monkeypatch.setattr(lines, "maximize", probing_maximize)
     value, = sample_t_a(1.0, PARAMS, [x], search_budget=(16, 60), seed=0)
     assert probes == [6]
@@ -266,14 +276,179 @@ def test_sample_t_a_returns_one_value_per_budget():
 
 
 # ---------------------------------------------------------------------------
+# incremental design scorer against the full-batch objectives it replaced
+
+
+def full_fields(theta):
+    """Design pmfs of raw points, every column re-derived (the body of the
+    deleted `lines._design_fields`)."""
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    pq = softmax(np.column_stack([theta[:, :3], np.zeros(len(theta))]), axis=1)
+    bx = np.empty_like(pq)
+    bx[:, :3] = sigmoid(theta[:, 3:])
+    raw = (0.5 - np.einsum("nq,nq->n", pq[:, :3], bx[:, :3])) / pq[:, 3]
+    bx[:, 3] = np.clip(raw, 0.0, 1.0)
+    return pq, bx, np.abs(raw - bx[:, 3])
+
+
+def full_informations(pq, bx):
+    """Checked entropies of all four conditionals (the replaced
+    `_mutual_informations` body)."""
+    h1 = binary_entropy(binary_convolve(PARAMS.p1, bx))
+    i_qy1 = 1.0 - np.einsum("nq,nq->n", pq, h1)
+    hx = binary_entropy(bx)
+    i_qy2 = (1.0 - PARAMS.e2) * (1.0 - np.einsum("nq,nq->n", pq, hx))
+    hz = binary_entropy(binary_convolve(PARAMS.p, bx))
+    i_xz_q = np.einsum("nq,nq->n", pq, hz) - binary_entropy(PARAMS.p)
+    return i_qy1, i_qy2, i_xz_q
+
+
+def full_scores(theta):
+    pq, bx, excess = full_fields(theta)
+    return (*full_informations(pq, bx), excess)
+
+
+def oracle_sample_t_a(a, xs, search_budget, seed):
+    """`sample_t_a` with the full-batch objective and residual."""
+    def objective(theta, _):
+        i1, i2, _, excess = full_scores(theta)
+        return a * i1 + (1.0 - a) * i2 - lines._PULL * excess
+
+    def residual(theta, x):
+        _, _, ixz, excess = full_scores(theta)
+        return np.abs(ixz - x) + 10.0 * excess
+
+    xs = np.asarray(xs, dtype=float)
+    seeds = [mix64(seed, i) for i in range(xs.size)]
+    points = lines._batched_points(objective, xs, search_budget, seeds,
+                                   equality=residual)
+    i1, i2, _ = full_informations(*full_fields(points)[:2])
+    return a * i1 + (1.0 - a) * i2
+
+
+def oracle_lagrangian_points(a, lambdas, search_budget, seeds):
+    """`_lagrangian_search` with the full-batch objective."""
+    def objective(theta, lam):
+        i1, i2, ixz, excess = full_scores(theta)
+        return a * i1 + (1.0 - a) * i2 + lam * ixz - lines._PULL * excess
+
+    return lines._batched_points(objective, np.asarray(lambdas, dtype=float),
+                                 search_budget, seeds)
+
+
+def assert_bitwise(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def test_searches_are_bitwise_the_full_batch_oracles(monkeypatch):
+    # three budgets at 700 restarts: batches of two groups, then one smaller
+    # batch, so the scorer meets a new batch and a change of shape
+    monkeypatch.setattr(lines, "_BATCH_ROWS", 1400)
+    xs = [0.05, 0.2, 0.4]
+    for a, seed in ((1.0, 0), (0.6, 5), (0.0, 9)):
+        assert_bitwise(sample_t_a(a, PARAMS, xs, search_budget=(700, 40),
+                                  seed=seed),
+                       oracle_sample_t_a(a, xs, (700, 40), seed))
+    lams = np.linspace(0.0, 3.0, 11)
+    seeds = list(range(11))
+    assert_bitwise(_lagrangian_search(0.7, lams, PARAMS, (32, 90), seeds),
+                   oracle_lagrangian_points(0.7, lams, (32, 90), seeds))
+
+
+LOGITS = st.one_of(st.sampled_from([-12.0, 12.0, 0.0, -0.0]),
+                   st.floats(-12.0, 12.0))
+
+
+@st.composite
+def scorer_calls(draw):
+    """A first batch and a sequence of steps that derive the next one."""
+    rows = draw(st.integers(1, 6))
+    first = draw(hnp.arrays(np.float64, (rows, 6), elements=LOGITS))
+    steps = draw(st.lists(st.tuples(
+        st.sampled_from(["move", "rows", "several", "repeat", "in_place",
+                         "shape"]),
+        st.integers(0, 5),
+        st.lists(st.integers(0, 5), min_size=1, max_size=6),
+        st.integers(1, 6),
+        st.lists(LOGITS, min_size=36, max_size=36)), max_size=14))
+    return first, steps
+
+
+@settings(max_examples=80, deadline=None)
+@given(calls=scorer_calls())
+def test_scorer_sequences_are_bitwise_a_fresh_scorer(calls):
+    first, steps = calls
+    scores = lines._DesignScores(PARAMS)
+    theta = first
+    for step in [None, *steps]:
+        if step is not None:
+            kind, c, cols, rows, drawn = step
+            fill = np.resize(np.array(drawn), theta.shape)
+            if kind == "shape":
+                theta = np.resize(np.array(drawn), (rows, 6))
+            elif kind == "in_place":  # the scored array itself changes
+                theta[:, cols] = fill[:, cols]
+            elif kind != "repeat":
+                theta = theta.copy()
+                if kind == "move":  # a maximize proposal
+                    theta[:, c] = fill[:, c]
+                elif kind == "rows":  # maximize accepting some rows
+                    keep = fill[:, 0] > 0
+                    theta[keep, c] = fill[keep, 1]
+                else:
+                    theta[:, cols] = fill[:, cols]
+        got = scores(theta)
+        assert_bitwise(got, lines._DesignScores(PARAMS)(theta.copy()))
+        assert_bitwise(got, full_scores(theta))
+
+
+def test_brute_search_sends_at_most_60_percent_of_the_conditionals(
+        monkeypatch):
+    shapes = []
+    real = lines._conditional_entropies
+
+    def recording(bx, params):
+        shapes.append(bx.shape)
+        return real(bx, params)
+
+    monkeypatch.setattr(lines, "_conditional_entropies", recording)
+    sample_t_a(1.0, PARAMS, [0.1], search_budget=(16, 60), seed=0)
+    # the search's 64 batches, then the argmax re-score of one point
+    assert shapes[-1] == (1, 4) and {n for n, _ in shapes[:-1]} == {16}
+    search = [k for _, k in shapes[:-1]]
+    # a full-batch objective sends 4 conditionals per row and call
+    assert len(search) == 60 + 4
+    assert sum(search) <= 0.6 * 4 * len(search)
+
+
+def test_checked_entropy_calls_do_not_grow_with_iterations(monkeypatch):
+    counts = []
+    for n in (60, 120):
+        calls = []
+        real = info.binary_entropy
+
+        def counting(x, calls=calls):
+            calls.append(x)
+            return real(x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lines, "binary_entropy", counting)
+            patch.setattr(becbsc, "binary_entropy", counting)
+            sample_t_a(1.0, PARAMS, [0.1], search_budget=(16, n), seed=0)
+        counts.append(len(calls))
+    # range checks run once per call of the API, none per search step
+    assert counts[0] == counts[1]
+
+
+# ---------------------------------------------------------------------------
 # Lagrangian intercepts
 
 
 def lagrangian_values(a, lambdas, search_budget, seeds):
     """F_a at each multiplier: the Lagrangian scored at its argmax point."""
     points = _lagrangian_search(a, lambdas, PARAMS, search_budget, seeds)
-    pq, bx, _ = _design_fields(points)
-    i1, i2, ixz = lines._mutual_informations(pq, bx, PARAMS)
+    i1, i2, ixz = full_informations(*full_fields(points)[:2])
     return a * i1 + (1.0 - a) * i2 + np.asarray(lambdas) * ixz
 
 

@@ -21,6 +21,7 @@ from compound_bc.miso import (
     DpcScheme,
     GaussRatePoint,
     MisoChannel,
+    StrictnessReport,
     _minimax_two_vec,
     _point,
     _terms,
@@ -577,6 +578,15 @@ class TestMdCorrelated:
 
 
 class TestStrictness:
+    def test_validates_before_the_zero_power_report(self):
+        with pytest.raises(ValueError, match="eta"):
+            strictness_uncorrelated_check(-1.0, 1.0, -5.0, 7.0)
+        for args in ((-1.0, 1.0, 1.0, 0.2), (0.0, math.nan, 1.0, 0.2)):
+            with pytest.raises(ValueError, match="noise positive"):
+                strictness_uncorrelated_check(*args)
+        report = strictness_uncorrelated_check(0.0, 1.0, 1.0, 0.2)
+        assert report == StrictnessReport(False, 0.0, 0.0)
+
     def test_aligned_interference_fails_condition(self):
         report = strictness_uncorrelated_check(6.0, 4.0, 1.0, 1.0)
         assert not report
