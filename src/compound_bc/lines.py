@@ -34,7 +34,7 @@ import numpy as np
 from .becbsc import (BecBscParams, _conditional_entropies,
                      _mutual_informations, _weighted_informations,
                      alpha0_solve, capacity_c1)
-from .info import binary_convolve, binary_entropy
+from .info import _h2, binary_convolve, binary_entropy
 from .search import (
     SearchSpec,
     isotonic_project,
@@ -52,7 +52,9 @@ THETA_BOUND = 12.0
 # dense d_a envelope: multipliers across the active band, padded each side
 BAND_POINTS = 2501
 BAND_PAD = 0.05
-POOL_CHUNK = 256  # multipliers per block when re-scoring the design pool
+# values per block of the pool reductions (`_reduce_lines`): one reused
+# buffer of this size instead of a (queries x pool) outer product
+REDUCE_BLOCK = 1 << 16
 # rows (groups x restarts) per batched search call; a search wider than this
 # runs alone
 _BATCH_ROWS = 2048
@@ -210,9 +212,8 @@ class SupportingLineEval:
     def envelope(self, x):
         """min over the multiplier grid of f - lam*x, vectorized in x."""
         x = np.asarray(x, dtype=float)
-        flat = x.ravel()
-        vals = np.min(self.f_values[:, None] - self.lambdas[:, None] * flat[None, :],
-                      axis=0)
+        vals = _reduce_lines(self.f_values, self.lambdas, x.ravel(),
+                             np.subtract, np.min)
         return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
 
 
@@ -237,14 +238,32 @@ def canonical_designs(n=2001):
     return np.vstack([pq1, pq2]), np.vstack([bx1, bx2])
 
 
+def _reduce_lines(intercepts, slopes, queries, combine, reduce):
+    """reduce over the pool of combine(intercepts, slopes * q), per query q.
+
+    The pool of lines lies along the contiguous axis of one buffer of about
+    REDUCE_BLOCK values, which every block of query rows reuses: the
+    product and then `combine` are written into it, and `reduce` folds each
+    row into its slot of the output.  The elementwise expression is a dense
+    (queries x pool) outer product's, and max and min are exact, so every
+    value is the dense reduction's; a zero result tied between +0 and -0
+    lines takes the sign this fold order gives.
+    """
+    out = np.empty(queries.size)
+    rows = max(1, REDUCE_BLOCK // max(1, intercepts.size))
+    buf = np.empty((min(rows, queries.size), intercepts.size))
+    for start in range(0, queries.size, rows):
+        q = queries[start:start + rows, None]
+        block = buf[:len(q)]
+        np.multiply(q, slopes, out=block)
+        combine(intercepts, block, out=block)
+        reduce(block, axis=1, out=out[start:start + len(q)])
+    return out
+
+
 def _pool_f_values(lambdas, weighted, budgets):
     """max over the pool of weighted + lam * budget, per multiplier."""
-    f_values = np.empty(lambdas.size)
-    for start in range(0, lambdas.size, POOL_CHUNK):
-        block = lambdas[start:start + POOL_CHUNK, None]
-        f_values[start:start + POOL_CHUNK] = np.max(
-            weighted[None, :] + block * budgets[None, :], axis=1)
-    return f_values
+    return _reduce_lines(weighted, budgets, lambdas, np.add, np.max)
 
 
 def evaluate_supporting_lines(a, params: BecBscParams, lambda_grid,
@@ -289,13 +308,15 @@ def t1_closed(params: BecBscParams, x):
     """Exact a = 1 curve: 1 - H2(p1 * p_x) with H2(p * p_x) - H2(p) = x.
 
     p_x is found by bisection (the defining left side is strictly
-    increasing in p_x on [0, 1/2]).  Vectorized in x.
+    increasing in p_x on [0, 1/2]), on the unchecked entropy kernel: with p
+    and every midpoint in [0, 1/2], so is their convolution.  Vectorized
+    in x.
     """
     xs = np.asarray(x, dtype=float)
     _check_budget_x(params, xs)
     h_p = binary_entropy(params.p)
-    p_x = _bisect_increasing(
-        lambda m: binary_entropy(binary_convolve(params.p, m)) - h_p, xs)
+    p_x = _bisect_increasing(lambda m: _h2(binary_convolve(params.p, m)) - h_p,
+                             xs)
     out = capacity_c1(params, p_x)[0]
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
@@ -304,15 +325,16 @@ def t1_inverse(params: BecBscParams, r1):
     """Exact budget at which the a = 1 curve reaches rate r1.
 
     Inverts 1 - H2(p1 * p_x) = r1 for p_x, then maps to the budget
-    x = H2(p * p_x) - H2(p).  Vectorized in r1.
+    x = H2(p * p_x) - H2(p).  The bisection uses the unchecked entropy
+    kernel, as in `t1_closed`.  Vectorized in r1.
     """
     rates = np.asarray(r1, dtype=float)
     top = 1.0 - binary_entropy(params.p1)
     if not np.all((rates >= -1e-12) & (rates <= top + 1e-12)):
         raise ValueError(f"rate outside [0, {top:.6g}]")
     # 1 - H2(p1 * p_x) decreases in p_x, so bisect on its negation
-    p_x = _bisect_increasing(
-        lambda m: binary_entropy(binary_convolve(params.p1, m)), 1.0 - rates)
+    p_x = _bisect_increasing(lambda m: _h2(binary_convolve(params.p1, m)),
+                             1.0 - rates)
     out = capacity_c1(params, p_x)[1]
     return float(out[0]) if rates.ndim == 0 else out.reshape(rates.shape)
 

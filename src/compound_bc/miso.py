@@ -675,8 +675,13 @@ def _corr_sweep(terms, x_slices):
     No computed R1 exceeds the cap, as each parabola is at least its floor
     N / s_j; where the best R1 reaches it, the full scan may report an
     earlier tying slice, so those cells are rescanned over every slice on
-    a gathered subset.  The monotonicity is exact in real arithmetic; the
-    tests check the float result bitwise against the full scan.
+    a gathered subset.  The monotonicity is exact in real arithmetic only:
+    in floats a skipped slice can tie the breakpoint slice below the cap.
+    So a cell is rescanned too where its best R1 does not beat the R1 at
+    its column's largest skipped x, the highest skipped R1 wherever
+    rounding keeps the rise monotone; a skipped slice that rounding lifts
+    above it would not be caught.  The tests check the float result
+    bitwise against the full scan.
     """
     def score(block, x):
         return corr_optimal(corr_parabolas(block, x), x)
@@ -688,7 +693,16 @@ def _corr_sweep(terms, x_slices):
     _scan(score, terms, x_slices, best, cols)
     cap = -0.5 * np.log2(np.maximum(*(terms.n / rx[2]
                                       for rx in terms.receivers)))
-    _rescan(score, terms, x_slices, ~(best[0] < cap), best)
+    # each column's largest skipped x: ladder slice i is skipped left of
+    # cols[i], and the ladder rises, so the last slice to skip it wins
+    x_top = np.zeros((1, shape[1]))
+    for x, j0 in zip(x_slices[1:-1], cols[1:-1]):
+        x_top[:, :j0] = np.broadcast_to(x, x_top.shape)[:, :j0]
+    top = _start(shape, False)
+    _scan(score, terms, [x_top], top)
+    tied = ~(best[0] > top[0])
+    tied[:, cols[1]:] = False  # no ladder slice was skipped there
+    _rescan(score, terms, x_slices, ~(best[0] < cap) | tied, best)
     return best
 
 

@@ -46,12 +46,13 @@ def _frac(x) -> Fraction:
 class InfoExpr:
     """Exact-rational linear combination of info atoms plus a constant."""
 
-    __slots__ = ("coeffs", "const")
+    __slots__ = ("coeffs", "const", "_floats")
 
     def __init__(self, coeffs=None, const=0):
         # filter on the converted value: JSON writes a zero as the string "0"
         self.coeffs = {a: f for a, c in (coeffs or {}).items() if (f := _frac(c))}
         self.const = _frac(const)
+        self._floats = None
 
     @classmethod
     def atom(cls, name, coeff=1) -> "InfoExpr":
@@ -76,9 +77,13 @@ class InfoExpr:
     __rmul__ = __mul__
 
     def evaluate(self, values: dict) -> float:
-        total = float(self.const)
-        for a, c in self.coeffs.items():
-            total += float(c) * values[a]
+        # the float coefficients are made on the first valuation and kept
+        if self._floats is None:
+            self._floats = (float(self.const),
+                            tuple(map(float, self.coeffs.values())))
+        total, floats = self._floats
+        for a, c in zip(self.coeffs, floats):
+            total += c * values[a]
         return total
 
     def key(self):
@@ -101,6 +106,7 @@ class LinIneq:
 
     def __post_init__(self):
         self.lhs = {v: f for v, c in self.lhs.items() if (f := _frac(c))}
+        self._float_lhs = None  # made by `float_row` on first use
         if self.rel not in ("<=", "<"):
             raise ValueError(f"relation must be '<=' or '<', got {self.rel!r}")
         if not isinstance(self.rhs, InfoExpr):
@@ -108,6 +114,14 @@ class LinIneq:
 
     def key(self):
         return (tuple(sorted(self.lhs.items())), self.rel, self.rhs.key())
+
+    def float_row(self, rate_vars) -> list:
+        """The lhs coefficients of `rate_vars` as floats (0.0 if absent);
+        each Fraction is converted once per row, not once per valuation."""
+        if self._float_lhs is None:
+            self._float_lhs = tuple(map(float, self.lhs.values()))
+        floats = dict(zip(self.lhs, self._float_lhs))
+        return [floats.get(v, 0.0) for v in rate_vars]
 
     def scaled(self, k) -> "LinIneq":
         k = _frac(k)
@@ -426,7 +440,7 @@ def instantiate(system: RegionSystem, values: dict) -> NumericRegion:
     """Evaluate atoms and produce a numeric region (strict rows are closed)."""
     rows, bounds = [], []
     for iq in system.ineqs:
-        rows.append([float(iq.lhs.get(v, F0)) for v in system.rate_vars])
+        rows.append(iq.float_row(system.rate_vars))
         bounds.append(iq.rhs.evaluate(values))
     return NumericRegion(system.rate_vars, rows, bounds)
 

@@ -173,6 +173,8 @@ def isotonic_project(values, decreasing=False):
     v = np.asarray(values, dtype=float)
     if decreasing:
         return isotonic_project(v[::-1])[::-1]
+    if np.all(v[:-1] <= v[1:]):  # already monotone: every block is one sample
+        return v.copy()
     # blocks of (total, count) pooled until the running means are nondecreasing
     totals, counts = [], []
     for x in v:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,108 @@ def test_supporting_line_eval_validation():
         SupportingLineEval(0.5, np.array([-1.0, 1.0]), f_vals, xs)
     with pytest.raises(ValueError, match="match the lambda grid"):
         SupportingLineEval(0.5, grid, np.array([0.5]), xs)
+
+
+# the bodies before the blocked kernel: dense outer products
+def dense_pool_f_values(lambdas, weighted, budgets, chunk=256):
+    """max over the pool of weighted + lam * budget, 256 multipliers at a
+    time, each block one (chunk x pool) temporary."""
+    f_values = np.empty(lambdas.size)
+    for start in range(0, lambdas.size, chunk):
+        block = lambdas[start:start + chunk, None]
+        f_values[start:start + chunk] = np.max(
+            weighted[None, :] + block * budgets[None, :], axis=1)
+    return f_values
+
+
+def dense_lines(f_values, lambdas, x):
+    """Every majorant f - lam*x at every budget, (multipliers x budgets)."""
+    return f_values[:, None] - lambdas[:, None] * x[None, :]
+
+
+def dense_envelope(f_values, lambdas, x):
+    return np.min(dense_lines(f_values, lambdas, x), axis=0)
+
+
+def assert_same_reduction(got, want):
+    """Equal values and NaN places, and each number's sign bit."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    numbers = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+
+# many exact ties, signed zeros and non-finite values
+LINE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0, np.inf, -np.inf, np.nan]),
+    st.floats(-4.0, 4.0))
+
+
+@st.composite
+def line_pools(draw):
+    """(intercepts, slopes, queries, block) with pools smaller and larger
+    than one block of values and at least one query."""
+    pool = draw(st.integers(1, 40))
+
+    def values(n):
+        return draw(hnp.arrays(np.float64, n, elements=LINE_VALUES))
+
+    return (values(pool), values(pool), values(draw(st.integers(1, 30))),
+            draw(st.sampled_from([1, 16, 64, lines.REDUCE_BLOCK])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_pools())
+def test_pool_f_values_is_bitwise_the_dense_body(case):
+    weighted, budgets, lambdas, block = case
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(lines, "REDUCE_BLOCK", block)
+        got = lines._pool_f_values(lambdas, weighted, budgets)
+        want = dense_pool_f_values(lambdas, weighted, budgets)
+    assert_same_reduction(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_pools())
+def test_envelope_is_the_dense_body(case):
+    f_values, lambdas, xs, block = case
+    lambdas = np.abs(lambdas)  # the multiplier grid is nonnegative
+    lambdas[np.isnan(lambdas)] = 0.0
+    ev = SupportingLineEval(0.5, lambdas, f_values, [])
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(lines, "REDUCE_BLOCK", block)
+        got = ev.envelope(xs)
+        want = dense_envelope(f_values, lambdas, xs)
+        candidates = dense_lines(f_values, lambdas, xs)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    # min is exact, but of +0 and -0 it keeps whichever comes second: the
+    # dense body folds across the multipliers in order, the kernel along
+    # its contiguous pool axis, so a zero tied between both signs may
+    # differ in sign and nothing else may
+    flipped = ~np.isnan(want) & (np.signbit(got) != np.signbit(want))
+    for j in np.flatnonzero(flipped):
+        zeros = candidates[:, j][candidates[:, j] == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
+def test_pool_reductions_stay_under_2_mb_traced():
+    # the dense envelope built two 80 MB temporaries here, the chunked pool
+    # two 13 MB ones per block
+    rng = np.random.default_rng(0)
+    lambdas = np.linspace(0.5, 1.5, 2501)
+    ev = SupportingLineEval(0.5, lambdas, rng.random(2501), [])
+    xs = np.linspace(0.0, 0.4, 4001)
+    weighted, budgets = rng.random(6503), rng.random(6503)
+    for run in (lambda: ev.envelope(xs),
+                lambda: lines._pool_f_values(lambdas, weighted, budgets)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def test_canonical_design_families_are_input_uniform():
@@ -438,6 +541,30 @@ def test_checked_entropy_calls_do_not_grow_with_iterations(monkeypatch):
             sample_t_a(1.0, PARAMS, [0.1], search_budget=(16, n), seed=0)
         counts.append(len(calls))
     # range checks run once per call of the API, none per search step
+    assert counts[0] == counts[1]
+
+
+def test_closed_form_checked_entropy_calls_do_not_grow_with_steps(
+        monkeypatch):
+    bisect = lines._bisect_increasing
+    real = info.binary_entropy
+    counts = []
+    for steps in (10, 80):
+        calls = []
+
+        def counting(x, calls=calls):
+            calls.append(x)
+            return real(x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lines, "_bisect_increasing",
+                          lambda f, t, steps=steps: bisect(f, t, steps=steps))
+            patch.setattr(lines, "binary_entropy", counting)
+            patch.setattr(becbsc, "binary_entropy", counting)
+            t1_closed(PARAMS, [0.1, 0.2])
+            t1_inverse(PARAMS, [0.1, 0.2])
+        counts.append(len(calls))
+    # range checks run at the API boundary, none per bisection step
     assert counts[0] == counts[1]
 
 

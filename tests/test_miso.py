@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -1190,6 +1190,11 @@ def assert_blocked_sweep_is_the_oracle(name, kind, oracle, channel, beams,
 class TestSkippedSlices:
     @settings(max_examples=100, deadline=None)
     @given(**BLOCKED_GRIDS)
+    # ladder slice x = 0.00116, below the breakpoint, ties the breakpoint
+    # slice at R1 = 1.6017e-15, under the cap of 1.7619e-15
+    @example(channel=MisoChannel([1e-7, 0.0], [1e-7, 1.0], [0.0, 1.0], 0.75,
+                                 1.0),
+             beams=(1, 2), split_steps=4, x_steps=6, block=16)
     def test_md_corr_tail_sweep_is_bitwise_the_full_scan(self, **grid):
         assert_blocked_sweep_is_the_oracle("_corr_sweep", "md-corr",
                                            full_scan_corr, **grid)

@@ -333,6 +333,41 @@ def test_instantiate_all_zero_atoms_gives_origin():
     assert np.allclose(verts, 0)
 
 
+def test_instantiate_converts_each_fraction_once(monkeypatch):
+    sys = RegionSystem(["x", "y"], [
+        ineq({"x": Fraction(1, 3), "y": 2}, "<=",
+             InfoExpr({"a": Fraction(2, 7), "b": Fraction(-5, 3)},
+                      Fraction(1, 9))),
+        ineq({"y": Fraction(-3, 11)}, "<", InfoExpr.atom("b", Fraction(4, 13))),
+    ])
+    rng = np.random.default_rng(4)
+    valuations = [dict(zip("ab", rng.uniform(0.0, 2.0, 2))) for _ in range(5)]
+
+    def converted_per_valuation(values):
+        # the body before the float coefficients were kept
+        rows = [[float(iq.lhs.get(v, Fraction(0))) for v in sys.rate_vars]
+                for iq in sys.ineqs]
+        bounds = []
+        for iq in sys.ineqs:
+            total = float(iq.rhs.const)
+            for a, c in iq.rhs.coeffs.items():
+                total += float(c) * values[a]
+            bounds.append(total)
+        return NumericRegion(sys.rate_vars, rows, bounds)
+
+    want = [converted_per_valuation(v) for v in valuations]
+    conversions = []
+    real = Fraction.__float__
+    monkeypatch.setattr(Fraction, "__float__",
+                        lambda self: conversions.append(self) or real(self))
+    got = [instantiate(sys, v) for v in valuations]
+    # three lhs coefficients, two constants and three atom coefficients
+    assert len(conversions) == 8
+    for g, w in zip(got, want):
+        assert g.A.tobytes() == w.A.tobytes()
+        assert g.b.tobytes() == w.b.tobytes()
+
+
 def test_vertices_2d_triangle():
     region = region2([[1, 1]], [1.0])
     verts = vertices_2d(region)

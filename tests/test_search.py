@@ -428,3 +428,44 @@ def test_isotonic_project():
     assert up.sum() == pytest.approx(v.sum(), abs=1e-9)  # pooling preserves mass
     down = isotonic_project(v, decreasing=True)
     assert np.all(np.diff(down) <= 1e-12)
+
+
+def pav_oracle(values, decreasing=False):
+    """`isotonic_project` before its monotone-input shortcut: pool adjacent
+    violators on every input."""
+    v = np.asarray(values, dtype=float)
+    if decreasing:
+        return pav_oracle(v[::-1])[::-1]
+    totals, counts = [], []
+    for x in v:
+        totals.append(float(x))
+        counts.append(1)
+        while len(totals) > 1 and totals[-2] / counts[-2] > totals[-1] / counts[-1]:
+            totals[-2] += totals[-1]
+            counts[-2] += counts[-1]
+            totals.pop()
+            counts.pop()
+    out = np.empty_like(v)
+    i = 0
+    for t, c in zip(totals, counts):
+        out[i:i + c] = t / c
+        i += c
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 30), elements=st.one_of(
+           st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan]),
+           st.floats(-5.0, 5.0))),
+       st.sampled_from([None, "up", "down"]), st.booleans())
+def test_isotonic_project_is_bitwise_the_pav_loop(v, order, decreasing):
+    # sorted inputs take the monotone shortcut in one direction
+    if order is not None:
+        v = np.sort(v)
+        v = v if order == "up" else v[::-1]
+    got = isotonic_project(v, decreasing=decreasing)
+    want = pav_oracle(v, decreasing=decreasing)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    numbers = ~np.isnan(want)
+    assert got[numbers].tobytes() == want[numbers].tobytes()
