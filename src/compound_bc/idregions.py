@@ -14,6 +14,8 @@ mutual-information atoms such as "I(Q,U;Y1)" that are later evaluated on a
 concrete joint distribution.
 """
 
+import itertools
+
 import numpy as np
 
 from .becbsc import DEFAULT_PARAMS
@@ -30,38 +32,44 @@ from .polyhedra import (
 )
 
 
-def _own_y_rows(y):
-    return [
-        ineq({"T1": 1}, "<=", f"I(U;{y}|Q)"),
-        ineq({"R0": 1, "T1": 1}, "<=", f"I(Q,U;{y})"),
-    ]
+def _decoding_rows(out, rate, aux, interfering=None):
+    """Rows for the receiver with output `out` that decodes Q and its own
+    codeword `aux`, binned at `rate`.  Given interfering = (rate, aux) of
+    the other stream, it also resolves that codeword without requiring it
+    to be unique (non-unique decoding), which adds the pair's rows."""
+    if interfering is None:
+        return [ineq({rate: 1}, "<=", f"I({aux};{out}|Q)"),
+                ineq({"R0": 1, rate: 1}, "<=", f"I(Q,{aux};{out})")]
+    other_rate, other = interfering
+    low, high = sorted((aux, other))
+    shared = InfoExpr.atom(f"I({low};{high}|Q)")
+    both = {rate: 1, other_rate: 1}
+    return [ineq({rate: 1}, "<=", f"I({aux};{out},{other}|Q)"),
+            ineq(both, "<=", InfoExpr.atom(f"I({low},{high};{out}|Q)")
+                 + shared),
+            ineq({"R0": 1, **both}, "<=",
+                 InfoExpr.atom(f"I(Q,{low},{high};{out})") + shared)]
 
 
-def _own_z_rows(z):
-    return [
-        ineq({"T2": 1}, "<=", f"I(V;{z}|Q)"),
-        ineq({"R0": 1, "T2": 1}, "<=", f"I(Q,V;{z})"),
-    ]
+def _covering_rows(descriptions):
+    """Mutual covering of (message, binning, aux) descriptions.
 
-
-def _cross_y_rows(y):
-    pair = InfoExpr.atom("I(U;V|Q)")
-    return [
-        ineq({"T1": 1}, "<=", f"I(U;{y},V|Q)"),
-        ineq({"T1": 1, "T2": 1}, "<=", InfoExpr.atom(f"I(U,V;{y}|Q)") + pair),
-        ineq({"R0": 1, "T1": 1, "T2": 1}, "<=",
-             InfoExpr.atom(f"I(Q,U,V;{y})") + pair),
-    ]
-
-
-def _cross_z_rows(z):
-    pair = InfoExpr.atom("I(U;V|Q)")
-    return [
-        ineq({"T2": 1}, "<=", f"I(V;{z},U|Q)"),
-        ineq({"T1": 1, "T2": 1}, "<=", InfoExpr.atom(f"I(U,V;{z}|Q)") + pair),
-        ineq({"R0": 1, "T1": 1, "T2": 1}, "<=",
-             InfoExpr.atom(f"I(Q,U,V;{z})") + pair),
-    ]
+    Each description needs message <= binning.  Each group of two or more,
+    in `itertools.combinations` order, needs its binning surplus to exceed
+    the information its auxiliaries A_1 < A_2 < ... (sorted) share:
+    sum(message - binning) < -(I(A_1;A_2|Q) + I(A_1,A_2;A_3|Q) + ...).
+    """
+    rows = [ineq({m: 1, t: -1}, "<=", 0) for m, t, _ in descriptions]
+    for size in range(2, len(descriptions) + 1):
+        for group in itertools.combinations(descriptions, size):
+            lhs = {t: -1 for _, t, _ in group}
+            for m, _, _ in group:
+                lhs[m] = lhs.get(m, 0) + 1
+            auxes = sorted(a for _, _, a in group)
+            rows.append(ineq(lhs, "<", InfoExpr(
+                {f"I({','.join(auxes[:k])};{auxes[k]}|Q)": -1
+                 for k in range(1, size)})))
+    return rows
 
 
 def build_id_region(j, method, z_label=None) -> RegionSystem:
@@ -79,9 +87,10 @@ def build_id_region(j, method, z_label=None) -> RegionSystem:
         raise ValueError(f"decoding method must be 1..4, got {method}")
     y = f"Y{j}"
     z = z_label if z_label is not None else f"Z{j}"
-    y_rows = _own_y_rows(y) if method in (1, 2) else _cross_y_rows(y)
-    z_rows = _own_z_rows(z) if method in (1, 3) else _cross_z_rows(z)
-    return RegionSystem(["R0", "T1", "T2"], y_rows + z_rows)
+    cross_y, cross_z = method in (3, 4), method in (2, 4)
+    rows = (_decoding_rows(y, "T1", "U", ("T2", "V") if cross_y else None)
+            + _decoding_rows(z, "T2", "V", ("T1", "U") if cross_z else None))
+    return RegionSystem(["R0", "T1", "T2"], rows)
 
 
 def build_T_constraints() -> RegionSystem:
@@ -90,15 +99,8 @@ def build_T_constraints() -> RegionSystem:
     T1 >= R1, T2 >= R2, and the strict joint-binning constraint
     T1 + T2 > R1 + R2 + I(U;V|Q).
     """
-    return RegionSystem(
-        ["R1", "R2", "T1", "T2"],
-        [
-            ineq({"R1": 1, "T1": -1}, "<=", 0),
-            ineq({"R2": 1, "T2": -1}, "<=", 0),
-            ineq({"R1": 1, "R2": 1, "T1": -1, "T2": -1}, "<",
-                 InfoExpr.atom("I(U;V|Q)", -1)),
-        ],
-    )
+    return RegionSystem(["R1", "R2", "T1", "T2"],
+                        _covering_rows([("R1", "T1", "U"), ("R2", "T2", "V")]))
 
 
 def nonneg(variables) -> RegionSystem:
@@ -216,32 +218,13 @@ def three_arv_region() -> RegionSystem:
 
     User 1's message is covered twice, at binning rates T11 and T12, so each
     of its channel instances decodes the description tailored to it.  The
-    covering block has five strict pairwise/triple constraints.
+    covering block has four strict pairwise/triple constraints.
     """
-    m_rows = [
-        ineq({"T2": 1}, "<=", "I(V;Z|Q)"),
-        ineq({"R0": 1, "T2": 1}, "<=", "I(Q,V;Z)"),
-        ineq({"T11": 1}, "<=", "I(U1;Y1|Q)"),
-        ineq({"R0": 1, "T11": 1}, "<=", "I(Q,U1;Y1)"),
-        ineq({"T12": 1}, "<=", "I(U2;Y2|Q)"),
-        ineq({"R0": 1, "T12": 1}, "<=", "I(Q,U2;Y2)"),
-    ]
-    t_rows = [
-        ineq({"R2": 1, "T2": -1}, "<=", 0),
-        ineq({"R1": 1, "T11": -1}, "<=", 0),
-        ineq({"R1": 1, "T12": -1}, "<=", 0),
-        ineq({"R1": 1, "R2": 1, "T11": -1, "T2": -1}, "<",
-             InfoExpr.atom("I(U1;V|Q)", -1)),
-        ineq({"R1": 1, "R2": 1, "T12": -1, "T2": -1}, "<",
-             InfoExpr.atom("I(U2;V|Q)", -1)),
-        ineq({"R1": 2, "T11": -1, "T12": -1}, "<",
-             InfoExpr.atom("I(U1;U2|Q)", -1)),
-        ineq({"R1": 2, "R2": 1, "T11": -1, "T12": -1, "T2": -1}, "<",
-             InfoExpr.atom("I(U1;U2|Q)", -1)
-             + InfoExpr.atom("I(U1,U2;V|Q)", -1)),
-    ]
-    base = RegionSystem(["R0", "R1", "R2", "T11", "T12", "T2"],
-                        m_rows + t_rows)
+    rows = (_decoding_rows("Z", "T2", "V") + _decoding_rows("Y1", "T11", "U1")
+            + _decoding_rows("Y2", "T12", "U2")
+            + _covering_rows([("R2", "T2", "V"), ("R1", "T11", "U1"),
+                              ("R1", "T12", "U2")]))
+    base = RegionSystem(["R0", "R1", "R2", "T11", "T12", "T2"], rows)
     return base.conjoin(nonneg(["R0", "R1", "R2"]))
 
 

@@ -27,7 +27,7 @@ by a `_DesignScores`: it re-scores only the design columns a step moved, with
 the unchecked entropy kernel (its arguments lie in [0, 1] by construction).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,15 +187,14 @@ class SupportingLineEval:
 
     `f_values[k]` is the Lagrangian max at `lambdas[k]`; each pair defines
     the majorant x -> f - lam*x and `t_values[i]` is the pointwise minimum
-    of the majorants at `xs[i]`, computed on construction.  Every majorant
-    is non-increasing in x, hence so is the envelope.
+    of the majorants at `xs[i]`, computed when read.  Every majorant is
+    non-increasing in x, hence so is the envelope.
     """
 
     a: float
     lambdas: np.ndarray
     f_values: np.ndarray
     xs: np.ndarray
-    t_values: np.ndarray = field(init=False)
 
     def __post_init__(self):
         _check_weight(self.a)
@@ -207,7 +206,10 @@ class SupportingLineEval:
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "f_values", fv)
         object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "t_values", self.envelope(xs))
+
+    @property
+    def t_values(self):
+        return self.envelope(self.xs)
 
     def envelope(self, x):
         """min over the multiplier grid of f - lam*x, vectorized in x."""

@@ -562,17 +562,6 @@ def _rescan(score, terms, x_slices, cells, best):
         arr[cells] = new
 
 
-def _floor_rate(terms, x, share1):
-    """-1/2 log2 max(c_1, c_2) over the floors c_j of the md-uncorr
-    parabolas at slice x, computed as uncorr_parabolas computes them.  Each
-    parabola is at least its floor, so no alpha gives a higher R1."""
-    floors = []
-    for (hu, _, s, _), share in zip(terms.receivers, (share1, 1.0 - share1)):
-        private = hu * hu * x + terms.n
-        floors.append((private / terms.n) ** (-share) * private / s)
-    return -0.5 * np.log2(np.maximum(*floors))
-
-
 def _uncorr_sweep(terms, x_slices):
     """Best md-uncorr (r1, alpha, x, t) per cell: the first (time share, x)
     in share-major order whose R1 is the maximum.
@@ -645,8 +634,13 @@ def _uncorr_sweep(terms, x_slices):
                 return np.broadcast_to(arr, shape)[cells]
 
             flagged = _map_terms(pick, terms)
-            ceiling = reduce(np.maximum, (_floor_rate(flagged, pick(x), share1)
-                                          for x in x_slices))
+
+            def floor_rate(x):  # no parabola falls below its floor c_j
+                _, _, c1, _, _, c2 = next(uncorr_parabolas(flagged, pick(x),
+                                                           (share1,)))
+                return -0.5 * np.log2(np.maximum(c1, c2))
+
+            ceiling = reduce(np.maximum, map(floor_rate, x_slices))
             cells[cells] = ~((pick(best[2]) == pick(x_zero))
                              & (pick(best[0]) >= ceiling))
             _rescan(score, terms, x_slices, cells, best)
@@ -678,10 +672,11 @@ def _corr_sweep(terms, x_slices):
     a gathered subset.  The monotonicity is exact in real arithmetic only:
     in floats a skipped slice can tie the breakpoint slice below the cap.
     So a cell is rescanned too where its best R1 does not beat the R1 at
-    its column's largest skipped x, the highest skipped R1 wherever
-    rounding keeps the rise monotone; a skipped slice that rounding lifts
-    above it would not be caught.  The tests check the float result
-    bitwise against the full scan.
+    its column's largest skipped x below the breakpoint slice's x (a
+    skipped slice at that x scores exactly as the breakpoint slice), the
+    highest skipped R1 wherever rounding keeps the rise monotone; a
+    skipped slice that rounding lifts above it would not be caught.  The
+    tests check the float result bitwise against the full scan.
     """
     def score(block, x):
         return corr_optimal(corr_parabolas(block, x), x)
@@ -693,15 +688,19 @@ def _corr_sweep(terms, x_slices):
     _scan(score, terms, x_slices, best, cols)
     cap = -0.5 * np.log2(np.maximum(*(terms.n / rx[2]
                                       for rx in terms.receivers)))
-    # each column's largest skipped x: ladder slice i is skipped left of
-    # cols[i], and the ladder rises, so the last slice to skip it wins
+    # each column's largest skipped x below the breakpoint slice's x:
+    # ladder slice i is skipped left of cols[i], and the ladder rises, so
+    # the last slice to qualify wins
     x_top = np.zeros((1, shape[1]))
+    skipped = np.zeros(x_top.shape, dtype=bool)
     for x, j0 in zip(x_slices[1:-1], cols[1:-1]):
-        x_top[:, :j0] = np.broadcast_to(x, x_top.shape)[:, :j0]
+        below = x < x_slices[-1]
+        below[:, j0:] = False
+        np.copyto(x_top, x, where=below)
+        skipped |= below
     top = _start(shape, False)
     _scan(score, terms, [x_top], top)
-    tied = ~(best[0] > top[0])
-    tied[:, cols[1]:] = False  # no ladder slice was skipped there
+    tied = ~(best[0] > top[0]) & skipped
     _rescan(score, terms, x_slices, ~(best[0] < cap) | tied, best)
     return best
 
@@ -773,13 +772,12 @@ def region_boundary(kind, channel, *, eta_steps=None, split_steps=201,
 
     # zero first-layer power carries no first-user rate
     r1_main = np.where(p_u > 0, r1_main, 0.0)
-    r1_main = np.maximum(np.nan_to_num(r1_main, nan=0.0, neginf=0.0), 0.0)
-    r2_first = np.maximum(terms.r2_first, 0.0)
-    r1_second = np.maximum(terms.r1_second, 0.0)
-    r2_second = np.maximum(terms.r2_second, 0.0)
+    r1_main = np.nan_to_num(r1_main, nan=0.0, neginf=0.0)
 
-    block_a = np.column_stack([r1_main.ravel(), r2_first.ravel()])
-    block_b = np.column_stack([r1_second.ravel(), r2_second.ravel()])
+    # from_samples clamps every sample at zero
+    block_a = np.column_stack([r1_main.ravel(), terms.r2_first.ravel()])
+    block_b = np.column_stack([terms.r1_second.ravel(),
+                               terms.r2_second.ravel()])
     samples = np.vstack([block_a, block_b])
     curve = RateCurve2D.from_samples(samples, meta=range(len(samples)))
 

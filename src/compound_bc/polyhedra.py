@@ -112,9 +112,6 @@ class LinIneq:
         if not isinstance(self.rhs, InfoExpr):
             self.rhs = InfoExpr(const=self.rhs)
 
-    def key(self):
-        return (tuple(sorted(self.lhs.items())), self.rel, self.rhs.key())
-
     def float_row(self, rate_vars) -> list:
         """The lhs coefficients of `rate_vars` as floats (0.0 if absent);
         each Fraction is converted once per row, not once per valuation."""
@@ -382,14 +379,6 @@ class NumericRegion:
     @property
     def dim(self):
         return len(self.var_names)
-
-    def feasible(self, pts, tol=VERTEX_TOL):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.all(pts @ self.A.T <= self.b + tol, axis=1)
-
-    def violation(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.max(pts @ self.A.T - self.b, axis=1)
 
     def vertices(self, tol=VERTEX_TOL):
         """All basic feasible points (dimension <= 3 only).

@@ -57,6 +57,7 @@ from compound_bc.polyhedra import RegionSystem, fme_eliminate, ineq, instantiate
 from compound_bc.search import SearchSpec, maximize
 
 from gaussian_oracle import gaussian_mutual_information
+from region_oracle import feasible
 
 SEED = 20259
 PARAMS = BecBscParams()
@@ -368,7 +369,7 @@ def test_11_structural_properties_hold():
         region = instantiate(fme_eliminate(sys, "z"), {})
         for _ in range(25):
             pt = rng.uniform(0, cap, size=2)
-            feas_proj = bool(region.feasible(pt)[0])
+            feas_proj = bool(feasible(region, pt)[0])
             lo, hi = 0.0, cap
             flat_ok = True
             for iq in sys.ineqs:

@@ -26,6 +26,8 @@ from compound_bc.becbsc import (
 from compound_bc.info import binary_entropy, make_bec, make_bsc, mi_groups
 from compound_bc.polyhedra import NumericRegion
 
+from region_oracle import feasible, violation
+
 
 def h2(x):
     if x in (0.0, 1.0):
@@ -134,19 +136,19 @@ def id_region(alpha):
 
 def test_capacity_c2_slices():
     reg0 = c2_region(0.0)
-    assert reg0.feasible([[0.0, 0.3]])[0]
-    assert not reg0.feasible([[0.01, 0.3]], tol=1e-9)[0]
+    assert feasible(reg0, [[0.0, 0.3]])[0]
+    assert not feasible(reg0, [[0.01, 0.3]], tol=1e-9)[0]
     reg_half = c2_region(0.5)
-    assert reg_half.feasible([[0.54, 0.0]])[0]
-    assert not reg_half.feasible([[0.5401, 0.0]], tol=1e-9)[0]
-    assert not reg_half.feasible([[0.3, 0.01]], tol=1e-9)[0]
+    assert feasible(reg_half, [[0.54, 0.0]])[0]
+    assert not feasible(reg_half, [[0.5401, 0.0]], tol=1e-9)[0]
+    assert not feasible(reg_half, [[0.3, 0.01]], tol=1e-9)[0]
     reg = c2_region(0.3)
     exp = [0.54 * h2(0.3), 1 - h2(star(0.1, 0.3)), 0.54]
     assert np.allclose(capacity_c2(PARAMS, 0.3), exp, atol=1e-12)
     # sum cap binds: the box corner of the first two rows is cut off
     assert exp[0] + exp[1] > exp[2]
-    assert not reg.feasible([[exp[0], exp[1]]], tol=1e-9)[0]
-    assert reg.feasible([[exp[0], exp[2] - exp[0]]])[0]
+    assert not feasible(reg, [[exp[0], exp[1]]], tol=1e-9)[0]
+    assert feasible(reg, [[exp[0], exp[2] - exp[0]]])[0]
 
 
 def test_strict_inclusion_ratio():
@@ -169,8 +171,8 @@ def test_id_curve_slice_and_union_split():
     reg = id_region(0.0)
     c = 1 - h2(0.13)
     assert np.allclose(id_curve(PARAMS, 0.0), [c, c], atol=1e-12)
-    assert reg.feasible([[c - 1e-9, 0.0]])[0]
-    assert not reg.feasible([[c - 0.01, 0.02]], tol=1e-9)[0]
+    assert feasible(reg, [[c - 1e-9, 0.0]])[0]
+    assert not feasible(reg, [[c - 0.01, 0.02]], tol=1e-9)[0]
     # each slice splits exactly into the degraded pair's rectangle and the
     # excess-R2 triangle above it
     axis = np.linspace(0.0, 0.8, 33)
@@ -181,12 +183,12 @@ def test_id_curve_slice_and_union_split():
         s = cs - c
         rect = region([[1.0, 0.0], [0.0, 1.0]], [c, s])
         tri = region([[0.0, -1.0], [1.0, 1.0]], [-s, c + s])
-        clear = (np.abs(whole.violation(pts)) > 1e-9) \
-            & (np.abs(rect.violation(pts)) > 1e-9) \
-            & (np.abs(tri.violation(pts)) > 1e-9)
-        in_whole = whole.feasible(pts[clear], tol=0.0)
-        in_split = rect.feasible(pts[clear], tol=0.0) \
-            | tri.feasible(pts[clear], tol=0.0)
+        clear = (np.abs(violation(whole, pts)) > 1e-9) \
+            & (np.abs(violation(rect, pts)) > 1e-9) \
+            & (np.abs(violation(tri, pts)) > 1e-9)
+        in_whole = feasible(whole, pts[clear], tol=0.0)
+        in_split = feasible(rect, pts[clear], tol=0.0) \
+            | feasible(tri, pts[clear], tol=0.0)
         assert np.array_equal(in_whole, in_split)
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from compound_bc import polyhedra
+from compound_bc import idregions, polyhedra
 from compound_bc.idregions import (
     bit_recombination,
     build_id_region,
     build_T_constraints,
     example_valuations,
+    nonneg,
     id_example_system,
     reduce_example_system,
     reduced_target_region,
@@ -24,9 +25,142 @@ from compound_bc.polyhedra import (
     substitute_rates,
 )
 
+from region_oracle import feasible, violation
+
 # expected row counts per decoding method: own/own, own/cross, cross/own,
 # cross/cross
 ROW_COUNTS = {1: 4, 2: 5, 3: 5, 4: 6}
+
+
+# The hand-written rows the two builders replaced, kept as oracles: every
+# system must keep its rows, their order and each right side's atom order
+# (the order `InfoExpr.evaluate` sums in).
+
+
+def _own_y_rows(y):
+    return [
+        ineq({"T1": 1}, "<=", f"I(U;{y}|Q)"),
+        ineq({"R0": 1, "T1": 1}, "<=", f"I(Q,U;{y})"),
+    ]
+
+
+def _own_z_rows(z):
+    return [
+        ineq({"T2": 1}, "<=", f"I(V;{z}|Q)"),
+        ineq({"R0": 1, "T2": 1}, "<=", f"I(Q,V;{z})"),
+    ]
+
+
+def _cross_y_rows(y):
+    pair = InfoExpr.atom("I(U;V|Q)")
+    return [
+        ineq({"T1": 1}, "<=", f"I(U;{y},V|Q)"),
+        ineq({"T1": 1, "T2": 1}, "<=", InfoExpr.atom(f"I(U,V;{y}|Q)") + pair),
+        ineq({"R0": 1, "T1": 1, "T2": 1}, "<=",
+             InfoExpr.atom(f"I(Q,U,V;{y})") + pair),
+    ]
+
+
+def _cross_z_rows(z):
+    pair = InfoExpr.atom("I(U;V|Q)")
+    return [
+        ineq({"T2": 1}, "<=", f"I(V;{z},U|Q)"),
+        ineq({"T1": 1, "T2": 1}, "<=", InfoExpr.atom(f"I(U,V;{z}|Q)") + pair),
+        ineq({"R0": 1, "T1": 1, "T2": 1}, "<=",
+             InfoExpr.atom(f"I(Q,U,V;{z})") + pair),
+    ]
+
+
+def _id_region_oracle(j, method, z_label=None):
+    y = f"Y{j}"
+    z = z_label if z_label is not None else f"Z{j}"
+    y_rows = _own_y_rows(y) if method in (1, 2) else _cross_y_rows(y)
+    z_rows = _own_z_rows(z) if method in (1, 3) else _cross_z_rows(z)
+    return RegionSystem(["R0", "T1", "T2"], y_rows + z_rows)
+
+
+def _t_constraints_oracle():
+    return RegionSystem(
+        ["R1", "R2", "T1", "T2"],
+        [
+            ineq({"R1": 1, "T1": -1}, "<=", 0),
+            ineq({"R2": 1, "T2": -1}, "<=", 0),
+            ineq({"R1": 1, "R2": 1, "T1": -1, "T2": -1}, "<",
+                 InfoExpr.atom("I(U;V|Q)", -1)),
+        ],
+    )
+
+
+def _id_example_oracle():
+    return (_id_region_oracle(1, 2, z_label="Z")
+            .conjoin(_id_region_oracle(2, 4, z_label="Z"))
+            .conjoin(_t_constraints_oracle())
+            .conjoin(nonneg(["R0", "R1", "R2"])))
+
+
+def _three_arv_oracle():
+    m_rows = [
+        ineq({"T2": 1}, "<=", "I(V;Z|Q)"),
+        ineq({"R0": 1, "T2": 1}, "<=", "I(Q,V;Z)"),
+        ineq({"T11": 1}, "<=", "I(U1;Y1|Q)"),
+        ineq({"R0": 1, "T11": 1}, "<=", "I(Q,U1;Y1)"),
+        ineq({"T12": 1}, "<=", "I(U2;Y2|Q)"),
+        ineq({"R0": 1, "T12": 1}, "<=", "I(Q,U2;Y2)"),
+    ]
+    t_rows = [
+        ineq({"R2": 1, "T2": -1}, "<=", 0),
+        ineq({"R1": 1, "T11": -1}, "<=", 0),
+        ineq({"R1": 1, "T12": -1}, "<=", 0),
+        ineq({"R1": 1, "R2": 1, "T11": -1, "T2": -1}, "<",
+             InfoExpr.atom("I(U1;V|Q)", -1)),
+        ineq({"R1": 1, "R2": 1, "T12": -1, "T2": -1}, "<",
+             InfoExpr.atom("I(U2;V|Q)", -1)),
+        ineq({"R1": 2, "T11": -1, "T12": -1}, "<",
+             InfoExpr.atom("I(U1;U2|Q)", -1)),
+        ineq({"R1": 2, "R2": 1, "T11": -1, "T12": -1, "T2": -1}, "<",
+             InfoExpr.atom("I(U1;U2|Q)", -1)
+             + InfoExpr.atom("I(U1,U2;V|Q)", -1)),
+    ]
+    base = RegionSystem(["R0", "R1", "R2", "T11", "T12", "T2"],
+                        m_rows + t_rows)
+    return base.conjoin(nonneg(["R0", "R1", "R2"]))
+
+
+def _same_system(got, want):
+    assert got.to_json() == want.to_json()
+    assert ([list(iq.rhs.coeffs) for iq in got.ineqs]
+            == [list(iq.rhs.coeffs) for iq in want.ineqs])
+
+
+@pytest.mark.parametrize("z_label", [None, "Z"])
+@pytest.mark.parametrize("method", [1, 2, 3, 4])
+@pytest.mark.parametrize("j", [1, 2])
+def test_id_region_keeps_the_hand_written_rows(j, method, z_label):
+    _same_system(build_id_region(j, method, z_label),
+                 _id_region_oracle(j, method, z_label))
+
+
+def test_composed_systems_keep_the_hand_written_rows():
+    _same_system(build_T_constraints(), _t_constraints_oracle())
+    _same_system(id_example_system(), _id_example_oracle())
+    _same_system(three_arv_region(), _three_arv_oracle())
+
+
+def test_covering_rows_chain_the_shared_information_of_each_group():
+    rows = idregions._covering_rows(
+        [("R1", "T1", "W"), ("R2", "T2", "U"), ("R3", "T3", "V")])
+    assert [iq.rel for iq in rows] == ["<="] * 3 + ["<"] * 4
+    assert [iq.lhs for iq in rows[:3]] == [
+        {"R1": 1, "T1": -1}, {"R2": 1, "T2": -1}, {"R3": 1, "T3": -1}]
+    # groups in combinations order, auxiliaries sorted inside each atom
+    assert [list(iq.rhs.coeffs) for iq in rows[3:]] == [
+        ["I(U;W|Q)"], ["I(V;W|Q)"], ["I(U;V|Q)"],
+        ["I(U;V|Q)", "I(U,V;W|Q)"]]
+    triple = rows[-1]
+    assert triple.lhs == {"R1": 1, "R2": 1, "R3": 1,
+                          "T1": -1, "T2": -1, "T3": -1}
+    assert triple.rhs.coeffs == {"I(U;V|Q)": -1, "I(U,V;W|Q)": -1}
+    assert triple.rhs.const == 0
 
 
 def test_block_row_counts():
@@ -87,11 +221,11 @@ def test_reduction_grid_membership(reduced_pair):
     for values in example_valuations(atoms, 3, seed=11):
         reg_m = instantiate(machine, values)
         reg_t = instantiate(target, values)
-        clear = (np.abs(reg_m.violation(pts)) > 1e-7) \
-            & (np.abs(reg_t.violation(pts)) > 1e-7)
+        clear = (np.abs(violation(reg_m, pts)) > 1e-7) \
+            & (np.abs(violation(reg_t, pts)) > 1e-7)
         assert clear.sum() > 100
-        in_m = reg_m.feasible(pts[clear], tol=0.0)
-        in_t = reg_t.feasible(pts[clear], tol=0.0)
+        in_m = feasible(reg_m, pts[clear], tol=0.0)
+        in_t = feasible(reg_t, pts[clear], tol=0.0)
         assert np.array_equal(in_m, in_t)
 
 
@@ -103,7 +237,7 @@ def test_own_decoder_block_inside_cross_block_when_degraded():
     atoms = sorted(set(own.atoms()) | set(cross.atoms()))
     for values in example_valuations(atoms, 10, seed=3):
         verts = instantiate(own, values).vertices()
-        worst = np.max(instantiate(cross, values).violation(verts))
+        worst = np.max(violation(instantiate(cross, values), verts))
         assert worst <= 1e-9, worst
 
 

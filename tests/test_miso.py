@@ -816,6 +816,21 @@ def uncorr_parabolas_one(terms, x, share1):
     return out
 
 
+def stand_in_parabolas(terms, x, shares):
+    """Stand-in md-uncorr parabolas (a_1, v_1, c_1, a_2, v_2, c_2) for
+    stand_in_envelope_rate: a_j carries x, and both floors are
+    4**-floor(x), so the floor bound -1/2 log2 max(c_1, c_2) is floor(x),
+    the stand-in R1 itself."""
+    c = np.exp2(-2.0 * np.floor(x))
+    return ([x, 0.0, c, x, 0.0, c] for _ in shares)
+
+
+def stand_in_envelope_rate(paras):
+    """(alpha, R1) = (-x, floor(x)) for the x that stand_in_parabolas
+    carries."""
+    return -paras[0], np.floor(paras[0])
+
+
 def share_major_uncorr(terms, x_slices):
     shape = terms.r1_second.shape
     r1_main = np.full(shape, -np.inf)
@@ -1009,10 +1024,8 @@ class TestStackedOracles:
         # stand-in kernels give every share R1 = floor(x) and alpha = -x, so
         # each cell's ladder is a designed integer R1 sequence whose slice
         # index rides in the fraction of x
-        monkeypatch.setattr(miso, "uncorr_parabolas",
-                            lambda terms, x, shares: ([x] for _ in shares))
-        monkeypatch.setattr(miso, "envelope_rate",
-                            lambda paras: (-paras[0], np.floor(paras[0])))
+        monkeypatch.setattr(miso, "uncorr_parabolas", stand_in_parabolas)
+        monkeypatch.setattr(miso, "envelope_rate", stand_in_envelope_rate)
         i = np.arange(59.0)
         designs = {
             "rise": i,
@@ -1040,7 +1053,7 @@ class TestStackedOracles:
         terms = miso.SchemeTerms(((zeros,) * 4,) * 2, p_u, 1.0 - p_u, 1.0,
                                  zeros, zeros, zeros)
         shapes = full_ladder_shapes(monkeypatch)
-        # the stand-in terms have s = 0, so the floor bound divides by zero
+        # the stand-in floors overflow at the x = -1e6 slices
         with np.errstate(all="ignore"):
             got = _uncorr_sweep(terms, x_slices)
 
@@ -1219,15 +1232,17 @@ class TestSkippedSlices:
         assert np.count_nonzero((want[2] > 0) & (want[2] < x_break)) > 500
 
     def test_floor_bound_never_changes_md_uncorr(self, monkeypatch):
-        floor_sizes = []
-        floor_rate = miso._floor_rate
+        # the floor bound and the rescans score gathered, 1-d subsets of
+        # the cells; the sweep's other calls score 2-d grid blocks
+        gathered = []
+        parabolas = miso.uncorr_parabolas
 
-        def spy(terms, x, share1):
-            out = floor_rate(terms, x, share1)
-            floor_sizes.append(out.size)
-            return out
+        def spy(terms, x, shares):
+            if np.ndim(x) == 1:
+                gathered.append(np.size(x))
+            return parabolas(terms, x, shares)
 
-        monkeypatch.setattr(miso, "_floor_rate", spy)
+        monkeypatch.setattr(miso, "uncorr_parabolas", spy)
         shapes = full_ladder_shapes(monkeypatch)
         terms, x_slices, got = sweep_call(
             "_uncorr_sweep", "md-uncorr", GENERAL_CHANNEL,
@@ -1236,29 +1251,19 @@ class TestSkippedSlices:
             want = full_ladder_uncorr(terms, x_slices)
         for g, w in zip(got, want):
             assert_bitwise(g, w)
-        # the bound spared most of the flagged cells the full ladder; it
-        # scores every slice of each share on that share's flagged cells
-        flagged = sum(floor_sizes) / len(x_slices)
+        # the bound spared most of the flagged cells the full ladder; the
+        # bound and the rescans each score every slice of a share on their
+        # cells of that share
         fallback = sum(n for n, in shapes)
+        flagged = sum(gathered) / len(x_slices) - fallback
         assert 0 < fallback < flagged / 2
-        # the bound's floors are the kernel's own, bit for bit
-        with np.errstate(all="ignore"):
-            for x in x_slices[::10]:
-                for share1, paras in zip(TIME_SHARES, uncorr_parabolas(
-                        terms, x, TIME_SHARES)):
-                    floor = -0.5 * np.log2(np.maximum(paras[2], paras[5]))
-                    assert_bitwise(miso._floor_rate(terms, x, share1), floor)
 
     def test_floor_bound_spares_only_a_winning_x_zero_slice(self,
                                                            monkeypatch):
         # stand-in kernels as in test_coarse_to_fine_finds_the_first_maximum,
-        # with the floor bound R1 = floor(x) itself, so it is tight
-        monkeypatch.setattr(miso, "uncorr_parabolas",
-                            lambda terms, x, shares: ([x] for _ in shares))
-        monkeypatch.setattr(miso, "envelope_rate",
-                            lambda paras: (-paras[0], np.floor(paras[0])))
-        monkeypatch.setattr(miso, "_floor_rate",
-                            lambda terms, x, share1: np.floor(x))
+        # whose floor bound R1 = floor(x) is tight
+        monkeypatch.setattr(miso, "uncorr_parabolas", stand_in_parabolas)
+        monkeypatch.setattr(miso, "envelope_rate", stand_in_envelope_rate)
         i = np.arange(59.0)
         # every design ties along its coarse samples, so all are flagged;
         # only where the x = 0 slice is the first maximum may the bound
@@ -1272,7 +1277,9 @@ class TestSkippedSlices:
         terms = miso.SchemeTerms(((zeros,) * 4,) * 2, np.ones(3), zeros, 1.0,
                                  zeros, zeros, zeros)
         shapes = full_ladder_shapes(monkeypatch)
-        got = _uncorr_sweep(terms, x_slices)
+        # the stand-in floors overflow at the x = -1e6 slices
+        with np.errstate(over="ignore"):
+            got = _uncorr_sweep(terms, x_slices)
 
         r1, alpha, x = np.full(3, -np.inf), zeros.copy(), zeros.copy()
         for xs in x_slices:
@@ -1295,6 +1302,17 @@ class TestSkippedSlices:
         # the CLI's default channel and grid
         region_boundary("md-corr", special_geometry(2.0, 10.0, 1.0))
         assert sum(scored) <= 0.30 * 401 * 201 * 201
+
+    def test_md_corr_rescans_no_tie_in_columns_below_the_breakpoint(
+            self, monkeypatch):
+        shapes = full_ladder_shapes(monkeypatch)
+        # the CLI's default channel and grid
+        region_boundary("md-corr", special_geometry(2.0, 10.0, 1.0))
+        # the 401 cells of column 0 (p_u = 0) and one cell at the cap in
+        # each other column; column 1 (p_u = 0.05, below the breakpoint)
+        # ends its ladder at the breakpoint slice's own x, and the
+        # breakpoint slice beats every skipped x below that
+        assert shapes == [(1001,)]
 
     def test_md_uncorr_fallback_stays_small_on_a_general_grid(self,
                                                               monkeypatch):
