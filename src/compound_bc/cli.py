@@ -34,7 +34,7 @@ from .becbsc import (
 )
 from .idregions import split_rate_example_system
 from .info import binary_entropy
-from .lines import ENVELOPE_BUDGET, d_a_curve, sample_t_a, t0_closed, t1_closed
+from .lines import d_a_curve, sample_t_a, t0_closed, t1_closed
 from .miso import (
     REGION_KINDS,
     MisoChannel,
@@ -259,12 +259,9 @@ def cmd_becbsc_da(args, cfg):
     out = Path(args.out)
 
     with _stage("budget-gap curve"):
-        alpha0 = alpha0_solve(params)
-        r1_max = capacity_c1(params, alpha0)[0]
+        r1_max = capacity_c1(params, alpha0_solve(params))[0]
         rates = np.linspace(0.05, 0.95, cfg["rate_points"]) * r1_max
-        envelope_budget = ENVELOPE_BUDGET if budget is None else (budget, 160)
-        gaps = d_a_curve(a, params, rates, search_budget=envelope_budget,
-                         seed=seed)
+        gaps = d_a_curve(a, params, rates)
 
     with _stage("supporting-line study"):
         x_max = 1.0 - binary_entropy(params.p)
@@ -491,7 +488,7 @@ def _subcommand(sub, name, func, summary):
                        help=f"RNG seed (default {table['seed'].default})")
     if "budget" in table:
         p.add_argument("--budget", type=int, metavar="N",
-                       help="search restarts per optimization")
+                       help="restarts of each supporting-line study search")
     p.set_defaults(func=func)
     return p
 

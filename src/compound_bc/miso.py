@@ -669,14 +669,15 @@ def _corr_sweep(terms, x_slices):
     No computed R1 exceeds the cap, as each parabola is at least its floor
     N / s_j; where the best R1 reaches it, the full scan may report an
     earlier tying slice, so those cells are rescanned over every slice on
-    a gathered subset.  The monotonicity is exact in real arithmetic only:
-    in floats a skipped slice can tie the breakpoint slice below the cap.
-    So a cell is rescanned too where its best R1 does not beat the R1 at
-    its column's largest skipped x below the breakpoint slice's x (a
-    skipped slice at that x scores exactly as the breakpoint slice), the
-    highest skipped R1 wherever rounding keeps the rise monotone; a
-    skipped slice that rounding lifts above it would not be caught.  The
-    tests check the float result bitwise against the full scan.
+    a gathered subset, except where p_u = 0 and every slice is x = 0.  The
+    monotonicity is exact in real arithmetic only: in floats a skipped
+    slice can tie the breakpoint slice below the cap.  So a cell is
+    rescanned too where its best R1 does not beat the R1 at its column's
+    largest skipped x below the breakpoint slice's x (a skipped slice at
+    that x scores exactly as the breakpoint slice), the highest skipped R1
+    wherever rounding keeps the rise monotone; a skipped slice that
+    rounding lifts above it would not be caught.  The tests check the
+    float result bitwise against the full scan.
     """
     def score(block, x):
         return corr_optimal(corr_parabolas(block, x), x)
@@ -700,8 +701,8 @@ def _corr_sweep(terms, x_slices):
         skipped |= below
     top = _start(shape, False)
     _scan(score, terms, [x_top], top)
-    tied = ~(best[0] > top[0]) & skipped
-    _rescan(score, terms, x_slices, ~(best[0] < cap) | tied, best)
+    tied = ~(best[0] > top[0]) & skipped | ~(best[0] < cap)
+    _rescan(score, terms, x_slices, tied & (terms.p_u > 0), best)
     return best
 
 

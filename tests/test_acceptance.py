@@ -196,7 +196,7 @@ def test_03_partial_weight_leaves_a_positive_budget_gap():
     alpha0 = alpha0_solve(PARAMS)
     r1_max = 1.0 - h2(PARAMS.p1 + alpha0 - 2 * PARAMS.p1 * alpha0)
     rates = np.linspace(0.05, 0.95, 25) * r1_max
-    gaps = d_a_curve(0.92, PARAMS, rates, seed=SEED)
+    gaps = d_a_curve(0.92, PARAMS, rates)
     positive = int(np.sum(gaps > 1e-4))
     ok = positive >= 20
     report(3, "normalized budget gap stays positive across the rate sweep",

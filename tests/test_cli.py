@@ -231,6 +231,18 @@ class TestBecbscDa:
         assert (tmp_path / "a" / "t_curves.csv").read_bytes() != \
             (tmp_path / "b" / "t_curves.csv").read_bytes()
 
+    def test_seed_leaves_the_gap_curve_alone(self, tmp_path):
+        # d_a runs no search; the seed reaches only the supporting-line study
+        params = write_params(tmp_path, "p.json",
+                              {"a": 0.92, "rate_points": 5, "x_points": 3})
+        for seed, sub in (("1", "a"), ("2", "b")):
+            assert cli.main(["becbsc-da", "--params", params, "--budget", "64",
+                             "--seed", seed, "--out", str(tmp_path / sub)]) == 0
+        assert (tmp_path / "a" / "da.csv").read_bytes() == \
+            (tmp_path / "b" / "da.csv").read_bytes()
+        assert (tmp_path / "a" / "t_curves.csv").read_bytes() != \
+            (tmp_path / "b" / "t_curves.csv").read_bytes()
+
     def test_budget_zero_rejected(self, tmp_path, capsys):
         assert cli.main(["becbsc-da", "--budget", "0",
                          "--out", str(tmp_path)]) == 2

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from compound_bc import becbsc, info, lines
 from compound_bc.becbsc import BecBscParams, alpha0_solve
 from compound_bc.lines import (
+    ENVELOPE_BUDGET,
     SupportingLineEval,
     _lagrangian_search,
     canonical_designs,
@@ -706,15 +707,54 @@ def test_d_a_is_identically_zero_when_curves_coincide():
     assert np.all(d == 0.0)
 
 
-def test_d_a_brute_is_positive_and_normalized():
+def test_d_a_is_positive_and_normalized_over_the_full_window():
     # the full rate window, with the largest gap scaled to exactly one
     rates = np.linspace(0.1, 0.9, 9) * r1_domain_top(PARAMS)
-    d = d_a_curve(0.92, PARAMS, rates, search_budget=(8, 120), seed=3)
+    d = d_a_curve(0.92, PARAMS, rates)
     assert np.all(d > 1e-4)
     assert np.abs(d).max() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_d_a_envelope_is_positive_at_modest_budget():
+def test_d_a_is_positive_on_the_middle_rates():
     rates = np.linspace(0.3, 0.7, 5) * r1_domain_top(PARAMS)
-    d = d_a_curve(0.92, PARAMS, rates, search_budget=(4, 80), seed=1)
+    d = d_a_curve(0.92, PARAMS, rates)
     assert np.all(d > 1e-4)
+
+
+def d_a_envelope(monkeypatch, a, params):
+    """The supporting-line curve `d_a_curve` inverts on the CLI rate grid."""
+    made = []
+    envelope_curve = lines._envelope_curve
+    with monkeypatch.context() as patch:
+        patch.setattr(lines, "_envelope_curve",
+                      lambda *args: made.append(envelope_curve(*args))
+                      or made[-1])
+        d_a_curve(a, params, np.linspace(0.05, 0.95, 25)
+                  * r1_domain_top(params))
+    return made[0]
+
+
+@pytest.mark.parametrize("a", [0.3, 0.92])
+@pytest.mark.parametrize("params", [PARAMS, BecBscParams(0.2, 0.22, 0.7),
+                                    BecBscParams(0.05, 0.06, 0.26)])
+def test_searches_never_raise_the_canonical_intercepts(monkeypatch, params,
+                                                       a):
+    # the symmetric canonical family attains F_a, so seeded searches pooled
+    # with it leave the intercepts d_a_curve uses bitwise as they are
+    env = d_a_envelope(monkeypatch, a, params)
+    picks = np.linspace(0, lines.BAND_POINTS - 1, 41).round().astype(int)
+    searched = evaluate_supporting_lines(
+        a, params, env.lambdas[picks], search_budget=ENVELOPE_BUDGET,
+        seed=20259)
+    assert_bitwise([searched.f_values], [env.f_values[picks]])
+
+
+def test_d_a_runs_no_search(monkeypatch):
+    rates = np.linspace(0.05, 0.95, 25) * r1_domain_top(PARAMS)
+    want = d_a_curve(0.92, PARAMS, rates)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("d_a_curve ran a search")
+
+    monkeypatch.setattr(lines, "maximize", refuse)
+    assert_bitwise([d_a_curve(0.92, PARAMS, rates)], [want])

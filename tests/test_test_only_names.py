@@ -113,3 +113,19 @@ def test_no_package_name_is_read_only_by_tests():
     assert not found, (
         f"names no source outside tests/ reads: {', '.join(found)}. Move "
         "test-only code into tests/ (or delete it), keeping its checks")
+
+
+# Names that only the benchmark reads outside the tests.  Adding one makes
+# it benchmark-only on purpose; each is free to delete, or to move into
+# tests/, once the benchmark stops calling it.
+BENCHMARK_ONLY = {"evaluate_supporting_lines", "example_valuations", "load",
+                  "reduce_example_system", "reduced_target_region",
+                  "regions_match", "t_values", "three_arv_region"}
+
+
+def test_names_only_the_benchmark_keeps_alive_are_pinned():
+    users = {str(path.relative_to(ROOT)): path.read_text() for path in USERS
+             if path.parent.name != "perfbench"}
+    package = [str(path.relative_to(ROOT)) for path in PACKAGE]
+    found = {name for _, _, name in unused_outside_tests(package, users)}
+    assert found == BENCHMARK_ONLY
