@@ -2,7 +2,7 @@
 
 Prints the incomparability certificate for the two channel pairs, a short
 table of region corners across input biases, the corner-dominance margin,
-and the budget gap left by a partial decoding weight, the same envelope
+and the budget gap left by a partial decoding weight, the same curve
 `compound-bc becbsc-da` writes, at nine rates.  Pass --out DIR to also dump
 the tables as CSV.
 """

@@ -34,7 +34,7 @@ from .becbsc import (
 )
 from .idregions import split_rate_example_system
 from .info import binary_entropy
-from .lines import d_a_curve, sample_t_a, t0_closed, t1_closed
+from .lines import d_a_curve, t0_closed, t1_closed, t_a_hull
 from .miso import (
     REGION_KINDS,
     MisoChannel,
@@ -88,16 +88,15 @@ class Setting:
 BECBSC = {"p": Setting(float, DEFAULT_PARAMS[0]),
           "p1": Setting(float, DEFAULT_PARAMS[1]),
           "e2": Setting(float, DEFAULT_PARAMS[2])}
-SEED = Setting(int, DEFAULT_SEED, 0, 2 ** 64 - 1)
 SETTINGS = {
     "becbsc-regions": dict(BECBSC, alpha_steps=Setting(int, 201, 2, key=False)),
-    "becbsc-da": dict(BECBSC, a=Setting(float, 0.92, 0.0, 1.0), seed=SEED,
-                      budget=Setting(int, None, 1),
+    "becbsc-da": dict(BECBSC, a=Setting(float, 0.92, 0.0, 1.0),
                       rate_points=Setting(int, 25, 2),
                       x_points=Setting(int, 21, 2)),
     "miso": {"N": Setting(float, 1.0), "P": Setting(float),
              "h1": Setting((float, float)), "h2": Setting((float, float)),
-             "g": Setting((float, float)), "seed": SEED,
+             "g": Setting((float, float)),
+             "seed": Setting(int, DEFAULT_SEED, 0, 2 ** 64 - 1),
              "eta_steps": Setting(int), "split_steps": Setting(int),
              "x_steps": Setting(int), "beam_steps": Setting((int, int)),
              "num_random": Setting(int, NUM_RANDOM, 0)},
@@ -255,7 +254,7 @@ def cmd_becbsc_regions(args, cfg):
 
 def cmd_becbsc_da(args, cfg):
     params = BecBscParams(cfg["p"], cfg["p1"], cfg["e2"])
-    a, seed, budget = cfg["a"], cfg["seed"], cfg["budget"]
+    a = cfg["a"]
     out = Path(args.out)
 
     with _stage("budget-gap curve"):
@@ -266,8 +265,8 @@ def cmd_becbsc_da(args, cfg):
     with _stage("supporting-line study"):
         x_max = 1.0 - binary_entropy(params.p)
         xs = np.linspace(0.0, x_max, cfg["x_points"])
-        t_budget = (200, 300) if budget is None else (budget, 300)
-        t_a = sample_t_a(a, params, xs, search_budget=t_budget, seed=seed)
+        x, t = t_a_hull(a, params).T
+        t_a = np.interp(xs, x, t)
         t_1 = t1_closed(params, xs)
         t_0 = t0_closed(params, xs)
 
@@ -486,9 +485,6 @@ def _subcommand(sub, name, func, summary):
     if "seed" in table:
         p.add_argument("--seed", type=int, metavar="U64",
                        help=f"RNG seed (default {table['seed'].default})")
-    if "budget" in table:
-        p.add_argument("--budget", type=int, metavar="N",
-                       help="restarts of each supporting-line study search")
     p.set_defaults(func=func)
     return p
 

@@ -669,7 +669,10 @@ def _corr_sweep(terms, x_slices):
     No computed R1 exceeds the cap, as each parabola is at least its floor
     N / s_j; where the best R1 reaches it, the full scan may report an
     earlier tying slice, so those cells are rescanned over every slice on
-    a gathered subset, except where p_u = 0 and every slice is x = 0.  The
+    a gathered subset.  Two kinds of column are left out: where p_u = 0
+    every slice is x = 0, and where p_v = 0 every parabola is its floor
+    N / s_j, so the x = 0 slice scores the cap exactly (through the min
+    branch; its sum branch is +inf) and no later slice is higher.  The
     monotonicity is exact in real arithmetic only: in floats a skipped
     slice can tie the breakpoint slice below the cap.  So a cell is
     rescanned too where its best R1 does not beat the R1 at its column's
@@ -702,7 +705,8 @@ def _corr_sweep(terms, x_slices):
     top = _start(shape, False)
     _scan(score, terms, [x_top], top)
     tied = ~(best[0] > top[0]) & skipped | ~(best[0] < cap)
-    _rescan(score, terms, x_slices, tied & (terms.p_u > 0), best)
+    _rescan(score, terms, x_slices, tied & (terms.p_u > 0) & (terms.p_v > 0),
+            best)
     return best
 
 

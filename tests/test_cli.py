@@ -64,9 +64,9 @@ GOLDEN = {
     },
     "becbsc-da": {
         "da.csv":
-            "072df505af381c5ae7d8c125cdbbe5a46838ac09190e9be9222493156c554ca2",
+            "767b41275f1bc278a9c2a7ed47d05a9d6f1cb0361da636f47644e01af873d83b",
         "t_curves.csv":
-            "facdee6d427e31bf9e8366384605d5af6566db34309913e395f7a33ec0b0f009",
+            "700f7a085de2070963e73e7076e64b09b6b768b1ace2c8c4fed7ed2a772d64d0",
     },
     "fme": {
         "fme_projected.json":
@@ -192,7 +192,7 @@ class TestBecbscDa:
     def test_weight_one_gap_is_identically_zero(self, tmp_path, capsys):
         params = write_params(tmp_path, "p.json",
                               {"a": 1.0, "rate_points": 5, "x_points": 3})
-        assert cli.main(["becbsc-da", "--params", params, "--budget", "64",
+        assert cli.main(["becbsc-da", "--params", params,
                          "--out", str(tmp_path)]) == 0
         header, rows = read_csv(tmp_path / "da.csv")
         assert header == ["R1", "d_a"]
@@ -202,67 +202,52 @@ class TestBecbscDa:
     def test_t_curve_columns(self, tmp_path):
         params = write_params(tmp_path, "p.json",
                               {"a": 1.0, "rate_points": 3, "x_points": 5})
-        assert cli.main(["becbsc-da", "--params", params, "--budget", "64",
+        assert cli.main(["becbsc-da", "--params", params,
                          "--out", str(tmp_path)]) == 0
         header, rows = read_csv(tmp_path / "t_curves.csv")
         assert header == ["x", "t_a", "t_1", "t_0"]
         assert len(rows) == 5
-        # seeded searches err low up to the budget-constraint slack (1e-4
-        # feasibility tolerance times a curve slope of roughly one)
+        # at a = 1 the hull's vertices lie on the closed form
         gap = column(rows, header, "t_1") - column(rows, header, "t_a")
-        assert np.all(gap >= -2e-4)
+        assert np.all(np.abs(gap) <= 1e-7)
 
-    def test_same_seed_byte_identical(self, tmp_path):
+    def test_repeat_runs_byte_identical(self, tmp_path):
         params = write_params(tmp_path, "p.json",
-                              {"a": 1.0, "rate_points": 3, "x_points": 3})
+                              {"a": 0.92, "rate_points": 3, "x_points": 3})
         for sub in ("a", "b"):
-            assert cli.main(["becbsc-da", "--params", params, "--budget", "64",
-                             "--seed", "7", "--out", str(tmp_path / sub)]) == 0
+            assert cli.main(["becbsc-da", "--params", params,
+                             "--out", str(tmp_path / sub)]) == 0
         for name in ("da.csv", "t_curves.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
-    def test_seed_changes_search_outputs(self, tmp_path):
-        params = write_params(tmp_path, "p.json",
-                              {"a": 1.0, "rate_points": 3, "x_points": 3})
-        for seed, sub in (("1", "a"), ("2", "b")):
-            assert cli.main(["becbsc-da", "--params", params, "--budget", "64",
-                             "--seed", seed, "--out", str(tmp_path / sub)]) == 0
-        assert (tmp_path / "a" / "t_curves.csv").read_bytes() != \
-            (tmp_path / "b" / "t_curves.csv").read_bytes()
+    @pytest.mark.parametrize("flag", ["--seed", "--budget"])
+    def test_search_flags_rejected(self, tmp_path, capsys, flag):
+        # becbsc-da runs no search, so it has no seed and no budget
+        assert cli.main(["becbsc-da", flag, "7", "--out", str(tmp_path)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
-    def test_seed_leaves_the_gap_curve_alone(self, tmp_path):
-        # d_a runs no search; the seed reaches only the supporting-line study
-        params = write_params(tmp_path, "p.json",
-                              {"a": 0.92, "rate_points": 5, "x_points": 3})
-        for seed, sub in (("1", "a"), ("2", "b")):
-            assert cli.main(["becbsc-da", "--params", params, "--budget", "64",
-                             "--seed", seed, "--out", str(tmp_path / sub)]) == 0
-        assert (tmp_path / "a" / "da.csv").read_bytes() == \
-            (tmp_path / "b" / "da.csv").read_bytes()
-        assert (tmp_path / "a" / "t_curves.csv").read_bytes() != \
-            (tmp_path / "b" / "t_curves.csv").read_bytes()
+    @staticmethod
+    def overflow(*args, **kwargs):
+        raise FloatingPointError("overflow")
 
-    def test_budget_zero_rejected(self, tmp_path, capsys):
-        assert cli.main(["becbsc-da", "--budget", "0",
-                         "--out", str(tmp_path)]) == 2
-        assert "budget" in capsys.readouterr().err
-
-    def test_starved_search_reports_numeric_failure(self, tmp_path, capsys):
-        # one restart cannot hit the zero-budget equality constraint
-        params = write_params(tmp_path, "p.json",
-                              {"a": 1.0, "rate_points": 3, "x_points": 3})
-        assert cli.main(["becbsc-da", "--params", params, "--budget", "1",
-                         "--out", str(tmp_path)]) == 3
-        assert "supporting-line study" in capsys.readouterr().err
+    @pytest.mark.parametrize("stage, name", [
+        ("budget-gap curve", "d_a_curve"),
+        ("supporting-line study", "t_a_hull")])
+    def test_numeric_failure_names_the_stage(self, tmp_path, capsys,
+                                             monkeypatch, stage, name):
+        monkeypatch.setattr(cli, name, self.overflow)
+        assert cli.main(["becbsc-da", "--out", str(tmp_path)]) == 3
+        assert stage in capsys.readouterr().err
         assert not (tmp_path / "da.csv").exists()
 
-    def test_failing_run_leaves_no_out_directory(self, tmp_path, capsys):
-        params = write_params(tmp_path, "p.json",
-                              {"a": 1.0, "rate_points": 3, "x_points": 3})
+    def test_failing_run_leaves_no_out_directory(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the last stage fails, after the gap curve is computed
+        monkeypatch.setattr(cli, "t0_closed", self.overflow)
         out = tmp_path / "da_out"
-        assert cli.main(["becbsc-da", "--params", params, "--budget", "1",
-                         "--out", str(out)]) == 3
+        assert cli.main(["becbsc-da", "--out", str(out)]) == 3
         capsys.readouterr()
         assert not out.exists()
 
@@ -279,14 +264,18 @@ class TestBecbscDa:
         ("a", "1"), ("rate_points", "3"), ("seed", "7")])
     def test_non_integer_count_rejected_before_any_output(
             self, tmp_path, capsys, key, value):
-        cfg = {"a": 1.0, "rate_points": 3, "x_points": 3, "budget": 1}
+        cfg = {"a": 1.0, "rate_points": 3, "x_points": 3}
         cfg[key] = value
         params = write_params(tmp_path, "p.json", cfg)
         out = tmp_path / "da_out"
         assert cli.main(["becbsc-da", "--params", params,
                          "--out", str(out)]) == 2
-        cast = "float" if key == "a" else "int"
-        assert f"parameter {key!r} must be {cast}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if key in cli.SETTINGS["becbsc-da"]:
+            cast = "float" if key == "a" else "int"
+            assert f"parameter {key!r} must be {cast}" in err
+        else:  # seed and budget are no keys: any value of theirs is unknown
+            assert f"unknown key(s) {key!r}" in err
         assert not out.exists()
 
 
@@ -570,7 +559,9 @@ class TestParams:
     @pytest.mark.parametrize("command, cfg, key", [
         ("becbsc-regions", {"p": 0.1, "seed": 3}, "seed"),
         ("becbsc-da", {"a": 1.0, "x_point": 3}, "x_point"),
-        ("miso", {"eta_step": 5}, "eta_step")])
+        ("miso", {"eta_step": 5}, "eta_step"),
+        ("becbsc-da", {"a": 1.0, "seed": 7}, "seed"),
+        ("becbsc-da", {"a": 1.0, "budget": 64}, "budget")])
     def test_unknown_key_rejected_before_any_output(self, tmp_path, capsys,
                                                     command, cfg, key):
         params = write_params(tmp_path, "p.json", cfg)
@@ -605,8 +596,7 @@ class TestHarness:
     # small runs that would finish, and then fail on their first write
     SMALL_RUNS = {
         "becbsc-regions": (["--alpha-steps", "3"], None),
-        "becbsc-da": (["--budget", "64"],
-                      {"a": 1.0, "rate_points": 3, "x_points": 3}),
+        "becbsc-da": ([], {"a": 1.0, "rate_points": 3, "x_points": 3}),
         "miso": ([], {"eta_steps": 5, "split_steps": 5, "x_steps": 5}),
         "fme": ([], None)}
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from compound_bc import becbsc, info, lines
+from compound_bc import becbsc, cli, info, lines, search
 from compound_bc.becbsc import BecBscParams, alpha0_solve
 from compound_bc.lines import (
     ENVELOPE_BUDGET,
@@ -22,9 +23,12 @@ from compound_bc.lines import (
     t0_closed,
     t1_closed,
     t1_inverse,
+    t_a_hull,
 )
 from compound_bc.info import binary_convolve, binary_entropy
-from compound_bc.search import mix64, sigmoid, softmax
+from compound_bc.search import FEAS_TOL, mix64, sigmoid, softmax
+from test_becbsc import valid_params
+from test_cli import GOLDEN
 
 
 def h2(x):
@@ -721,40 +725,109 @@ def test_d_a_is_positive_on_the_middle_rates():
     assert np.all(d > 1e-4)
 
 
-def d_a_envelope(monkeypatch, a, params):
-    """The supporting-line curve `d_a_curve` inverts on the CLI rate grid."""
-    made = []
-    envelope_curve = lines._envelope_curve
-    with monkeypatch.context() as patch:
-        patch.setattr(lines, "_envelope_curve",
-                      lambda *args: made.append(envelope_curve(*args))
-                      or made[-1])
-        d_a_curve(a, params, np.linspace(0.05, 0.95, 25)
-                  * r1_domain_top(params))
-    return made[0]
+def hull_at(hull, x):
+    """The piecewise-linear hull through its vertices, at budgets x."""
+    return np.interp(x, hull[:, 0], hull[:, 1])
+
+
+def hull_on_grid(a, params, n):
+    """`t_a_hull` on an n-point alpha grid."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lines, "ALPHA_POINTS", n)
+        return t_a_hull(a, params)
+
+
+def assert_hull_shape(hull, x_max):
+    x, t = hull.T
+    assert x[0] == 0.0 and x[-1] == pytest.approx(x_max, abs=1e-15)
+    assert np.all(np.diff(x) > 0) and np.all(np.diff(t) < 0)
+    # concave: the vertex slopes do not increase, up to rounding
+    slopes = np.diff(t) / np.diff(x)
+    assert np.all(np.diff(slopes) <= 1e-9)
+
+
+def assert_nested(coarse, fine, tol):
+    """coarse lies at or below fine, and within tol of it; both are
+    piecewise linear, so their largest gap sits at a vertex of either."""
+    xs = np.union1d(coarse[:, 0], fine[:, 0])
+    gap = hull_at(fine, xs) - hull_at(coarse, xs)
+    assert gap.min() >= -1e-15
+    assert gap.max() <= tol
+
+
+@pytest.mark.parametrize("params", [PARAMS, BecBscParams(0.2, 0.22, 0.7),
+                                    BecBscParams(0.05, 0.06, 0.26)])
+def test_t_a_hull_is_the_edge_curves_and_resolved_at_the_test_channels(
+        params):
+    x_max = 1.0 - binary_entropy(params.p)
+    xs = np.linspace(0.0, x_max, 401)
+    # the largest gap to the finer grid, 2.1e-8, is at a = 1 and p = 0.05
+    for a in (0.0, 0.3, 0.92, 1.0):
+        hull = t_a_hull(a, params)
+        assert_hull_shape(hull, x_max)
+        assert_nested(hull, hull_on_grid(a, params, 20001), 5e-8)
+    assert np.max(np.abs(hull_at(t_a_hull(1.0, params), xs)
+                         - t1_closed(params, xs))) <= 1e-7
+    assert np.max(np.abs(hull_at(t_a_hull(0.0, params), xs)
+                         - t0_closed(params, xs))) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(params=valid_params(), a=st.floats(0.0, 1.0))
+def test_t_a_hull_is_concave_and_resolved_by_its_grid(params, a):
+    # the alpha grid's chords fall furthest below the curve where p is
+    # small: 4.8e-6 at p = 1e-3 and a = 1, 1e-8 at p = 0.1
+    x_max = 1.0 - binary_entropy(params.p)
+    hull = t_a_hull(a, params)
+    assert_hull_shape(hull, x_max)
+    assert_nested(hull, hull_on_grid(a, params, 20001), 1e-5)
+    xs = np.linspace(0.0, x_max, 101)
+    assert np.max(np.abs(hull_at(t_a_hull(1.0, params), xs)
+                         - t1_closed(params, xs))) <= 1e-5
+    assert np.max(np.abs(hull_at(t_a_hull(0.0, params), xs)
+                         - t0_closed(params, xs))) <= 1e-12
+
+
+def test_t_a_hull_rejects_a_weight_outside_the_unit_interval():
+    for a in (-0.1, 1.5, np.nan):
+        with pytest.raises(ValueError, match="weight a"):
+            t_a_hull(a, PARAMS)
+
+
+@pytest.mark.parametrize("a", [0.92, 0.6, 0.3])
+def test_brute_force_is_bounded_at_the_feasibility_slack(a):
+    # a candidate passes at a budget FEAS_TOL below x, so the bound is the
+    # hull there, not at x, which these searches exceed by up to 8.6e-5
+    xs = np.linspace(0.0, X_MAX, 21)
+    got = sample_t_a(a, PARAMS, xs, search_budget=(200, 300), seed=20259)
+    assert np.all(got <= hull_at(t_a_hull(a, PARAMS), xs - FEAS_TOL))
 
 
 @pytest.mark.parametrize("a", [0.3, 0.92])
 @pytest.mark.parametrize("params", [PARAMS, BecBscParams(0.2, 0.22, 0.7),
                                     BecBscParams(0.05, 0.06, 0.26)])
-def test_searches_never_raise_the_canonical_intercepts(monkeypatch, params,
-                                                       a):
-    # the symmetric canonical family attains F_a, so seeded searches pooled
-    # with it leave the intercepts d_a_curve uses bitwise as they are
-    env = d_a_envelope(monkeypatch, a, params)
-    picks = np.linspace(0, lines.BAND_POINTS - 1, 41).round().astype(int)
+def test_searches_never_raise_the_canonical_intercepts(params, a):
+    # the symmetric canonical family attains F_a, so no seeded search beats
+    # the hull's support function max(t + lam x) across its slopes
+    hull = t_a_hull(a, params)
+    slopes = -np.diff(hull[:, 1]) / np.diff(hull[:, 0])
+    lambdas = np.linspace(slopes.min(), slopes.max(), 41)
     searched = evaluate_supporting_lines(
-        a, params, env.lambdas[picks], search_budget=ENVELOPE_BUDGET,
-        seed=20259)
-    assert_bitwise([searched.f_values], [env.f_values[picks]])
+        a, params, lambdas, search_budget=ENVELOPE_BUDGET, seed=20259,
+        canonical=0).f_values
+    support = np.max(hull[:, 1] + lambdas[:, None] * hull[:, 0], axis=1)
+    assert np.all(searched <= support + 1e-12)
 
 
-def test_d_a_runs_no_search(monkeypatch):
-    rates = np.linspace(0.05, 0.95, 25) * r1_domain_top(PARAMS)
-    want = d_a_curve(0.92, PARAMS, rates)
-
+def test_d_a_runs_no_search(monkeypatch, tmp_path, capsys):
+    # the whole becbsc-da run, both stages, reaches no search
     def refuse(*args, **kwargs):
-        raise AssertionError("d_a_curve ran a search")
+        raise AssertionError("becbsc-da ran a search")
 
     monkeypatch.setattr(lines, "maximize", refuse)
-    assert_bitwise([d_a_curve(0.92, PARAMS, rates)], [want])
+    monkeypatch.setattr(search, "_initial_points", refuse)
+    assert cli.main(["becbsc-da", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.iterdir())}
+    assert digests == GOLDEN["becbsc-da"]

@@ -1308,12 +1308,12 @@ class TestSkippedSlices:
         shapes = full_ladder_shapes(monkeypatch)
         # the CLI's default channel and grid
         region_boundary("md-corr", special_geometry(2.0, 10.0, 1.0))
-        # the cells at the cap: one in each of columns 1-199 and all 401 of
-        # column 200 (p_v = 0, so every slice reaches it).  Column 0
-        # (p_u = 0) has x = 0 in every slice and is left out; column 1
+        # the cells at the cap: one in each of columns 1-199.  Column 0
+        # (p_u = 0) has x = 0 in every slice and column 200 (p_v = 0) has
+        # its cap at the x = 0 slice, so both are left out; column 1
         # (p_u = 0.05, below the breakpoint) ends its ladder at the
         # breakpoint slice's own x, which beats every skipped x below that
-        assert shapes == [(600,)]
+        assert shapes == [(199,)]
 
     def test_md_uncorr_fallback_stays_small_on_a_general_grid(self,
                                                               monkeypatch):
