@@ -34,7 +34,7 @@ from .becbsc import (
 )
 from .idregions import split_rate_example_system
 from .info import binary_entropy
-from .lines import d_a_curve, t0_closed, t1_closed, t_a_hull
+from .lines import d_a_curve, sample_t_a, t0_closed, t1_closed
 from .miso import (
     REGION_KINDS,
     MisoChannel,
@@ -265,8 +265,7 @@ def cmd_becbsc_da(args, cfg):
     with _stage("supporting-line study"):
         x_max = 1.0 - binary_entropy(params.p)
         xs = np.linspace(0.0, x_max, cfg["x_points"])
-        x, t = t_a_hull(a, params).T
-        t_a = np.interp(xs, x, t)
+        t_a = sample_t_a(a, params, xs)
         t_1 = t1_closed(params, xs)
         t_0 = t0_closed(params, xs)
 

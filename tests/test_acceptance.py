@@ -27,8 +27,8 @@ from compound_bc.idregions import (
     regions_match,
 )
 from compound_bc.info import mi_groups
-from compound_bc.lines import (d_a_curve, sample_t_a, t0_closed, t1_closed,
-                               t_a_hull)
+from compound_bc.lines import (d_a_curve, evaluate_supporting_lines,
+                               sample_t_a, t0_closed, t1_closed)
 from compound_bc.miso import (
     CORRELATION_BREAKPOINT,
     DpcScheme,
@@ -181,16 +181,12 @@ def test_01_channel_pairs_are_incomparable():
     assert ok, (lhs, rhs, ordered)
 
 
-def t_a_at(a, xs):
-    """The weighted curve t_a at budgets xs, through its hull's vertices."""
-    x, t = t_a_hull(a, PARAMS).T
-    return np.interp(xs, x, t)
-
-
 def test_02_searched_weighted_curve_matches_closed_endpoints():
     xs = np.linspace(0.0, 1.0 - h2(PARAMS.p), 10)
-    err1 = float(np.max(np.abs(t_a_at(1.0, xs) - t1_closed(PARAMS, xs))))
-    err0 = float(np.max(np.abs(t_a_at(0.0, xs) - t0_closed(PARAMS, xs))))
+    err1 = float(np.max(np.abs(sample_t_a(1.0, PARAMS, xs)
+                               - t1_closed(PARAMS, xs))))
+    err0 = float(np.max(np.abs(sample_t_a(0.0, PARAMS, xs)
+                               - t0_closed(PARAMS, xs))))
     ok = err1 <= 5e-3 and err0 <= 5e-3
     report(2, "weighted-curve hull hits both closed-form endpoints",
            ok, f"max err a=1: {err1:.2e}, a=0: {err0:.2e}")
@@ -352,7 +348,7 @@ def test_10_outer_bound_growth_slopes_match_two_degrees_of_freedom():
 def test_11_structural_properties_hold():
     notes = []
     # weighted curve: decreasing in budget, midpoint concave
-    vals = t_a_at(0.6, np.linspace(0.05, 0.45, 5))
+    vals = sample_t_a(0.6, PARAMS, np.linspace(0.05, 0.45, 5))
     mono = bool(np.all(np.diff(vals) <= 5e-3))
     conc = bool(np.all(vals[1:-1] >= (vals[:-2] + vals[2:]) / 2 - 5e-3))
     if not (mono and conc):
@@ -423,9 +419,10 @@ def test_11_structural_properties_hold():
         return -np.sum((X - np.array([1.0, -2.0, 0.5])) ** 2, axis=1)
 
     det_ok = np.array_equal(maximize(f, spec), maximize(f, spec))
-    t_pair = [sample_t_a(0.7, PARAMS, [0.1, 0.3], search_budget=(32, 100),
-                         seed=SEED + 23) for _ in range(2)]
-    det_ok = det_ok and np.array_equal(t_pair[0], t_pair[1])
+    f_pair = [evaluate_supporting_lines(
+        0.7, PARAMS, np.linspace(0.0, 2.0, 5), search_budget=(32, 100),
+        seed=SEED + 23, canonical=0).f_values for _ in range(2)]
+    det_ok = det_ok and np.array_equal(f_pair[0], f_pair[1])
     channel = special_geometry()
     k_pair = [random_cov_pairs(channel, 64, seed=5) for _ in range(2)]
     det_ok = det_ok and all(np.array_equal(a, b)

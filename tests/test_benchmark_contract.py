@@ -26,15 +26,22 @@ def test_benchmark_workloads_run_under_the_tracer(tmp_path, monkeypatch):
             with tracer.span("setup"):
                 states = {name: setup(1, tmp_path)
                           for name, (setup, _) in workloads.WORKLOADS.items()}
-            # ta-brute is the one pass whose searches reach the tracer's
-            # maximize wrapper with an equality constraint; miso-cli runs the
-            # MISO sweeps under its _minimax_two_vec and region_boundary
-            # wrappers
+            # da-envelope is the one pass whose searches reach the tracer's
+            # maximize wrapper; ta-brute reads t_a off its hull and, though
+            # it still passes a search budget and seed, runs none.  miso-cli
+            # runs the MISO sweeps under its _minimax_two_vec and
+            # region_boundary wrappers
+            searches = {}
             for name in ("da-envelope", "ta-brute", "miso-cli", "fme-project"):
                 run_pass = workloads.WORKLOADS[name][1]
+                first = len(tracer.spans)
                 with tracer.span("pass"):
                     result = run_pass(states[name], tmp_path)
                 assert result.correct, (name, result.errors)
+                searches[name] = sum(span.name == "search.maximize"
+                                     for span in tracer.spans[first:])
+            assert searches["ta-brute"] == 0
+            assert searches["da-envelope"] >= 1
         finally:
             tracer.uninstall()
     finally:

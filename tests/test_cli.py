@@ -234,7 +234,7 @@ class TestBecbscDa:
 
     @pytest.mark.parametrize("stage, name", [
         ("budget-gap curve", "d_a_curve"),
-        ("supporting-line study", "t_a_hull")])
+        ("supporting-line study", "sample_t_a")])
     def test_numeric_failure_names_the_stage(self, tmp_path, capsys,
                                              monkeypatch, stage, name):
         monkeypatch.setattr(cli, name, self.overflow)

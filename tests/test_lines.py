@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from compound_bc import becbsc, cli, info, lines, search
 from compound_bc.becbsc import BecBscParams, alpha0_solve
 from compound_bc.lines import (
+    DEFAULT_BUDGET,
     ENVELOPE_BUDGET,
     SupportingLineEval,
     _lagrangian_search,
@@ -256,7 +257,94 @@ def test_canonical_design_families_are_input_uniform():
 
 
 # ---------------------------------------------------------------------------
-# constrained brute-force search
+# t_a at budgets, read off the hull
+
+
+def test_sample_t_a_zero_budget_is_the_no_leak_corner():
+    a = 0.7
+    value, = sample_t_a(a, PARAMS, [0.0])
+    expected = a * (1 - h2(PARAMS.p1)) + (1 - a) * (1 - PARAMS.e2)
+    assert value == pytest.approx(expected, abs=5e-3)
+
+
+def test_sample_t_a_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="outside"):
+        sample_t_a(0.5, PARAMS, [-0.01])
+    with pytest.raises(ValueError, match="outside"):
+        sample_t_a(0.5, PARAMS, [X_MAX + 0.01])
+    with pytest.raises(ValueError, match="weight"):
+        sample_t_a(1.2, PARAMS, [0.1])
+
+
+def test_sample_t_a_returns_one_value_per_budget():
+    xs = np.array([0.1, 0.3])
+    vals = sample_t_a(1.0, PARAMS, xs)
+    assert vals.shape == xs.shape
+    assert np.all(np.isfinite(vals))
+
+
+def test_sample_t_a_runs_no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_t_a ran a search")
+
+    monkeypatch.setattr(lines, "maximize", refuse)
+    monkeypatch.setattr(search, "_initial_points", refuse)
+    xs = np.linspace(0.0, X_MAX, 101)
+    for a in (0.0, 0.6, 1.0):
+        got = sample_t_a(a, PARAMS, xs)
+        x, t = t_a_hull(a, PARAMS).T
+        assert got.tobytes() == np.interp(xs, x, t).tobytes()
+        for budget, seed in (((16, 60), 3), (DEFAULT_BUDGET, 20259)):
+            assert sample_t_a(a, PARAMS, xs, search_budget=budget,
+                              seed=seed).tobytes() == got.tobytes()
+    # the edge weights track their closed forms at every budget
+    assert np.max(np.abs(sample_t_a(1.0, PARAMS, xs)
+                         - t1_closed(PARAMS, xs))) <= 1e-7
+    assert np.max(np.abs(sample_t_a(0.0, PARAMS, xs)
+                         - t0_closed(PARAMS, xs))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# constrained brute-force search: the reference oracle for t_a
+
+
+def brute_t_a(a, params, xs, search_budget, seed):
+    """Best found a*I(Q;Y1) + (1-a)*I(Q;Y2) with I(X;Z|Q) pinned to each x.
+
+    One random-restart hill climb over the 6 raw design coordinates per
+    budget, seeded with mix64(seed, i); the budget equality is driven in by
+    a ramped quadratic penalty and final candidates are filtered at
+    `search.FEAS_TOL`.  A candidate passes at a budget up to FEAS_TOL below
+    x, so the result is bounded by t_a(x - FEAS_TOL), not by t_a(x), and
+    can exceed the latter.  Deterministic for a fixed seed.  (The body of
+    `lines.sample_t_a` before it read `t_a_hull`.)
+    """
+    lines._check_weight(a)
+    lines._check_budget_x(params, xs)
+    xs = np.asarray(xs, dtype=float)
+    # maximize calls residual(P) right after objective(P) on the same array,
+    # so the objective keeps its budgets for that one residual call
+    kept = {}
+    scores = lines._DesignScores(params)
+
+    def objective(theta, _):
+        i1, i2, ixz, excess = scores(theta)
+        kept.update(theta=theta, ixz=ixz, excess=excess)
+        return a * i1 + (1.0 - a) * i2 - lines._PULL * excess
+
+    def residual(theta, x):
+        if kept.pop("theta", None) is theta:
+            ixz, excess = kept["ixz"], kept["excess"]
+        else:
+            _, _, ixz, excess = scores(theta)
+        # inflated so clipped designs can never pass the feasibility filter
+        return np.abs(ixz - x) + 10.0 * excess
+
+    seeds = [mix64(seed, i) for i in range(xs.size)]
+    points = lines._batched_points(objective, xs.ravel(), search_budget,
+                                   seeds, equality=residual)
+    i1, i2, _, _ = lines._DesignScores(params)(points)
+    return (a * i1 + (1.0 - a) * i2).reshape(xs.shape)
 
 
 def _capture_argmax_points(monkeypatch):
@@ -276,7 +364,7 @@ def _capture_argmax_points(monkeypatch):
 def test_brute_force_zero_budget_hits_the_no_leak_corner(monkeypatch):
     a = 0.7
     points = _capture_argmax_points(monkeypatch)
-    value, = sample_t_a(a, PARAMS, [0.0], search_budget=(400, 400), seed=2)
+    value, = brute_t_a(a, PARAMS, [0.0], search_budget=(400, 400), seed=2)
     expected = a * (1 - h2(PARAMS.p1)) + (1 - a) * (1 - PARAMS.e2)
     assert value == pytest.approx(expected, abs=5e-3)
     pq, bx, _ = full_fields(np.array(points))
@@ -285,15 +373,15 @@ def test_brute_force_zero_budget_hits_the_no_leak_corner(monkeypatch):
 
 def test_brute_force_tracks_first_instance_curve():
     for x in (0.1, 0.3):
-        value, = sample_t_a(1.0, PARAMS, [x], search_budget=(400, 400),
-                            seed=3)
+        value, = brute_t_a(1.0, PARAMS, [x], search_budget=(400, 400),
+                           seed=3)
         assert value == pytest.approx(t1_closed(PARAMS, x), abs=5e-3)
 
 
 def test_brute_force_tracks_second_instance_chord():
     for x in (0.1, 0.4):
-        value, = sample_t_a(0.0, PARAMS, [x], search_budget=(400, 400),
-                            seed=4)
+        value, = brute_t_a(0.0, PARAMS, [x], search_budget=(400, 400),
+                           seed=4)
         assert value == pytest.approx(t0_closed(PARAMS, x), abs=5e-3)
 
 
@@ -301,20 +389,11 @@ def test_brute_force_is_deterministic_for_a_seed(monkeypatch):
     runs = []
     for _ in range(2):
         points = _capture_argmax_points(monkeypatch)
-        value = sample_t_a(0.6, PARAMS, [0.25], search_budget=SMALL, seed=9)
+        value = brute_t_a(0.6, PARAMS, [0.25], search_budget=SMALL, seed=9)
         runs.append((value, np.array(points)))
         monkeypatch.undo()
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
-
-
-def test_brute_force_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="outside"):
-        sample_t_a(0.5, PARAMS, [-0.01], search_budget=SMALL)
-    with pytest.raises(ValueError, match="outside"):
-        sample_t_a(0.5, PARAMS, [X_MAX + 0.01], search_budget=SMALL)
-    with pytest.raises(ValueError, match="weight"):
-        sample_t_a(1.2, PARAMS, [0.1], search_budget=SMALL)
 
 
 def _count_scores(monkeypatch):
@@ -331,9 +410,9 @@ def _count_scores(monkeypatch):
 
 
 def test_constrained_step_evaluates_each_batch_once(monkeypatch):
-    baseline = sample_t_a(1.0, PARAMS, [0.1], search_budget=(16, 60), seed=0)
+    baseline = brute_t_a(1.0, PARAMS, [0.1], search_budget=(16, 60), seed=0)
     calls = _count_scores(monkeypatch)
-    value = sample_t_a(1.0, PARAMS, [0.1], search_budget=(16, 60), seed=0)
+    value = brute_t_a(1.0, PARAMS, [0.1], search_budget=(16, 60), seed=0)
     # iterations + 4 objective batches (start, two stage starts, final
     # filter) and the argmax re-score; the residual of each batch reuses the
     # objective's evaluation
@@ -371,16 +450,9 @@ def test_residual_recomputes_unless_given_the_scored_array(monkeypatch):
 
     real_maximize = lines.maximize
     monkeypatch.setattr(lines, "maximize", probing_maximize)
-    value, = sample_t_a(1.0, PARAMS, [x], search_budget=(16, 60), seed=0)
+    value, = brute_t_a(1.0, PARAMS, [x], search_budget=(16, 60), seed=0)
     assert probes == [6]
     assert np.isfinite(value)
-
-
-def test_sample_t_a_returns_one_value_per_budget():
-    xs = np.array([0.1, 0.3])
-    vals = sample_t_a(1.0, PARAMS, xs, search_budget=SMALL, seed=5)
-    assert vals.shape == xs.shape
-    assert np.all(np.isfinite(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +488,8 @@ def full_scores(theta):
     return (*full_informations(pq, bx), excess)
 
 
-def oracle_sample_t_a(a, xs, search_budget, seed):
-    """`sample_t_a` with the full-batch objective and residual."""
+def full_batch_t_a(a, xs, search_budget, seed):
+    """`brute_t_a` with the full-batch objective and residual."""
     def objective(theta, _):
         i1, i2, _, excess = full_scores(theta)
         return a * i1 + (1.0 - a) * i2 - lines._PULL * excess
@@ -455,9 +527,9 @@ def test_searches_are_bitwise_the_full_batch_oracles(monkeypatch):
     monkeypatch.setattr(lines, "_BATCH_ROWS", 1400)
     xs = [0.05, 0.2, 0.4]
     for a, seed in ((1.0, 0), (0.6, 5), (0.0, 9)):
-        assert_bitwise(sample_t_a(a, PARAMS, xs, search_budget=(700, 40),
-                                  seed=seed),
-                       oracle_sample_t_a(a, xs, (700, 40), seed))
+        assert_bitwise(brute_t_a(a, PARAMS, xs, search_budget=(700, 40),
+                                 seed=seed),
+                       full_batch_t_a(a, xs, (700, 40), seed))
     lams = np.linspace(0.0, 3.0, 11)
     seeds = list(range(11))
     assert_bitwise(_lagrangian_search(0.7, lams, PARAMS, (32, 90), seeds),
@@ -521,7 +593,7 @@ def test_brute_search_sends_at_most_60_percent_of_the_conditionals(
         return real(bx, params)
 
     monkeypatch.setattr(lines, "_conditional_entropies", recording)
-    sample_t_a(1.0, PARAMS, [0.1], search_budget=(16, 60), seed=0)
+    brute_t_a(1.0, PARAMS, [0.1], search_budget=(16, 60), seed=0)
     # the search's 64 batches, then the argmax re-score of one point
     assert shapes[-1] == (1, 4) and {n for n, _ in shapes[:-1]} == {16}
     search = [k for _, k in shapes[:-1]]
@@ -543,7 +615,7 @@ def test_checked_entropy_calls_do_not_grow_with_iterations(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(lines, "binary_entropy", counting)
             patch.setattr(becbsc, "binary_entropy", counting)
-            sample_t_a(1.0, PARAMS, [0.1], search_budget=(16, n), seed=0)
+            brute_t_a(1.0, PARAMS, [0.1], search_budget=(16, n), seed=0)
         counts.append(len(calls))
     # range checks run once per call of the API, none per search step
     assert counts[0] == counts[1]
@@ -624,8 +696,8 @@ def test_upper_curve_dominates_direct_search():
     ev = evaluate_supporting_lines(a, PARAMS, grid, search_budget=(16, 120),
                                    seed=2)
     for x in (0.1, 0.25, 0.45):
-        direct, = sample_t_a(a, PARAMS, [x], search_budget=(400, 400),
-                             seed=12)
+        direct, = brute_t_a(a, PARAMS, [x], search_budget=(400, 400),
+                            seed=12)
         assert direct <= ev.envelope(x) + 5e-3
 
 
@@ -654,9 +726,7 @@ def test_evaluate_supporting_lines_envelope_is_decreasing():
 def test_weighted_curve_is_decreasing_and_midpoint_concave():
     a = 0.6
     xs = (0.05, 0.25, 0.45)
-    vals = [sample_t_a(a, PARAMS, [x], search_budget=(500, 400),
-                       seed=10 + i)[0]
-            for i, x in enumerate(xs)]
+    vals = sample_t_a(a, PARAMS, xs)
     assert vals[0] >= vals[1] - 5e-3
     assert vals[1] >= vals[2] - 5e-3
     assert vals[1] >= (vals[0] + vals[2]) / 2 - 5e-3
@@ -799,7 +869,7 @@ def test_brute_force_is_bounded_at_the_feasibility_slack(a):
     # a candidate passes at a budget FEAS_TOL below x, so the bound is the
     # hull there, not at x, which these searches exceed by up to 8.6e-5
     xs = np.linspace(0.0, X_MAX, 21)
-    got = sample_t_a(a, PARAMS, xs, search_budget=(200, 300), seed=20259)
+    got = brute_t_a(a, PARAMS, xs, search_budget=(200, 300), seed=20259)
     assert np.all(got <= hull_at(t_a_hull(a, PARAMS), xs - FEAS_TOL))
 
 
