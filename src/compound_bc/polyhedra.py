@@ -461,26 +461,6 @@ class ContainsReport:
     max_violation: float
 
 
-def _monotone_chain(points):
-    pts = sorted({(float(x), float(y)) for x, y in points})
-    if len(pts) <= 2:
-        return [np.array(p) for p in pts]
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return [np.array(p) for p in lower[:-1] + upper[:-1]]
-
-
 class RateCurve2D:
     """Pareto boundary of a two-user rate region, held as sampled points.
 
@@ -509,23 +489,28 @@ class RateCurve2D:
 
     @classmethod
     def from_samples(cls, samples, meta=None, interp="staircase"):
-        """Build the curve from raw (R1, R2) samples, keeping the Pareto set."""
+        """Build the curve from raw (R1, R2) samples, keeping the Pareto set
+        of the samples clamped at zero; a NaN coordinate drops its sample."""
         pts = np.atleast_2d(np.asarray(samples, dtype=float))
         if pts.size == 0:
             pts = np.zeros((1, 2))
         pts = np.maximum(pts, 0.0)
         order = np.lexsort((-pts[:, 1], -pts[:, 0]))  # R1 desc, then R2 desc
-        # a point whose R2 does not beat every earlier one is never kept and
-        # never raises best_r2, so only these record setters reach the loop;
-        # fmax skips NaN R2s, which the loop never keeps either
+        order = order[~np.isnan(pts[order, 0])]
+        # only a record setter (R2 above every earlier one; fmax skips NaN)
+        # can be kept, and all are when each clears the one before by the
+        # 1e-15 slack in the loop's own float sum (np.diff rounds otherwise)
         r2 = pts[order, 1]
-        earlier = np.fmax.accumulate(np.concatenate([[-np.inf], r2[:-1]]))
-        keep, best_r2 = [], -np.inf
-        for i in order[r2 > earlier]:
-            if pts[i, 1] > best_r2 + 1e-15:
-                keep.append(i)
-                best_r2 = pts[i, 1]
-        keep = keep[::-1]  # back to R1 ascending
+        setters = r2 > np.fmax.accumulate(np.concatenate([[-np.inf], r2[:-1]]))
+        keep = idx = order[setters].tolist()
+        r2 = r2[setters]
+        if not np.all(r2[1:] > r2[:-1] + 1e-15):
+            keep, best_r2 = [], -math.inf
+            for i, v in zip(idx, r2.tolist()):
+                if v > best_r2 + 1e-15:
+                    keep.append(i)
+                    best_r2 = v
+        keep.reverse()  # back to R1 ascending
         kept_meta = None
         if meta is not None:
             meta = list(meta)
@@ -590,16 +575,31 @@ class RateCurve2D:
         return ContainsReport(worst <= tol, worst)
 
     def hull(self):
-        """Time-sharing closure: the upper-concave hull as a linear curve."""
-        anchors = [(0.0, 0.0), (self.r1_max, 0.0), (0.0, self.r2_max)]
-        pool = np.vstack([self.points, np.array(anchors)])
-        verts = np.array(_monotone_chain(pool))
-        meta = None
-        if self.meta is not None:
-            lookup = {(float(p[0]), float(p[1])): m
-                      for p, m in zip(self.points, self.meta)}
-            meta = [lookup.get((float(v[0]), float(v[1]))) for v in verts]
-        return RateCurve2D.from_samples(verts, meta=meta, interp="linear")
+        """Time-sharing closure: the upper concave hull as a linear curve.
+
+        One right-to-left upper chain (A. M. Andrew, Inf. Proc. Letters 1979)
+        over the Pareto points, then the anchor (0, r2_max); a lower chain
+        would hold only (0, 0) and (r1_max, 0), which the points dominate.
+        The anchor is dropped where it ties the R2 before it (within 1e-15).
+        Meta is looked up by float pair, so an anchor on the first point
+        keeps its meta and one that rounding made a vertex gets None.
+        """
+        pts = self.points.tolist()
+        r2_max = pts[0][1]
+        chain = [pts[-1]]
+        for b in pts[-2::-1] + [[0.0, r2_max]]:
+            while len(chain) > 1:  # pop while (o, a, b) makes no left turn
+                (xo, yo), (xa, ya) = chain[-2], chain[-1]
+                if not (xa - xo) * (b[1] - yo) - (ya - yo) * (b[0] - xo) <= 0:
+                    break
+                chain.pop()
+            chain.append(b)
+        if not r2_max > chain[-2][1] + 1e-15:
+            chain.pop()
+        chain.reverse()
+        lookup = dict(zip(map(tuple, pts), self.meta or ()))
+        meta = None if self.meta is None else [lookup.get(tuple(v)) for v in chain]
+        return RateCurve2D(np.array(chain), interp="linear", meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def test_01_channel_pairs_are_incomparable():
     assert ok, (lhs, rhs, ordered)
 
 
-def test_02_searched_weighted_curve_matches_closed_endpoints():
+def test_02_weighted_curve_hull_matches_closed_endpoints():
     xs = np.linspace(0.0, 1.0 - h2(PARAMS.p), 10)
     err1 = float(np.max(np.abs(sample_t_a(1.0, PARAMS, xs)
                                - t1_closed(PARAMS, xs))))

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from compound_bc.becbsc import BecBscParams
 from compound_bc.cli import DEFAULT_ELIMINATE
 from compound_bc.idregions import split_rate_example_system
 from compound_bc.info import make_bsc
+from compound_bc.lines import t_a_hull
 from compound_bc.polyhedra import (
     BOX,
     EmptyRegionError,
@@ -707,6 +709,157 @@ def test_rate_curve_filter_skips_nan_r2_like_the_loop():
     assert_filter_is_the_loop(samples)
     curve = RateCurve2D.from_samples(samples, meta=range(len(samples)))
     assert curve.meta == [5, 3, 1]
+
+
+def test_rate_curve_filter_loop_decides_a_gap_inside_the_slack():
+    # R2 = 1, 1 + 2e-16, 1 + 1e-15 as R1 falls.  The record setters are
+    # (10, 1) and (9, fl(1 + 1e-15)); np.diff puts their gap, 1.11e-15,
+    # above the slack, but the loop's own sum 1 + 1e-15 rounds to that same
+    # R2, so the loop drops the second setter
+    r1_steps, r2_steps = np.array([(0, 0), (1, 2), (0, 8)], dtype=float).T
+    samples = np.column_stack([10.0 - np.cumsum(r1_steps),
+                               1.0 + 1e-16 * np.cumsum(r2_steps)])
+    top = samples[:, 1].max()
+    assert top - 1.0 > 1e-15 and not top > 1.0 + 1e-15
+    assert_filter_is_the_loop(samples)
+    assert RateCurve2D.from_samples(samples).points.tolist() == [[10.0, 1.0]]
+
+
+def test_rate_curve_filter_keeps_every_setter_without_the_loop():
+    # a staircase whose R2 gaps all clear the slack, with dominated points
+    # and exact ties around it, so every record setter is kept at once
+    rng = np.random.default_rng(5)
+    stair = np.column_stack([np.linspace(0.0, 2.0, 30),
+                             np.linspace(3.0, 0.0, 30)])
+    below = stair[rng.integers(0, 30, 40)] - rng.choice([0.0, 0.05], (40, 2))
+    samples = rng.permutation(np.vstack([stair, below, stair[::3]]))
+    assert np.all(np.diff(stair[::-1, 1]) > 0.1)
+    assert_filter_is_the_loop(samples)
+    curve = RateCurve2D.from_samples(samples)
+    assert curve.points.tobytes() == stair.tobytes()
+
+
+def test_rate_curve_drops_a_nan_r1_sample():
+    samples = [(np.nan, 0.5), (0.2, 0.3), (0.1, 0.4)]
+    curve = RateCurve2D.from_samples(samples, meta=list("abc"))
+    assert curve.points.tolist() == [[0.1, 0.4], [0.2, 0.3]]
+    assert curve.meta == ["c", "b"]
+    # the NaN sample no longer adds a hull corner (0, 0.5)
+    hull = curve.hull()
+    assert hull.r2_max == 0.4
+    assert hull.meta == ["c", "b"]
+    both = RateCurve2D.from_samples([(np.nan, 0.5), (0.3, np.nan),
+                                     (0.2, 0.3)], meta=range(3))
+    assert both.points.tolist() == [[0.2, 0.3]] and both.meta == [2]
+
+
+# The two-chain body `RateCurve2D.hull` ran before it became one upper
+# chain, kept verbatim as a bit-exact reference oracle.
+
+def _monotone_chain(points):
+    pts = sorted({(float(x), float(y)) for x, y in points})
+    if len(pts) <= 2:
+        return [np.array(p) for p in pts]
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return [np.array(p) for p in lower[:-1] + upper[:-1]]
+
+
+def monotone_chain_hull(self):
+    anchors = [(0.0, 0.0), (self.r1_max, 0.0), (0.0, self.r2_max)]
+    pool = np.vstack([self.points, np.array(anchors)])
+    verts = np.array(_monotone_chain(pool))
+    meta = None
+    if self.meta is not None:
+        lookup = {(float(p[0]), float(p[1])): m
+                  for p, m in zip(self.points, self.meta)}
+        meta = [lookup.get((float(v[0]), float(v[1]))) for v in verts]
+    return RateCurve2D.from_samples(verts, meta=meta, interp="linear")
+
+
+def assert_hull_is_the_oracle(curve):
+    got, want = curve.hull(), monotone_chain_hull(curve)
+    k = len(want.points)
+    if len(got.points) > k:
+        # the oracle closed its upper chain at (0, 0); when the cross
+        # products there underflow to 0 that step pops the left end of the
+        # hull, r2_max with it (see the pinned subnormal case below)
+        assert want.r2_max < curve.r2_max == got.r2_max
+        got = RateCurve2D(got.points[-k:], interp="linear",
+                          meta=None if got.meta is None else got.meta[-k:])
+    assert got.interp == want.interp == "linear"
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.meta == want.meta
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=st.one_of(ROUNDED_SAMPLES, RATE_SAMPLES), with_meta=st.booleans())
+def test_hull_is_bitwise_the_two_chain_oracle(samples, with_meta):
+    meta = list(range(len(samples))) if with_meta else None
+    assert_hull_is_the_oracle(RateCurve2D.from_samples(samples, meta=meta))
+
+
+@pytest.mark.parametrize("samples, vertices", [
+    # the first point on the R2 axis: the anchor lands on it
+    ([(0.0, 1.0), (0.5, 0.9), (1.0, 0.0)],
+     [[0.0, 1.0], [0.5, 0.9], [1.0, 0.0]]),
+    # the last point on the R1 axis
+    ([(0.2, 0.8), (0.6, 0.3), (1.0, 0.0)], [[0.2, 0.8], [1.0, 0.0]]),
+    ([(0.3, 0.7)], [[0.3, 0.7]]),
+    ([(0.0, 0.0)], [[0.0, 0.0]]),
+    ([(0.0, 0.4)], [[0.0, 0.4]]),
+    ([(0.4, 0.0)], [[0.4, 0.0]]),
+    # an exactly collinear run: every cross product in it is 0
+    ([(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (1.0, 0.0)],
+     [[0.0, 1.0], [1.0, 0.0]]),
+    # an R1 lost next to the next one rounds the anchor into a vertex
+    ([(1e-20, 1.0), (1.0, 0.5)], [[0.0, 1.0], [1.0, 0.5]]),
+])
+def test_hull_pinned_cases_are_the_oracle(samples, vertices):
+    for meta in (None, list("abcd")[:len(samples)]):
+        curve = RateCurve2D.from_samples(samples, meta=meta)
+        assert_hull_is_the_oracle(curve)
+        hull = curve.hull()
+        assert hull.points.tolist() == vertices
+        if meta is not None:
+            by_point = dict(zip(map(tuple, curve.points.tolist()), meta))
+            assert hull.meta == [by_point.get(tuple(v)) for v in vertices]
+
+
+def test_hull_keeps_the_corner_the_oracle_underflows_away():
+    # at o = (5e-324, 1e-20) the oracle's (0, 0) step computes
+    # (-5e-324)(-1e-20) - (0.25 - 1e-20)(-5e-324) = 0 - (-0.0): both
+    # products underflow, so it popped (0, 0.25) and its hull no longer
+    # contained the staircase
+    curve = RateCurve2D.from_samples([(0.0, 0.25), (5e-324, 1e-20)],
+                                     meta=["a", "b"])
+    hull = curve.hull()
+    assert hull.points.tolist() == [[0.0, 0.25], [5e-324, 1e-20]]
+    assert hull.meta == ["a", "b"]
+    assert hull.contains(curve, tol=0.0).contained
+    assert monotone_chain_hull(curve).points.tolist() == [[5e-324, 1e-20]]
+    assert_hull_is_the_oracle(curve)
+
+
+@pytest.mark.parametrize("params", [BecBscParams(),
+                                    BecBscParams(0.2, 0.22, 0.7),
+                                    BecBscParams(0.05, 0.06, 0.26)])
+@pytest.mark.parametrize("a", [0.0, 0.3, 0.92, 1.0])
+def test_t_a_hull_is_bitwise_the_two_chain_oracle(params, a, monkeypatch):
+    got = t_a_hull(a, params)
+    monkeypatch.setattr(RateCurve2D, "hull", monotone_chain_hull)
+    assert got.tobytes() == t_a_hull(a, params).tobytes()
 
 
 # The n x m body `RateCurve2D.violation` ran on staircases before it
