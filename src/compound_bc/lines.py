@@ -1,28 +1,30 @@
-"""Weighted common-layer rate curves and their supporting-line envelopes.
+"""Weighted common-layer rate curves t_a and their budget gaps.
 
 For the two-instance binary compound channel of `becbsc`, fix a private
 layer budget x = I(X;Z|Q) and ask for the best weighted common rate
 
-    t_a(x) = max [ a I(Q;Y1) + (1-a) I(Q;Y2) ]  s.t.  I(X;Z|Q) = x,
+    t_a(x) = max [ a I(Q;Y1) + (1-a) I(Q;Y2) ]  s.t.  I(X;Z|Q) = x
 
-maximized over auxiliary designs: a pmf on at most 4 values of Q and binary
-conditionals X|Q with X uniform.  The curve is concave and non-increasing in
-x, so it is also the lower envelope of its affine majorants
-x -> F_a(lam) - lam x, where F_a(lam) is the unconstrained Lagrangian max.
+over designs with X uniform and |Q| <= 4.  A design with mass pq on X|Q =
+q ~ Bern(b_q) scores sum_q pq phi(b_q), where phi(b) = (x(b), w(b)) =
+(H2(p*b) - H2(p), a (1 - H2(p1*b)) + (1-a)(1-e2)(1 - H2(b))) = phi(1-b),
+so t_a is the upper concave hull of phi([0, 1/2]) (Witsenhausen and Wyner
+1975; C. Nair, "Upper concave envelopes and auxiliary random variables",
+2013): a chord from phi(0) to the point phi(b*) of largest chord slope
+(w(b) - w(0)) / x(b), then phi itself.  Mrs. Gerber's Lemma gives b* = 0
+at a = 1 and b* = 1/2 at a = 0; in between, the one-chord shape is checked
+against dense hulls by a property test, not proven.  `sample_t_a`
+evaluates t_a and `d_a_curve` inverts it, both exactly; `t1_closed` and
+`t0_closed` are the edge weights' own closed forms.  Where d_a > 0,
+decoding tuned to the channel instance reaches rates that no single
+worst-case code does.  No command-line path searches.
 
-`t_a_hull` gives t_a as the upper concave hull of one design family,
-`sample_t_a` reads it at given budgets, and `t1_closed` / `t0_closed` are
-exact at the edge weights.  `d_a_curve` compares the a = 1 curve against
-t_a in inverted coordinates (rate -> budget).  Where the gap is strictly
-positive, decoding tuned to the actual channel instance reaches rates that
-no single worst-case code does.  The command line reaches t_a only through
-the hull and runs no search.
-
+t_a is concave and non-increasing, so it is the lower envelope of the
+majorants x -> F_a(lam) - lam x, F_a the unconstrained Lagrangian max.
 Only `evaluate_supporting_lines`, a name the benchmark keeps, searches: it
-samples F_a on a multiplier grid, whose `SupportingLineEval` envelope is an
-upper estimate of t_a, deterministically given its seed.  The searches of a
-multiplier band are independent; they run as groups of batched
-`search.maximize` calls, at most `_BATCH_ROWS` rows per call, scored by a
+samples F_a on a multiplier grid into a `SupportingLineEval` envelope, an
+upper estimate of t_a, deterministically given its seed.  It runs batched
+`search.maximize` calls of at most `_BATCH_ROWS` rows, scored by a
 `_DesignScores`: it re-scores only the design columns a step moved, with
 the unchecked entropy kernel (its arguments lie in [0, 1] by construction).
 """
@@ -35,23 +37,20 @@ from .becbsc import (BecBscParams, _conditional_entropies,
                      _mutual_informations, _weighted_informations,
                      alpha0_solve, capacity_c1)
 from .info import _h2, binary_convolve, binary_entropy
-from .polyhedra import RateCurve2D
-from .search import (
-    SearchSpec,
-    isotonic_project,
-    maximize,
-    mix64,
-    sigmoid,
-    softmax,
-)
+from .search import (SearchSpec, isotonic_project, maximize, mix64, sigmoid,
+                     softmax)
 
 DEFAULT_BUDGET = (2000, 500)
 ENVELOPE_BUDGET = (32, 160)
 LAMBDA_MAX = 10.0
 LAMBDA_STEP = 0.01
 THETA_BOUND = 12.0
-# points of the alpha grid of `canonical_designs` and `t_a_hull`
+# points of the alpha grid of `canonical_designs`
 ALPHA_POINTS = 2001
+# cap on the safeguarded Newton steps of `_invert_convex` (it takes 5-7)
+NEWTON_STEPS = 60
+# grid points per zoom level of the tangency search in `_tangent_chord`
+ZOOM_POINTS = 33
 # values per block of the pool reductions (`_reduce_lines`): one reused
 # buffer of this size instead of a (queries x pool) outer product
 REDUCE_BLOCK = 1 << 16
@@ -64,13 +63,10 @@ _PULL = 100.0
 
 
 def default_lambda_grid():
-    """Multiplier grid [0, 10] in steps of 0.01.
-
-    The a = 0 envelope has its kink at lam = (1-e2)/(1-H2(p)), about 1.02
-    for the default parameters, so 10 leaves a decade of headroom.
-    """
-    n = int(round(LAMBDA_MAX / LAMBDA_STEP))
-    return np.linspace(0.0, LAMBDA_MAX, n + 1)
+    """Multiplier grid [0, 10] in steps of 0.01: a decade above the a = 0
+    envelope's kink lam = (1-e2)/(1-H2(p)), about 1.02 at the defaults."""
+    return np.linspace(0.0, LAMBDA_MAX,
+                       int(round(LAMBDA_MAX / LAMBDA_STEP)) + 1)
 
 
 class _DesignScores:
@@ -155,14 +151,10 @@ def _check_budget_x(params, x):
 
 
 def _lagrangian_search(a, lambdas, params, search_budget, seeds):
-    """Unconstrained max of the weighted sum plus lam*I(X;Z|Q) per multiplier.
-
-    F_a(lam) = max over unconstrained designs (X uniform, |Q| <= 4) of
-    a*I(Q;Y1) + (1-a)*I(Q;Y2) + lam*I(X;Z|Q), so F_a(lam) - lam*x >= t_a(x)
-    for every x; convex in lam as a pointwise max of linear functions.  One
-    seeded search per multiplier; returns the raw argmax points, shape
-    (len(lambdas), 6).
-    """
+    """Raw argmax points, shape (len(lambdas), 6), of one seeded search per
+    multiplier for F_a(lam) = max a*I(Q;Y1) + (1-a)*I(Q;Y2) + lam*I(X;Z|Q)
+    over designs with X uniform and |Q| <= 4: F_a(lam) - lam*x >= t_a(x)
+    for every x, and F_a is convex in lam (a max of linear functions)."""
     lambdas = np.asarray(lambdas, dtype=float)
     scores = _DesignScores(params)
 
@@ -202,10 +194,9 @@ class SupportingLineEval:
         fv = np.asarray(self.f_values, dtype=float)
         if fv.shape != lam.shape:
             raise ValueError("f_values must match the lambda grid in shape")
-        xs = np.asarray(self.xs, dtype=float)
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "f_values", fv)
-        object.__setattr__(self, "xs", xs)
+        for name, value in (("lambdas", lam), ("f_values", fv),
+                            ("xs", np.asarray(self.xs, dtype=float))):
+            object.__setattr__(self, name, value)
 
     @property
     def t_values(self):
@@ -220,21 +211,15 @@ class SupportingLineEval:
 
 
 def canonical_designs(n=ALPHA_POINTS):
-    """Two exact one-parameter design families as (pq, bx) batches.
-
-    Family 1: Q binary uniform with X|Q a BSC of crossover alpha; sweeps
-    the full budget range and contains Q = X at alpha = 0.  Family 2: mass
-    2m split evenly on deterministic conditionals plus mass 1-2m on an
-    unbiased conditional; the best known designs for the a = 0 curve.
-    Both keep the X marginal exactly uniform.  Used to pre-seed envelope
-    pools so that majorant intercepts are tight wherever these families
-    are optimal.
-    """
-    alpha = np.linspace(0.0, 0.5, n)
+    """Two exact one-parameter design families with X uniform, as (pq, bx)
+    batches, which pre-seed envelope pools.  Family 1: Q binary uniform, X|Q
+    a BSC of crossover alpha (phi(alpha) of the module docstring; Q = X at
+    alpha = 0).  Family 2: mass 2m split evenly on deterministic conditionals
+    plus mass 1-2m on an unbiased one, optimal for the a = 0 curve."""
+    alpha = m = np.linspace(0.0, 0.5, n)
     pq1 = np.tile([0.5, 0.5, 0.0, 0.0], (n, 1))
     bx1 = np.stack([alpha, 1.0 - alpha, np.full(n, 0.5), np.full(n, 0.5)],
                    axis=1)
-    m = np.linspace(0.0, 0.5, n)
     pq2 = np.stack([m, m, 1.0 - 2.0 * m, np.zeros(n)], axis=1)
     bx2 = np.tile([0.0, 1.0, 0.5, 0.5], (n, 1))
     return np.vstack([pq1, pq2]), np.vstack([bx1, bx2])
@@ -293,51 +278,62 @@ def evaluate_supporting_lines(a, params: BecBscParams, lambda_grid,
     return SupportingLineEval(float(a), lambdas, f_values, xs)
 
 
-def _bisect_increasing(f, targets, lo=0.0, hi=0.5, steps=80):
-    """Vectorized bisection: p with f(p) = target for an increasing f."""
-    t = np.atleast_1d(np.asarray(targets, dtype=float))
-    lo = np.full_like(t, lo)
-    hi = np.full_like(t, hi)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        below = f(mid) < t
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+def _g(s, q=0.0):
+    """(G(c s), d/ds G(c s)) for c = (1 - 2q)^2 and G(s) = 1 - H2((1 -
+    sqrt(s)) / 2), so that G(c s) = 1 - H2(q * b) at s = (1 - 2b)^2.  G is
+    convex and increasing on [0, 1), of slope atanh(v) / (2 v ln 2) >=
+    1 / (2 ln 2) at v = sqrt(s), while H2's slope in q vanishes at 1/2."""
+    c = (1.0 - 2.0 * q) ** 2
+    v = np.sqrt(c * s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(v > 0, np.arctanh(v) / v, 1.0)
+    return 1.0 - _h2(0.5 - 0.5 * v), c * slope / (2.0 * np.log(2.0))
+
+
+def _invert_convex(f, targets, top=1.0):
+    """s in [0, top] with f(s) = target (clipped at 0), vectorized, for
+    f(s) -> (value, slope) convex and increasing with f(0) = 0.  Newton
+    from s = top falls onto the root without passing it; a step that
+    leaves the bracket the residual signs give, or has an infinite slope,
+    bisects it instead.  Stops once no entry moves by more than 1e-15, or
+    after NEWTON_STEPS."""
+    t = np.maximum(np.asarray(targets, dtype=float), 0.0)
+    lo, hi = np.zeros_like(t), np.full_like(t, top)
+    s = hi
+    for _ in range(NEWTON_STEPS):
+        value, slope = f(s)
+        lo, hi = np.where(value < t, s, lo), np.where(value > t, s, hi)
+        step = s - (value - t) / slope
+        inside = (lo <= step) & (step <= hi) & (slope < np.inf)
+        step = np.where(inside, step, 0.5 * (lo + hi))
+        s, moved = step, np.max(np.abs(step - s), initial=0.0)
+        if moved <= 1e-15:
+            break
+    return s
+
+
+def _crossover(q, targets):
+    """p_x in [0, 1/2] with 1 - H2(q * p_x) = target, in s = (1 - 2p_x)^2."""
+    return 0.5 - 0.5 * np.sqrt(_invert_convex(lambda s: _g(s, q), targets))
 
 
 def t1_closed(params: BecBscParams, x):
     """Exact a = 1 curve: 1 - H2(p1 * p_x) with H2(p * p_x) - H2(p) = x.
-
-    p_x is found by bisection (the defining left side is strictly
-    increasing in p_x on [0, 1/2]), on the unchecked entropy kernel: with p
-    and every midpoint in [0, 1/2], so is their convolution.  Vectorized
-    in x.
-    """
+    Vectorized in x."""
     xs = np.asarray(x, dtype=float)
-    _check_budget_x(params, xs)
-    h_p = binary_entropy(params.p)
-    p_x = _bisect_increasing(lambda m: _h2(binary_convolve(params.p, m)) - h_p,
-                             xs)
-    out = capacity_c1(params, p_x)[0]
+    x_max = _check_budget_x(params, xs)
+    out = capacity_c1(params, _crossover(params.p, x_max - xs.ravel()))[0]
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def t1_inverse(params: BecBscParams, r1):
-    """Exact budget at which the a = 1 curve reaches rate r1.
-
-    Inverts 1 - H2(p1 * p_x) = r1 for p_x, then maps to the budget
-    x = H2(p * p_x) - H2(p).  The bisection uses the unchecked entropy
-    kernel, as in `t1_closed`.  Vectorized in r1.
-    """
+    """Exact budget x = H2(p * p_x) - H2(p) at which the a = 1 curve
+    reaches rate r1 = 1 - H2(p1 * p_x).  Vectorized in r1."""
     rates = np.asarray(r1, dtype=float)
     top = 1.0 - binary_entropy(params.p1)
     if not np.all((rates >= -1e-12) & (rates <= top + 1e-12)):
         raise ValueError(f"rate outside [0, {top:.6g}]")
-    # 1 - H2(p1 * p_x) decreases in p_x, so bisect on its negation
-    p_x = _bisect_increasing(lambda m: _h2(binary_convolve(params.p1, m)),
-                             1.0 - rates)
-    out = capacity_c1(params, p_x)[1]
+    out = capacity_c1(params, _crossover(params.p1, rates.ravel()))[1]
     return float(out[0]) if rates.ndim == 0 else out.reshape(rates.shape)
 
 
@@ -347,74 +343,64 @@ def t0_closed(params: BecBscParams, x):
     return (1.0 - params.e2) * (1.0 - x / x_max)
 
 
-def sample_t_a(a, params: BecBscParams, xs, search_budget=None, seed=None):
-    """t_a at each budget x: `t_a_hull` read off piecewise linearly.
+def _phi(a, params, b):
+    """phi(b) = (x(b), w(b)) for b in [0, 1/2], unchecked entropy kernel."""
+    x = _h2(binary_convolve(params.p, b)) - binary_entropy(params.p)
+    return x, a * (1.0 - _h2(binary_convolve(params.p1, b))) \
+        + (1.0 - a) * (1.0 - params.e2) * (1.0 - _h2(b))
 
-    The hull lies at or below t_a by at most its alpha-grid error, which a
-    hypothesis test bounds at 1e-5.  `search_budget` and `seed` are
-    ignored: the benchmark still passes them, and dropping them from its
-    calls (ROADMAP item 1) removes them here.  Returns the shape of xs.
+
+def _tangent_chord(a, params):
+    """(b*, x(b*), w(b*), w(0)) of t_a's chord.  For 0 < a < 1, b* is the
+    chord-slope argmax on a ZOOM_POINTS grid, zoomed onto the two cells
+    around it until they span at most 1e-9 b*."""
+    w0 = float(_phi(a, params, 0.0)[1])
+    b, lo, hi = 0.0 if a == 1.0 else 0.5, 0.0, 0.5  # the edge weights' b*
+    while 0.0 < a < 1.0 and hi - lo > 1e-9 * b:
+        grid = np.linspace(lo, hi, ZOOM_POINTS)
+        x, w = _phi(a, params, grid)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = int(np.argmax(np.where(x > 0, (w - w0) / x, -np.inf)))
+        b = float(grid[k])
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, ZOOM_POINTS - 1)]
+    return (b, *(float(v) for v in _phi(a, params, b)), w0)
+
+
+def sample_t_a(a, params: BecBscParams, xs, search_budget=None, seed=None):
+    """Exact t_a at each budget x, in the shape of xs: the chord below
+    x(b*), above it phi at q = p * b with H2(q) = x + H2(p), inverted in
+    (1 - 2q)^2 on [p, 1/2].  `search_budget` and `seed` are ignored: the
+    benchmark still passes them (ROADMAP item 1 drops them).
     """
     _check_weight(a)
-    _check_budget_x(params, xs)
-    x, t = t_a_hull(a, params).T
-    return np.interp(xs, x, t)
+    x_max = _check_budget_x(params, xs)
+    x = np.asarray(xs, dtype=float)
+    _, x_star, w_star, w0 = _tangent_chord(a, params)
+    t, chord = np.empty_like(x), x < x_star
+    t[chord] = w0 + (w_star - w0) * (x[chord] / x_star)
+    c = (1.0 - 2.0 * params.p) ** 2
+    s = _invert_convex(_g, x_max - x[~chord], c)
+    t[~chord] = _phi(a, params, 0.5 - 0.5 * np.sqrt(s / c))[1]
+    return t
 
 
 def invert_decreasing(xs, t_values, rates):
-    """Budget at which a decreasing sampled curve reaches each rate.
-
-    Samples are projected onto decreasing sequences first, so small search
-    noise cannot break invertibility; inversion is piecewise linear.
-    """
+    """Budget at which a decreasing sampled curve reaches each rate, read
+    piecewise linearly off the samples projected onto a decreasing curve."""
     xs = np.asarray(xs, dtype=float)
     t = isotonic_project(np.asarray(t_values, dtype=float), decreasing=True)
     return np.interp(rates, t[::-1], xs[::-1])
 
 
-def t_a_hull(a, params: BecBscParams):
-    """Vertices (x, t_a(x)) of the weighted curve, shape (n, 2), with the
-    budget ascending and the rate strictly decreasing.
-
-    With X uniform, a design with mass pq on conditionals X|Q = q ~ Bern(b)
-    has (I(X;Z|Q), a I(Q;Y1) + (1-a) I(Q;Y2)) = sum_q pq phi(b_q), where
-    phi(b) = (H2(p*b) - H2(p), a (1 - H2(p1*b)) + (1-a)(1-e2)(1 - H2(b)))
-    and phi(b) = phi(1-b).  Splitting each Q value into b and 1-b at half
-    its mass keeps the point and makes X exactly uniform, so the achievable
-    set is the convex hull of phi([0, 1/2]) and t_a is its upper concave
-    hull (the argument behind Mrs. Gerber's Lemma, Witsenhausen and Wyner
-    1975; C. Nair, "Upper concave envelopes and auxiliary random
-    variables", 2013).  Every hull point mixes two curve points, so four Q
-    values (b1, 1-b1, b2, 1-b2) reach it.  phi on the alpha grid is family
-    1 of `canonical_designs`; the grid is the one approximation.  Each grid
-    point is achievable, so the hull lies at or below t_a: at the default
-    parameters within 5.9e-10 of the nested 200,001-point hull at a = 0.92
-    and 9.6e-9 at a = 1, more as p falls (4.8e-6 at p = 1e-3).
-    """
-    _check_weight(a)
-    alpha = np.linspace(0.0, 0.5, ALPHA_POINTS)
-    r1, x = capacity_c1(params, alpha)
-    r2 = (1.0 - params.e2) * (1.0 - binary_entropy(alpha))
-    samples = np.column_stack([x, a * r1 + (1.0 - a) * r2])
-    return RateCurve2D.from_samples(samples).hull().points
-
-
 def d_a_curve(a, params: BecBscParams, R1_grid):
     """Normalized budget gap between the a = 1 curve and t_a at rates R1.
 
-    Both curves are inverted to budget coordinates: d(R1) > 0 means the
-    a = 1 curve still supports rate R1 at a private budget where the
-    weighted curve has already fallen below it.  Since t_a upper-bounds
-    the worst-case common rate for every a, strict positivity certifies
-    rate points achievable only by decoding tuned to the channel instance.
-
-    Both inversions are exact up to the alpha grid: the a = 1 side is
-    `t1_inverse`, a bisection on the closed form, and the t_a side is the
-    piecewise-linear inverse of `t_a_hull`, read off its vertices.  No
-    search runs.
-
-    The rate grid must lie strictly inside (0, 1 - H2(p1 * alpha0)) with
-    alpha0 the branch-crossing point from `becbsc.alpha0_solve`.
+    d(R1) > 0 means the a = 1 curve still supports rate R1 at a private
+    budget where t_a, an upper bound on the worst-case common rate, has
+    already fallen below it.  Both inversions are exact: `t1_inverse`, and
+    t_a's chord linearly and its curve in s = (1 - 2b)^2, where w is convex
+    and increasing.  The rate grid must lie strictly inside
+    (0, 1 - H2(p1 * alpha0)), alpha0 from `becbsc.alpha0_solve`.
     """
     rates = np.asarray(R1_grid, dtype=float)
     r1_max = capacity_c1(params, alpha0_solve(params))[0]
@@ -424,7 +410,17 @@ def d_a_curve(a, params: BecBscParams, R1_grid):
     if a == 1.0:
         # the weighted curve is the reference curve itself, gap is exact zero
         return np.zeros_like(rates)
-    x, t = t_a_hull(a, params).T
-    gap = t1_inverse(params, rates) - np.interp(rates, t[::-1], x[::-1])
+    b_star, x_star, w_star, w0 = _tangent_chord(a, params)
+    x, chord = np.empty_like(rates), rates > w_star
+    x[chord] = x_star * ((w0 - rates[chord]) / (w0 - w_star))
+    k = (1.0 - a) * (1.0 - params.e2)
+
+    def w(s):
+        (g1, d1), (g2, d2) = _g(s, params.p1), _g(s)
+        return a * g1 + k * g2, a * d1 + k * d2
+
+    s = _invert_convex(w, rates[~chord], (1.0 - 2.0 * b_star) ** 2)
+    x[~chord] = _phi(a, params, 0.5 - 0.5 * np.sqrt(s))[0]
+    gap = t1_inverse(params, rates) - x
     largest = np.max(np.abs(gap))
     return gap / largest if largest > 0 else gap

@@ -490,7 +490,8 @@ class RateCurve2D:
     @classmethod
     def from_samples(cls, samples, meta=None, interp="staircase"):
         """Build the curve from raw (R1, R2) samples, keeping the Pareto set
-        of the samples clamped at zero; a NaN coordinate drops its sample."""
+        of the samples clamped at zero; a NaN coordinate drops its sample,
+        and a ValueError is raised if that drops them all."""
         pts = np.atleast_2d(np.asarray(samples, dtype=float))
         if pts.size == 0:
             pts = np.zeros((1, 2))
@@ -510,6 +511,8 @@ class RateCurve2D:
                 if v > best_r2 + 1e-15:
                     keep.append(i)
                     best_r2 = v
+        if not keep:
+            raise ValueError("every sample has a NaN coordinate")
         keep.reverse()  # back to R1 ascending
         kept_meta = None
         if meta is not None:

@@ -64,9 +64,9 @@ GOLDEN = {
     },
     "becbsc-da": {
         "da.csv":
-            "767b41275f1bc278a9c2a7ed47d05a9d6f1cb0361da636f47644e01af873d83b",
+            "fa34f50c5edacfacf860a83a3536242be26ae0a59f4f8eaaed71c387ff8bfa9a",
         "t_curves.csv":
-            "700f7a085de2070963e73e7076e64b09b6b768b1ace2c8c4fed7ed2a772d64d0",
+            "c843c99750c7b6cc5d20985694b9a10cb6d4532ac13032178b4203dec0fff2bf",
     },
     "fme": {
         "fme_projected.json":

@@ -24,10 +24,11 @@ from compound_bc.lines import (
     t0_closed,
     t1_closed,
     t1_inverse,
-    t_a_hull,
 )
 from compound_bc.info import binary_convolve, binary_entropy
+from compound_bc.polyhedra import RateCurve2D
 from compound_bc.search import FEAS_TOL, mix64, sigmoid, softmax
+from hull_oracle import alpha_grid, design_curve, hull_at, t_a_hull
 from test_becbsc import valid_params
 from test_cli import GOLDEN
 
@@ -257,7 +258,7 @@ def test_canonical_design_families_are_input_uniform():
 
 
 # ---------------------------------------------------------------------------
-# t_a at budgets, read off the hull
+# t_a at budgets, in closed form
 
 
 def test_sample_t_a_zero_budget_is_the_no_leak_corner():
@@ -292,8 +293,9 @@ def test_sample_t_a_runs_no_search(monkeypatch):
     xs = np.linspace(0.0, X_MAX, 101)
     for a in (0.0, 0.6, 1.0):
         got = sample_t_a(a, PARAMS, xs)
-        x, t = t_a_hull(a, PARAMS).T
-        assert got.tobytes() == np.interp(xs, x, t).tobytes()
+        # at or above the 2001-point hull, by at most its grid error
+        gap = got - hull_at(t_a_hull(a, PARAMS), xs)
+        assert -1e-12 <= gap.min() and gap.max() <= 1e-8
         for budget, seed in (((16, 60), 3), (DEFAULT_BUDGET, 20259)):
             assert sample_t_a(a, PARAMS, xs, search_budget=budget,
                               seed=seed).tobytes() == got.tobytes()
@@ -317,7 +319,7 @@ def brute_t_a(a, params, xs, search_budget, seed):
     `search.FEAS_TOL`.  A candidate passes at a budget up to FEAS_TOL below
     x, so the result is bounded by t_a(x - FEAS_TOL), not by t_a(x), and
     can exceed the latter.  Deterministic for a fixed seed.  (The body of
-    `lines.sample_t_a` before it read `t_a_hull`.)
+    `lines.sample_t_a` before it read t_a off a hull.)
     """
     lines._check_weight(a)
     lines._check_budget_x(params, xs)
@@ -623,25 +625,33 @@ def test_checked_entropy_calls_do_not_grow_with_iterations(monkeypatch):
 
 def test_closed_form_checked_entropy_calls_do_not_grow_with_steps(
         monkeypatch):
-    bisect = lines._bisect_increasing
-    real = info.binary_entropy
-    counts = []
-    for steps in (10, 80):
-        calls = []
+    real, real_g = info.binary_entropy, lines._g
+    counts, steps_run = [], []
+    for cap in (2, lines.NEWTON_STEPS):
+        calls, steps = [], []
 
         def counting(x, calls=calls):
             calls.append(x)
             return real(x)
 
+        def stepping(*args, steps=steps):
+            steps.append(args)
+            return real_g(*args)
+
         with monkeypatch.context() as patch:
-            patch.setattr(lines, "_bisect_increasing",
-                          lambda f, t, steps=steps: bisect(f, t, steps=steps))
+            patch.setattr(lines, "NEWTON_STEPS", cap)
+            patch.setattr(lines, "_g", stepping)
             patch.setattr(lines, "binary_entropy", counting)
             patch.setattr(becbsc, "binary_entropy", counting)
             t1_closed(PARAMS, [0.1, 0.2])
             t1_inverse(PARAMS, [0.1, 0.2])
+            sample_t_a(0.92, PARAMS, [0.1, 0.4])
+            d_a_curve(0.92, PARAMS, [0.01, 0.03])
         counts.append(len(calls))
-    # range checks run at the API boundary, none per bisection step
+        steps_run.append(len(steps))
+    # the cap binds at 2 steps and not at the default, and range checks run
+    # at the API boundary, none per Newton step
+    assert steps_run[0] < steps_run[1]
     assert counts[0] == counts[1]
 
 
@@ -795,18 +805,6 @@ def test_d_a_is_positive_on_the_middle_rates():
     assert np.all(d > 1e-4)
 
 
-def hull_at(hull, x):
-    """The piecewise-linear hull through its vertices, at budgets x."""
-    return np.interp(x, hull[:, 0], hull[:, 1])
-
-
-def hull_on_grid(a, params, n):
-    """`t_a_hull` on an n-point alpha grid."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lines, "ALPHA_POINTS", n)
-        return t_a_hull(a, params)
-
-
 def assert_hull_shape(hull, x_max):
     x, t = hull.T
     assert x[0] == 0.0 and x[-1] == pytest.approx(x_max, abs=1e-15)
@@ -835,7 +833,7 @@ def test_t_a_hull_is_the_edge_curves_and_resolved_at_the_test_channels(
     for a in (0.0, 0.3, 0.92, 1.0):
         hull = t_a_hull(a, params)
         assert_hull_shape(hull, x_max)
-        assert_nested(hull, hull_on_grid(a, params, 20001), 5e-8)
+        assert_nested(hull, t_a_hull(a, params, 20001), 5e-8)
     assert np.max(np.abs(hull_at(t_a_hull(1.0, params), xs)
                          - t1_closed(params, xs))) <= 1e-7
     assert np.max(np.abs(hull_at(t_a_hull(0.0, params), xs)
@@ -850,7 +848,7 @@ def test_t_a_hull_is_concave_and_resolved_by_its_grid(params, a):
     x_max = 1.0 - binary_entropy(params.p)
     hull = t_a_hull(a, params)
     assert_hull_shape(hull, x_max)
-    assert_nested(hull, hull_on_grid(a, params, 20001), 1e-5)
+    assert_nested(hull, t_a_hull(a, params, 20001), 1e-5)
     xs = np.linspace(0.0, x_max, 101)
     assert np.max(np.abs(hull_at(t_a_hull(1.0, params), xs)
                          - t1_closed(params, xs))) <= 1e-5
@@ -862,6 +860,8 @@ def test_t_a_hull_rejects_a_weight_outside_the_unit_interval():
     for a in (-0.1, 1.5, np.nan):
         with pytest.raises(ValueError, match="weight a"):
             t_a_hull(a, PARAMS)
+        with pytest.raises(ValueError, match="weight a"):
+            sample_t_a(a, PARAMS, [0.1])
 
 
 @pytest.mark.parametrize("a", [0.92, 0.6, 0.3])
@@ -901,3 +901,119 @@ def test_d_a_runs_no_search(monkeypatch, tmp_path, capsys):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(tmp_path.iterdir())}
     assert digests == GOLDEN["becbsc-da"]
+
+
+# ---------------------------------------------------------------------------
+# exact t_a: one tangent chord, then the design curve
+
+
+def test_invert_convex_bisects_where_a_newton_step_leaves_the_bracket():
+    # f(s) = s + s^2 with its slope under-reported tenfold: the steps
+    # overshoot, leave the bracket and fall back to bisection
+    def f(s):
+        return s + s * s, (1.0 + 2.0 * s) / 10.0
+
+    targets = np.array([0.3, 0.75, 1.2, 2.0])
+    got = lines._invert_convex(f, targets, 1.0)
+    roots = (np.sqrt(1.0 + 4.0 * targets) - 1.0) / 2.0
+    assert np.max(np.abs(got - roots)) <= 1e-12
+    # with the true slope, a target above f(top) ends at top and one below
+    # f(0) = 0 at 0 (clipped there: unclipped, it took 23 steps, not 7)
+    steps = []
+
+    def exact(s):
+        steps.append(s)
+        return s + s * s, 1.0 + 2.0 * s
+
+    got = lines._invert_convex(exact, np.array([3.0, -1e-13]), 1.0)
+    assert got.tolist() == [1.0, 0.0] and len(steps) <= 8
+
+    # an infinite slope at top (where d_a inverts from when b* rounds to
+    # 0) makes no Newton step: it bisects instead of stopping at top
+    def steep(s):
+        with np.errstate(divide="ignore"):
+            return 1.0 - np.sqrt(1.0 - s), 0.5 / np.sqrt(1.0 - s)
+
+    got = lines._invert_convex(steep, np.array([0.5, 0.9]), 1.0)
+    assert np.max(np.abs(got - [0.75, 0.99])) <= 1e-12
+
+
+def test_newton_in_s_needs_no_care_at_the_top_budget(monkeypatch):
+    # H2's slope in q vanishes at q = 1/2 (x = x_max); G in s does not
+    calls = []
+    real = lines._g
+    monkeypatch.setattr(lines, "_g", lambda *a: calls.append(a) or real(*a))
+    got = t1_closed(PARAMS, np.array([0.0, X_MAX / 2, X_MAX]))
+    assert len(calls) <= 8
+    assert got[2] == pytest.approx(0.0, abs=1e-15)
+    assert got[0] == pytest.approx(1 - h2(PARAMS.p1), abs=1e-15)
+
+
+ROADMAP_CHANNELS = [PARAMS, BecBscParams(0.2, 0.22, 0.7),
+                    BecBscParams(0.05, 0.06, 0.26),
+                    BecBscParams(1e-3, 0.002, 0.011)]
+
+
+def hull_budgets(hull):
+    """The hull's vertices, their midpoints and 1001 budgets between."""
+    return np.union1d(np.union1d(hull[:, 0], (hull[1:, 0] + hull[:-1, 0]) / 2),
+                      np.linspace(0.0, hull[-1, 0], 1001))
+
+
+@pytest.mark.parametrize("params", ROADMAP_CHANNELS)
+def test_t_a_is_within_a_200001_point_hull(params):
+    r1_max = r1_domain_top(params)
+    rates = np.linspace(0.05, 0.95, 25) * r1_max
+    for a in (0.0, 0.3, 0.92, 1.0):
+        hull = t_a_hull(a, params, 200001)
+        xs = hull_budgets(hull)
+        gap = sample_t_a(a, params, xs) - hull_at(hull, xs)
+        # the hull lies at or below t_a, by at most 3.2e-10 here
+        assert gap.max() <= 1e-9 and gap.min() >= -1e-12
+        if a < 1.0:
+            want = t1_inverse(params, rates) - np.interp(
+                rates, hull[::-1, 1], hull[::-1, 0])
+            got = d_a_curve(a, params, rates)
+            assert np.max(np.abs(got - want / np.max(np.abs(want)))) <= 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=valid_params(), a=st.floats(0.0, 1.0))
+def test_t_a_is_one_chord_then_the_curve(params, a):
+    """No proof is known that the hull of phi has one chord, from b = 0, for
+    every weight (Mrs. Gerber's Lemma settles a = 0 and a = 1), so it is
+    checked here against a dense hull over the valid channel class."""
+    alpha = alpha_grid(20001, graded=True)
+    hull = t_a_hull(a, params, 20001, graded=True)
+    xs = hull_budgets(hull)
+    gap = sample_t_a(a, params, xs) - hull_at(hull, xs)
+    assert gap.max() <= 1e-9 and gap.min() >= -1e-12
+    # every grid point past the hull's first edge lies on the hull
+    x, w = design_curve(a, params, alpha)
+    under = np.flatnonzero(hull_at(hull, x) - w > 1e-12)
+    assert under.size == 0 or under.max() < np.searchsorted(x, hull[1, 0])
+    # the a = 1 curve is concave: no chord, and t_a is t1_closed
+    assert lines._tangent_chord(1.0, params)[0] == 0.0
+    x1 = np.linspace(0.0, 1.0 - binary_entropy(params.p), 33)
+    assert np.max(np.abs(sample_t_a(1.0, params, x1)
+                         - t1_closed(params, x1))) <= 1e-12
+    if a == 1.0:
+        assert under.size == 0
+
+
+def test_t_a_builds_no_hull(monkeypatch, tmp_path, capsys):
+    # t_a and d_a are read off no sampled hull, also in the CLI
+    def refuse(*args, **kwargs):
+        raise AssertionError("a RateCurve2D was built")
+
+    monkeypatch.setattr(RateCurve2D, "from_samples", refuse)
+    monkeypatch.setattr(RateCurve2D, "hull", refuse)
+    xs = np.linspace(0.0, X_MAX, 11)
+    for a in (0.0, 0.6, 0.92, 1.0):
+        assert np.all(np.diff(sample_t_a(a, PARAMS, xs)) < 0)
+    rates = np.linspace(0.1, 0.9, 5) * r1_domain_top(PARAMS)
+    assert np.all(d_a_curve(0.92, PARAMS, rates) > 0)
+    assert cli.main(["becbsc-da", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["da.csv",
+                                                          "t_curves.csv"]

@@ -12,7 +12,7 @@ from compound_bc.becbsc import BecBscParams
 from compound_bc.cli import DEFAULT_ELIMINATE
 from compound_bc.idregions import split_rate_example_system
 from compound_bc.info import make_bsc
-from compound_bc.lines import t_a_hull
+from hull_oracle import t_a_hull
 from compound_bc.polyhedra import (
     BOX,
     EmptyRegionError,
@@ -751,6 +751,17 @@ def test_rate_curve_drops_a_nan_r1_sample():
     both = RateCurve2D.from_samples([(np.nan, 0.5), (0.3, np.nan),
                                      (0.2, 0.3)], meta=range(3))
     assert both.points.tolist() == [[0.2, 0.3]] and both.meta == [2]
+
+
+def test_rate_curve_rejects_samples_that_are_all_nan():
+    # dropping every sample left a curve without points, whose r1_max,
+    # r2_max and hull raised IndexError; an empty input is the origin
+    for samples in ([(np.nan, np.nan)], [(np.nan, 0.5), (0.3, np.nan)]):
+        with pytest.raises(ValueError, match="every sample has a NaN"):
+            RateCurve2D.from_samples(samples)
+        with pytest.raises(ValueError, match="every sample has a NaN"):
+            RateCurve2D.from_samples(samples, meta=range(len(samples)))
+    assert RateCurve2D.from_samples([]).points.tolist() == [[0.0, 0.0]]
 
 
 # The two-chain body `RateCurve2D.hull` ran before it became one upper
