@@ -649,8 +649,9 @@ def _uncorr_sweep(terms, x_slices):
 
 
 def _corr_sweep(terms, x_slices):
-    """Best md-corr (r1, alpha, x, sum flag) per cell: the first slice of
-    x_slices (x = 0, the x ladder, the breakpoint) whose R1 is the maximum.
+    """Best md-corr (r1, alpha, x, sum flag) per cell over x_slices (x = 0,
+    the x ladder, the breakpoint), scored as x = 0, the breakpoint, then
+    the ladder, each cell keeping the first strictly higher R1.
 
     A ladder slice x <= CORRELATION_BREAKPOINT cannot beat the breakpoint
     slice, which is the largest x <= CORRELATION_BREAKPOINT in its column.
@@ -661,52 +662,24 @@ def _corr_sweep(terms, x_slices):
                              / (tot_j (h_u^2 x + N))),
     where s_j and tot_j do not depend on x.  For each kappa this falls as x
     grows (u falls, h_u^2 x + N grows), so the max-min falls and R1 rises.
-    It falls strictly until R1 reaches the x-independent cap
-    -1/2 log2 max(N / s_1, N / s_2), and every later slice ties there.  So
-    each ladder slice is scored only on the columns where x exceeds the
+    So each ladder slice is scored only on the columns where x exceeds the
     breakpoint; x = p_u f grows with p_u, so those are a tail of columns,
-    taken as views.  The x = 0 and breakpoint slices are scored in full.
-    No computed R1 exceeds the cap, as each parabola is at least its floor
-    N / s_j; where the best R1 reaches it, the full scan may report an
-    earlier tying slice, so those cells are rescanned over every slice on
-    a gathered subset.  Two kinds of column are left out: where p_u = 0
-    every slice is x = 0, and where p_v = 0 every parabola is its floor
-    N / s_j, so the x = 0 slice scores the cap exactly (through the min
-    branch; its sum branch is +inf) and no later slice is higher.  The
-    monotonicity is exact in real arithmetic only: in floats a skipped
-    slice can tie the breakpoint slice below the cap.  So a cell is
-    rescanned too where its best R1 does not beat the R1 at its column's
-    largest skipped x below the breakpoint slice's x (a skipped slice at
-    that x scores exactly as the breakpoint slice), the highest skipped R1
-    wherever rounding keeps the rise monotone; a skipped slice that
-    rounding lifts above it would not be caught.  The tests check the
-    float result bitwise against the full scan.
+    taken as views.  The breakpoint slice is scored before the ladder, so a
+    skipped slice that ties it leaves it the winner, as a full scan in this
+    order would.  The monotonicity is exact in real arithmetic only: a
+    skipped slice that rounding lifts above the breakpoint slice would be
+    missed.  The tests check the float result bitwise against a full scan
+    in this order.
     """
     def score(block, x):
         return corr_optimal(corr_parabolas(block, x), x)
 
     shape = terms.r1_second.shape
-    cols = [0] + [shape[1] - np.count_nonzero(x[0] > CORRELATION_BREAKPOINT)
-                  for x in x_slices[1:-1]] + [0]
+    ladder = x_slices[1:-1]
+    cols = [0, 0] + [shape[1] - np.count_nonzero(x[0] > CORRELATION_BREAKPOINT)
+                     for x in ladder]
     best = _start(shape, False)
-    _scan(score, terms, x_slices, best, cols)
-    cap = -0.5 * np.log2(np.maximum(*(terms.n / rx[2]
-                                      for rx in terms.receivers)))
-    # each column's largest skipped x below the breakpoint slice's x:
-    # ladder slice i is skipped left of cols[i], and the ladder rises, so
-    # the last slice to qualify wins
-    x_top = np.zeros((1, shape[1]))
-    skipped = np.zeros(x_top.shape, dtype=bool)
-    for x, j0 in zip(x_slices[1:-1], cols[1:-1]):
-        below = x < x_slices[-1]
-        below[:, j0:] = False
-        np.copyto(x_top, x, where=below)
-        skipped |= below
-    top = _start(shape, False)
-    _scan(score, terms, [x_top], top)
-    tied = ~(best[0] > top[0]) & skipped | ~(best[0] < cap)
-    _rescan(score, terms, x_slices, tied & (terms.p_u > 0) & (terms.p_v > 0),
-            best)
+    _scan(score, terms, [x_slices[0], x_slices[-1], *ladder], best, cols)
     return best
 
 

@@ -26,8 +26,6 @@ LN2 = math.log(2.0)
 
 OUTER_FAMILIES = ("c1", "c2", "c12", "cz")
 
-# R1 grid points of the intersected outer boundary
-GRID_POINTS = 401
 # random covariance pairs drawn on top of the beacon pairs
 NUM_RANDOM = 10000
 
@@ -220,7 +218,8 @@ def constituent_curves(channel, ku, kv):
 
 
 def outer_region(curves):
-    """Intersection of the constituent staircases on a common R1 grid.
+    """Intersection of the constituent staircases, sampled at their
+    breakpoints.
 
     `curves` maps each family name to its staircase, as
     `constituent_curves` returns them.  Each region is the staircase of its
@@ -229,10 +228,10 @@ def outer_region(curves):
     """
     r1_cap = min(curve.r1_max for curve in curves.values())
     # the pointwise min of staircases only changes value at a constituent
-    # breakpoint, so adding those to the grid makes the intersection exact
+    # breakpoint, so sampling those up to r1_cap gives the intersection
+    # exactly
     breaks = np.concatenate([curve.points[:, 0] for curve in curves.values()])
-    grid = np.union1d(np.linspace(0.0, r1_cap, GRID_POINTS),
-                      breaks[breaks <= r1_cap])
+    grid = np.unique(breaks[breaks <= r1_cap])
     r2 = np.min(np.vstack([curve.r2_at(grid) for curve in curves.values()]),
                 axis=0)
     return RateCurve2D.from_samples(np.column_stack([grid, r2]))

@@ -488,7 +488,7 @@ class RateCurve2D:
             raise ValueError("meta must align with points")
 
     @classmethod
-    def from_samples(cls, samples, meta=None, interp="staircase"):
+    def from_samples(cls, samples, meta=None):
         """Build the curve from raw (R1, R2) samples, keeping the Pareto set
         of the samples clamped at zero; a NaN coordinate drops its sample,
         and a ValueError is raised if that drops them all."""
@@ -499,18 +499,14 @@ class RateCurve2D:
         order = np.lexsort((-pts[:, 1], -pts[:, 0]))  # R1 desc, then R2 desc
         order = order[~np.isnan(pts[order, 0])]
         # only a record setter (R2 above every earlier one; fmax skips NaN)
-        # can be kept, and all are when each clears the one before by the
-        # 1e-15 slack in the loop's own float sum (np.diff rounds otherwise)
+        # can be kept, and it is when it clears the last kept R2 by 1e-15
         r2 = pts[order, 1]
         setters = r2 > np.fmax.accumulate(np.concatenate([[-np.inf], r2[:-1]]))
-        keep = idx = order[setters].tolist()
-        r2 = r2[setters]
-        if not np.all(r2[1:] > r2[:-1] + 1e-15):
-            keep, best_r2 = [], -math.inf
-            for i, v in zip(idx, r2.tolist()):
-                if v > best_r2 + 1e-15:
-                    keep.append(i)
-                    best_r2 = v
+        keep, best_r2 = [], -math.inf
+        for i, v in zip(order[setters].tolist(), r2[setters].tolist()):
+            if v > best_r2 + 1e-15:
+                keep.append(i)
+                best_r2 = v
         if not keep:
             raise ValueError("every sample has a NaN coordinate")
         keep.reverse()  # back to R1 ascending
@@ -520,7 +516,7 @@ class RateCurve2D:
             if len(meta) != len(pts):
                 raise ValueError("meta must align with samples")
             kept_meta = [meta[i] for i in keep]
-        return cls(pts[keep], interp=interp, meta=kept_meta)
+        return cls(pts[keep], meta=kept_meta)
 
     @property
     def r1_max(self):

@@ -1104,8 +1104,8 @@ class TestStackedOracles:
 # replaced are kept as bit-exact oracles.
 
 
-def full_scan_corr(terms, x_slices):
-    """The md-corr sweep that scored every slice on every cell."""
+def scan_corr(terms, x_slices):
+    """md-corr scoring every slice of x_slices on every cell, in order."""
     shape = terms.r1_second.shape
     best = (np.full(shape, -np.inf), np.zeros(shape), np.zeros(shape),
             np.zeros(shape, dtype=bool))
@@ -1115,6 +1115,12 @@ def full_scan_corr(terms, x_slices):
         for arr, new in zip(best, (r1, alpha, x, active)):
             np.copyto(arr, new, where=upd)
     return best
+
+
+def full_scan_corr(terms, x_slices):
+    """The md-corr full scan in the sweep's order: x = 0, the breakpoint,
+    then the ladder."""
+    return scan_corr(terms, [x_slices[0], x_slices[-1], *x_slices[1:-1]])
 
 
 def full_ladder(terms, x_slices, shares):
@@ -1198,6 +1204,7 @@ def assert_blocked_sweep_is_the_oracle(name, kind, oracle, channel, beams,
         want = oracle(terms, x_slices)
     for g, w in zip(got, want):
         assert_bitwise(g, w)
+    return terms, x_slices, got
 
 
 class TestSkippedSlices:
@@ -1209,8 +1216,11 @@ class TestSkippedSlices:
                                  1.0),
              beams=(1, 2), split_steps=4, x_steps=6, block=16)
     def test_md_corr_tail_sweep_is_bitwise_the_full_scan(self, **grid):
-        assert_blocked_sweep_is_the_oracle("_corr_sweep", "md-corr",
-                                           full_scan_corr, **grid)
+        terms, x_slices, got = assert_blocked_sweep_is_the_oracle(
+            "_corr_sweep", "md-corr", full_scan_corr, **grid)
+        # the same slices in x_slices' own order reach the same maximum
+        with np.errstate(all="ignore"):
+            assert_bitwise(got[0], scan_corr(terms, x_slices)[0])
 
     @settings(max_examples=40, deadline=None)
     @given(**BLOCKED_GRIDS)
@@ -1218,18 +1228,24 @@ class TestSkippedSlices:
         assert_blocked_sweep_is_the_oracle("_uncorr_sweep", "md-uncorr",
                                            full_ladder_uncorr, **grid)
 
-    def test_md_corr_ties_below_the_breakpoint_keep_the_first_slice(self):
+    def test_md_corr_ties_below_the_breakpoint_go_to_the_breakpoint_slice(
+            self):
         terms, x_slices, got = sweep_call(
             "_corr_sweep", "md-corr", GENERAL_CHANNEL, beam_steps=(49, 97),
             split_steps=9, x_steps=21)
         with np.errstate(all="ignore"):
             want = full_scan_corr(terms, x_slices)
+            first = scan_corr(terms, x_slices)
         for g, w in zip(got, want):
             assert_bitwise(g, w)
-        # in hundreds of cells the first slice at the maximum lies below the
-        # breakpoint slice, which reaches the same R1
-        x_break = np.broadcast_to(x_slices[-1], want[2].shape)
-        assert np.count_nonzero((want[2] > 0) & (want[2] < x_break)) > 500
+        assert_bitwise(got[0], first[0])
+        # in hundreds of cells the first slice at the maximum in x_slices'
+        # own order lies below the breakpoint slice, which reaches the same
+        # R1 and is reported instead
+        x_break = np.broadcast_to(x_slices[-1], got[2].shape)
+        tied = (first[2] > 0) & (first[2] < x_break)
+        assert np.count_nonzero(tied) > 500
+        assert np.array_equal(got[2][tied], x_break[tied])
 
     def test_floor_bound_never_changes_md_uncorr(self, monkeypatch):
         # the floor bound and the rescans score gathered, 1-d subsets of
@@ -1302,18 +1318,6 @@ class TestSkippedSlices:
         # the CLI's default channel and grid
         region_boundary("md-corr", special_geometry(2.0, 10.0, 1.0))
         assert sum(scored) <= 0.30 * 401 * 201 * 201
-
-    def test_md_corr_rescans_no_tie_in_columns_below_the_breakpoint(
-            self, monkeypatch):
-        shapes = full_ladder_shapes(monkeypatch)
-        # the CLI's default channel and grid
-        region_boundary("md-corr", special_geometry(2.0, 10.0, 1.0))
-        # the cells at the cap: one in each of columns 1-199.  Column 0
-        # (p_u = 0) has x = 0 in every slice and column 200 (p_v = 0) has
-        # its cap at the x = 0 slice, so both are left out; column 1
-        # (p_u = 0.05, below the breakpoint) ends its ladder at the
-        # breakpoint slice's own x, which beats every skipped x below that
-        assert shapes == [(199,)]
 
     def test_md_uncorr_fallback_stays_small_on_a_general_grid(self,
                                                               monkeypatch):

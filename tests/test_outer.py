@@ -60,6 +60,18 @@ def sampled_outer(channel, **sample):
         channel, *sample_cov_pairs(channel, **sample)))
 
 
+def grid_outer_region(curves):
+    """outer_region as it sampled before: the constituent breakpoints up to
+    the smallest r1_max, joined by a uniform 401-point R1 grid."""
+    r1_cap = min(curve.r1_max for curve in curves.values())
+    breaks = np.concatenate([curve.points[:, 0] for curve in curves.values()])
+    grid = np.union1d(np.linspace(0.0, r1_cap, 401),
+                      breaks[breaks <= r1_cap])
+    r2 = np.min(np.vstack([curve.r2_at(grid) for curve in curves.values()]),
+                axis=0)
+    return RateCurve2D.from_samples(np.column_stack([grid, r2]))
+
+
 def beacon_pairs_loop(channel):
     """beacon_cov_pairs as the split-major triple loop it replaced."""
     bases = [np.outer(d, d) for d in _beacon_directions(channel)]
@@ -415,6 +427,19 @@ class TestOuterRegion:
         # R2 cap: full power straight at the second user
         assert outer.r2_max == pytest.approx(0.5 * math.log2(1 + 4 * ch.P),
                                              abs=1e-9)
+
+    @pytest.mark.parametrize("power", [1.0, 10.0, 100.0, 1e4])
+    @pytest.mark.parametrize("geometry", ["symmetric", "general"])
+    def test_breakpoints_alone_give_the_grid_intersection(self, geometry,
+                                                          power):
+        if geometry == "symmetric":
+            ch = special_geometry(2.0, power, 1.0)
+        else:
+            ch = MisoChannel([1.8, 0.4], [-0.3, 1.2], [0.9, -1.1], power, 1.0)
+        curves = constituent_curves(
+            ch, *sample_cov_pairs(ch, num_random=2000, seed=SEED))
+        got, want = outer_region(curves), grid_outer_region(curves)
+        assert np.array_equal(got.points, want.points)
 
     def test_intersection_sits_inside_every_family(self):
         ch = fig_channel()

@@ -796,7 +796,8 @@ def monotone_chain_hull(self):
         lookup = {(float(p[0]), float(p[1])): m
                   for p, m in zip(self.points, self.meta)}
         meta = [lookup.get((float(v[0]), float(v[1]))) for v in verts]
-    return RateCurve2D.from_samples(verts, meta=meta, interp="linear")
+    staircase = RateCurve2D.from_samples(verts, meta=meta)
+    return RateCurve2D(staircase.points, interp="linear", meta=staircase.meta)
 
 
 def assert_hull_is_the_oracle(curve):

@@ -1,4 +1,5 @@
-"""Every module-level import of the package and the demos is used.
+"""Every module-level import of the package, the demos and the tests is
+used.
 
 The repository runs no linter, so this stdlib-`ast` check stands in for the
 unused-import rule: a refactor that moves the last use of a name elsewhere
@@ -9,7 +10,8 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*ROOT.glob("src/compound_bc/*.py"), *ROOT.glob("demos/*.py")])
+MODULES = sorted([*ROOT.glob("src/compound_bc/*.py"), *ROOT.glob("demos/*.py"),
+                  *ROOT.glob("tests/*.py")])
 
 
 def unused_imports(source):
