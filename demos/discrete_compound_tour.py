@@ -74,7 +74,7 @@ def main():
     alpha0 = alpha0_solve(params)
     r1_max = capacity_c1(params, alpha0)[0]
     rates = np.linspace(0.1, 0.9, 9) * r1_max
-    gaps = d_a_curve(0.92, params, rates)
+    gaps = d_a_curve(0.92, params, rates, alpha0)
     for r, g in zip(rates, gaps):
         print(f"   R1 = {r:.4f}   d = {g:+.4f}")
     print(f"   min gap {gaps.min():.4f}; `compound-bc becbsc-da` writes the"

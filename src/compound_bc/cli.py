@@ -54,7 +54,7 @@ from .polyhedra import (
     RegionSystem,
     fme_eliminate_all,
     prune_redundant,
-    sample_valuation,
+    sample_valuations,
 )
 from .search import DEFAULT_SEED
 
@@ -258,9 +258,10 @@ def cmd_becbsc_da(args, cfg):
     out = Path(args.out)
 
     with _stage("budget-gap curve"):
-        r1_max = capacity_c1(params, alpha0_solve(params))[0]
+        alpha0 = alpha0_solve(params)  # d_a_curve reuses it
+        r1_max = capacity_c1(params, alpha0)[0]
         rates = np.linspace(0.05, 0.95, cfg["rate_points"]) * r1_max
-        gaps = d_a_curve(a, params, rates)
+        gaps = d_a_curve(a, params, rates, alpha0)
 
     with _stage("supporting-line study"):
         x_max = 1.0 - binary_entropy(params.p)
@@ -446,8 +447,8 @@ def cmd_fme(args, cfg):
     if len(core.rate_vars) <= 3:
         atoms = sorted(core.atoms())
         rng = np.random.default_rng(cfg["seed"])
-        valuations = ([sample_valuation(atoms, rng)
-                       for _ in range(PRUNE_VALUATIONS)] if atoms else [{}])
+        valuations = (sample_valuations(atoms, rng, PRUNE_VALUATIONS)
+                      if atoms else [{}])
         with _stage("redundancy pruning"):
             pruned, _ = prune_redundant(core, valuations)
     else:

@@ -26,7 +26,7 @@ from .polyhedra import (
     fme_eliminate_all,
     ineq,
     instantiate,
-    sample_valuation,
+    sample_valuations,
     substitute_rates,
     vertices_2d,
 )
@@ -246,10 +246,8 @@ def example_valuations(atoms, n, seed) -> list:
     generated from X through the instance's channels, so orderings such as
     Y1 being a degraded version of Z hold in every sample.
     """
-    rng = np.random.default_rng(seed)
-    channels = example_channels()
-    return [sample_valuation(atoms, rng, channels=channels)
-            for _ in range(n)]
+    return sample_valuations(atoms, np.random.default_rng(seed), n,
+                             channels=example_channels())
 
 
 def _canonical_vertices(system, values, tol):

@@ -8,8 +8,8 @@ failure rather than silently clipped; hot loops whose arguments lie in
 Main entry points
 -----------------
 binary_entropy, binary_convolve, entropy
-mi_groups: I(A;B|C) on a joint pmf table of any dimension, the one generic
-    information engine
+mi_groups: I(A;B|C) on a joint pmf table of any dimension, or on a stack
+    of them, the one generic information engine
 make_bsc, make_bec: row-stochastic channel matrices W[x, y] = W(y|x)
 """
 
@@ -26,9 +26,11 @@ def _xlog2x(p):
         return np.where(p > 0, p * np.log2(p), 0.0)
 
 
-def entropy(p) -> float:
-    """Shannon entropy in bits of a pmf given as an array (any shape)."""
-    return float(-_xlog2x(np.asarray(p, dtype=float)).sum())
+def entropy(p, lead=0):
+    """Shannon entropy in bits of a pmf given as an array (any shape); the
+    first `lead` axes stack pmfs, and give an array of entropies."""
+    out = -_xlog2x(p).sum(axis=tuple(range(lead, np.ndim(p))))
+    return out if lead else float(out)
 
 
 def binary_entropy(x):
@@ -70,28 +72,30 @@ def make_bec(e: float) -> np.ndarray:
     return np.array([[1 - e, 0.0, e], [0.0, 1 - e, e]], dtype=float)
 
 
-def mi_groups(table, names, group_a, group_b, given=()) -> float:
+def mi_groups(table, names, group_a, group_b, given=()):
     """I(A;B|C) on a raw joint array of any dimension.
 
-    `names` labels the axes of `table`; each group is one name or an
-    iterable of names, and I(A;A|C) = H(A|C).  Every information atom the
-    package evaluates on an explicit joint pmf goes through here.
+    `names` labels the last axes of `table`; each group is one name or an
+    iterable of names, and I(A;A|C) = H(A|C).  Axes in front of the named
+    ones stack tables, giving an array of each table's float, bit for bit.
+    Every information atom the package evaluates goes through here.
     """
     names = list(names)
+    t = np.asarray(table, dtype=float)
+    lead = t.ndim - len(names)
 
     def axes(group):
         group = (group,) if isinstance(group, str) else tuple(group)
-        return tuple(names.index(g) for g in group)
-
-    t = np.asarray(table, dtype=float)
+        return tuple(lead + names.index(g) for g in group)
 
     def h(axset):
-        drop = tuple(i for i in range(t.ndim) if i not in axset)
-        return entropy(t.sum(axis=drop) if drop else t)
+        drop = tuple(i for i in range(lead, t.ndim) if i not in axset)
+        return entropy(t.sum(axis=drop) if drop else t, lead)
 
     a, b, c = set(axes(group_a)), set(axes(group_b)), set(axes(given))
     a -= c
     b -= c
     val = h(a | c) + h(b | c) - h(a | b | c) - (h(c) if c else 0.0)
-    return max(0.0, val)
+    val = np.where(val > 0.0, val, 0.0)  # max(0.0, val), NaN included
+    return val if lead else float(val)
 

@@ -12,6 +12,7 @@ enumeration never has to deal with unbounded polyhedra.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -86,8 +87,10 @@ class InfoExpr:
             total += c * values[a]
         return total
 
-    def key(self):
-        return (tuple(sorted((a, c) for a, c in self.coeffs.items())), self.const)
+    def key(self):  # (numerator, denominator) ints hash faster than Fractions
+        return (tuple(sorted((a, c.numerator, c.denominator)
+                             for a, c in self.coeffs.items())),
+                self.const.numerator, self.const.denominator)
 
     def __repr__(self):
         parts = [f"{c}*{a}" for a, c in sorted(self.coeffs.items())]
@@ -124,6 +127,8 @@ class LinIneq:
         k = _frac(k)
         if k <= 0:
             raise ValueError("inequalities may only be scaled by positive factors")
+        if k == 1:
+            return self  # rows are never mutated, so the row is its own copy
         return LinIneq({v: c * k for v, c in self.lhs.items()}, self.rel,
                        self.rhs * k)
 
@@ -242,7 +247,8 @@ def _dedupe(ineqs, masks=None):
     best = {}
     for iq, mask in zip(ineqs, masks or itertools.repeat(0)):
         n = iq.normalized()
-        k = (tuple(sorted(n.lhs.items())), n.rhs.key())
+        k = (tuple(sorted((v, c.numerator, c.denominator)
+                          for v, c in n.lhs.items())), n.rhs.key())
         kept = best.get(k)
         if kept is None:
             best[k] = (n, mask)
@@ -384,45 +390,59 @@ class NumericRegion:
         """All basic feasible points (dimension <= 3 only).
 
         Every d-subset of rows, in `itertools.combinations` order, is a
-        candidate basis.  Their row indices are built once, as one
-        (C(m, d), d) array, and taken VERTEX_CHUNK rows at a time; each
-        chunk is one stacked step: `det` drops the singular bases,
-        one batched `solve` gives the candidate points and one product
-        against all rows keeps the feasible ones.  `det` and `solve` are
-        gufuncs that make the same LAPACK call on each stacked matrix as on
-        a lone one, so the candidate points, and their order, are
-        bit-identical to solving the subsets one at a time.  The stacked
-        feasibility product may round differently from a per-point
-        `A @ v` in the last bit, which can change the outcome only for a
-        point that violates some row by `tol` to within that rounding.
-        Working memory is O(C(m, d) * d) for the int32 index array plus
-        O(VERTEX_CHUNK * m) per chunk, for m rows, box rows included.
+        candidate basis.  The nonsingular ones depend on A alone: `_bases`
+        finds them once per A, keyed by its bytes and shape, and keeps their
+        int32 row indices, 8 bytes per basis in 2-D.  A call solves them
+        VERTEX_CHUNK at a time, in one batched `solve` and one product
+        against all rows that keeps the feasible points.  `det` and `solve`
+        make the same LAPACK call on a stacked matrix as on a lone one, so
+        the points, and their order, are bit-identical to solving the
+        subsets one at a time.  The stacked feasibility product, and the
+        distances by which a kept point drops the later ones within 10 tol,
+        may round differently in the last bit, which matters only for a
+        point that far from `tol`.  Working memory is O(VERTEX_CHUNK * m)
+        for m rows, box rows included.
         """
         d = self.dim
         if d > 3:
             raise NotImplementedError("vertex enumeration is limited to <= 3 dims")
-        m = len(self.A)
-        # row indices fit int32, which halves the array against intp
+        bases = _bases(self.A.tobytes(), self.A.shape)
+        found = []
+        for start in range(0, len(bases), VERTEX_CHUNK):
+            rows = bases[start:start + VERTEX_CHUNK]
+            v = np.linalg.solve(self.A[rows], self.b[rows][..., None])[..., 0]
+            found.append(v[np.all(v @ self.A.T <= self.b + tol, axis=1)])
+        verts = np.concatenate(found)  # the 2d box rows give >= 1 basis
+        if not len(verts):
+            raise EmptyRegionError("region has no feasible vertex")
+        keep = []
+        while len(verts):  # the first point left is kept, and drops its near ones
+            keep.append(verts[0])
+            verts = verts[1:][~(np.linalg.norm(verts[1:] - verts[0], axis=1)
+                                <= 10 * tol)]
+        return np.array(keep)
+
+
+@functools.lru_cache(maxsize=16)
+def _bases(key, shape):
+    """Row indices of A's nonsingular d-subsets, A = frombuffer(key).
+
+    The (C(m, d), d) candidates are built as int32 (np.triu_indices gives
+    the 2-D ones in combinations order) and `det` drops the singular ones
+    VERTEX_CHUNK at a time; bases do not depend on the chunk size.
+    """
+    A = np.frombuffer(key).reshape(shape)
+    m, d = shape
+    if d == 2:
+        combos = np.column_stack(np.triu_indices(m, 1)).astype(np.int32)
+    else:
         combos = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(range(m), d)),
             dtype=np.int32, count=math.comb(m, d) * d).reshape(-1, d)
-        found = []
-        for start in range(0, len(combos), VERTEX_CHUNK):
-            rows = combos[start:start + VERTEX_CHUNK]
-            M = self.A[rows]
-            basic = ~(np.abs(np.linalg.det(M)) < 1e-12)
-            rows, M = rows[basic], M[basic]
-            v = np.linalg.solve(M, self.b[rows][..., None])[..., 0]
-            found.append(v[np.all(v @ self.A.T <= self.b + tol, axis=1)])
-        verts = np.concatenate(found)  # the 2d box rows give >= 1 chunk
-        if not len(verts):
-            raise EmptyRegionError("region has no feasible vertex")
-        # dedupe within tolerance
-        keep = []
-        for v in verts:
-            if not any(np.linalg.norm(v - w) <= 10 * tol for w in keep):
-                keep.append(v)
-        return np.array(keep)
+    chunks = [combos[s:s + VERTEX_CHUNK] for s in range(0, len(combos), VERTEX_CHUNK)]
+    bases = np.concatenate([c[~(np.abs(np.linalg.det(A[c])) < 1e-12)] for c in chunks])
+    bases.flags.writeable = False  # shared by every call on this A
+    return bases
 
 
 def instantiate(system: RegionSystem, values: dict) -> NumericRegion:
@@ -650,18 +670,20 @@ def atom_values(atoms, source_table, source_names, channels=None) -> dict:
 
     `source_table` is a joint pmf over `source_names`; any atom variable in
     `channels` is generated from the input X through the given channel matrix
-    (conditionally independent of everything else given the input).
+    (conditionally independent of everything else given the input).  Axes in
+    front of the named ones stack pmfs, and give each atom an array.
     """
     parsed = {a: parse_atom(a) for a in atoms}
     channels = channels or {}
     table = np.asarray(source_table, dtype=float)
     order = list(source_names)
+    lead = table.ndim - len(order)
     needed = [v for v in atom_variables(atoms) if v not in order]
     for v in needed:
         if v not in channels:
             raise KeyError(f"atom variable {v!r} is neither a source nor a channel output")
         W = np.asarray(channels[v], dtype=float)
-        x_ax = order.index(INPUT_VAR)
+        x_ax = lead + order.index(INPUT_VAR)
         moved = np.moveaxis(table, x_ax, -1)
         moved = moved[..., :, None] * W
         table = np.moveaxis(moved, -2, x_ax)
@@ -677,22 +699,25 @@ def atom_values(atoms, source_table, source_names, channels=None) -> dict:
     return values
 
 
-def sample_valuation(atoms, rng, channels=None) -> dict:
-    """One random atom valuation consistent with Shannon identities.
+def sample_valuations(atoms, rng, n, channels=None) -> list:
+    """n random atom valuations consistent with Shannon identities.
 
-    A joint pmf over all source variables is drawn (Dirichlet over the
-    product of binary alphabets); variables listed in `channels` are
-    generated from the input X through the given channel matrices, so the
-    valuation also respects that Markov structure.  Atoms must parse via
-    `parse_atom`.
+    The n joint pmfs over all source variables are one `rng.dirichlet` call
+    over the product of binary alphabets, bit for bit n sequential draws.
+    Variables listed in `channels` are generated from the input X through
+    the given channel matrices, so each valuation also respects that Markov
+    structure.  Atoms must parse via `parse_atom`.
     """
     channels = channels or {}
     names = atom_variables(atoms)
     src = [v for v in names if v not in channels]
     if len(src) < len(names) and INPUT_VAR not in src:
         src.append(INPUT_VAR)
-    table = rng.dirichlet(np.ones(2 ** len(src))).reshape((2,) * len(src))
-    return atom_values(atoms, table, src, channels=channels)
+    tables = rng.dirichlet(np.ones(2 ** len(src)), size=n)
+    values = atom_values(atoms, tables.reshape((n,) + (2,) * len(src)), src,
+                         channels=channels)
+    columns = {a: v.tolist() for a, v in values.items()}
+    return [{a: v[i] for a, v in columns.items()} for i in range(n)]
 
 
 def prune_redundant(system: RegionSystem, valuations):

@@ -47,3 +47,43 @@ def test_benchmark_workloads_run_under_the_tracer(tmp_path, monkeypatch):
     finally:
         for name in PERFBENCH_MODULES:
             sys.modules.pop(name, None)
+
+
+def test_fme_project_pass_reuses_bases_and_draws_once(tmp_path, monkeypatch):
+    """One fme-project pass from a cold basis cache builds the vertex bases
+    of at most its 6 distinct constraint matrices, and its `fme` CLI stage
+    draws all of its pruning valuations in one `dirichlet` call."""
+    import numpy as np
+
+    from compound_bc import polyhedra
+    from compound_bc.cli import PRUNE_VALUATIONS
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    try:
+        import workloads
+
+        state = workloads.fme_project_setup(1, tmp_path)
+        draws = []
+        real_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def dirichlet(self, *args, **kwargs):
+                draws.append(kwargs.get("size"))
+                return self._rng.dirichlet(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        polyhedra._bases.cache_clear()
+        result = workloads.fme_project_pass(state, tmp_path)
+        assert result.correct, result.errors
+        assert polyhedra._bases.cache_info().misses <= 6
+        assert polyhedra._bases.cache_info().hits >= 300
+        assert draws == [PRUNE_VALUATIONS]  # the pass runs one fme CLI stage
+    finally:
+        sys.modules.pop("workloads", None)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,13 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from compound_bc import polyhedra
 from compound_bc.becbsc import BecBscParams
 from compound_bc.cli import DEFAULT_ELIMINATE
-from compound_bc.idregions import split_rate_example_system
+from compound_bc.idregions import (
+    bit_recombination,
+    example_channels,
+    split_rate_example_system,
+    three_arv_region,
+)
 from compound_bc.info import make_bsc
 from hull_oracle import t_a_hull
 from compound_bc.polyhedra import (
     BOX,
+    INPUT_VAR,
     EmptyRegionError,
     InfoExpr,
     LinIneq,
@@ -24,13 +32,16 @@ from compound_bc.polyhedra import (
     VERTEX_CHUNK,
     VERTEX_TOL,
     _ancestry,
+    _dedupe,
+    atom_values,
+    atom_variables,
     fme_eliminate,
     fme_eliminate_all,
     ineq,
     instantiate,
     parse_atom,
     prune_redundant,
-    sample_valuation,
+    sample_valuations,
     substitute_rates,
     vertices_2d,
 )
@@ -484,6 +495,159 @@ def test_vertices_skips_a_chunk_of_singular_bases():
     assert shoelace(vertices_2d(region)) == pytest.approx(4.5)
 
 
+@settings(max_examples=60, deadline=None)
+@given(region=small_integer_regions(),
+       bounds=st.lists(st.lists(st.integers(-4, 12), min_size=17,
+                                max_size=17), min_size=1, max_size=4))
+def test_vertices_on_one_A_with_new_b_are_the_pair_loop(region, bounds):
+    # the bases cached for the first b serve every later one; a region has
+    # at most 17 rows of its own
+    m = region.n_rows
+    for row in bounds:
+        other = NumericRegion(region.var_names, region.A[:m],
+                              np.array(row[:m], dtype=float) / 2)
+        got = _vertices_or_empty(NumericRegion.vertices, other)
+        expected = _vertices_or_empty(vertices_loop, other)
+        if expected is None:
+            assert got is None
+        else:
+            assert got is not None and np.array_equal(got, expected)
+
+
+def test_vertices_never_reuse_the_bases_of_another_A():
+    polyhedra._bases.cache_clear()
+    # same shape; rows 0 and 1 are parallel in the first A only
+    first = region2([[1, 0], [2, 0]], [1.0, 3.0])
+    second = region2([[1, 0], [0, 1]], [1.0, 3.0])
+    for region in (first, second, first, second):
+        assert np.array_equal(region.vertices(), vertices_loop(region))
+    assert polyhedra._bases.cache_info().misses == 2
+    assert len(vertices_2d(second)) == 4
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, VERTEX_CHUNK])
+def test_vertices_are_fresh_under_any_chunk_size(monkeypatch, chunk):
+    regions = [region2([[1, 1]] * 6, [3.0] * 6),
+               region2([[1, 2], [2, 1], [1, -1]], [4.0, 4.0, 0.5]),
+               NumericRegion(["x", "y", "z"], [[1, 1, 1], [1, 0, 0]],
+                             [2.0, 1.5])]
+    regions.append(NumericRegion(["x", "y", "z"], regions[2].A[:2], [1.0, 0.5]))
+    for cold in (True, False):
+        if cold:
+            polyhedra._bases.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(polyhedra, "VERTEX_CHUNK", chunk)
+            for region in regions:
+                assert np.array_equal(region.vertices(), vertices_loop(region))
+        # and under the default chunk, on bases the patched one built
+        for region in regions:
+            assert np.array_equal(region.vertices(), vertices_loop(region))
+
+
+def test_vertices_repeat_call_on_one_A_runs_no_det(monkeypatch):
+    polyhedra._bases.cache_clear()
+    calls = []
+    real = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det",
+                        lambda M: calls.append(len(M)) or real(M))
+    region = region2([[1, 1]] * 300, [3.0] * 300)
+    first = region.vertices()
+    assert len(calls) == -(-math.comb(len(region.A), 2) // VERTEX_CHUNK)
+    calls.clear()
+    again = region2(region.A[:300], [2.0] * 300).vertices()
+    assert calls == []
+    assert np.array_equal(first, vertices_loop(region))
+    assert len(again) == 3
+
+
+# The Fraction-keyed body `_dedupe` had before its rows were keyed on
+# (numerator, denominator) ints, kept as a reference oracle.
+
+def dedupe_oracle(ineqs, masks=None):
+    best = {}
+    for iq, mask in zip(ineqs, masks or itertools.repeat(0)):
+        n = iq.normalized()
+        k = (tuple(sorted(n.lhs.items())),
+             (tuple(sorted(n.rhs.coeffs.items())), n.rhs.const))
+        kept = best.get(k)
+        if kept is None:
+            best[k] = (n, mask)
+        else:
+            row = n if n.rel == "<" and kept[0].rel == "<=" else kept[0]
+            best[k] = (row, kept[1] & mask)
+    return [n for n, _ in best.values()], [m for _, m in best.values()]
+
+
+def _row_parts(iq):
+    return (list(iq.lhs.items()), iq.rel, list(iq.rhs.coeffs.items()),
+            iq.rhs.const)
+
+
+COEFFS = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def fme_rows(draw):
+    """Rows over x, y with atoms a, b: unit and non-unit leading
+    coefficients, rhs-only, const-only and zero rows, each maybe followed
+    by a positively scaled copy whose relation may differ."""
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["full", "rhs-only", "const-only", "zero"]))
+        lhs = ({v: draw(COEFFS) for v in "xy"} if kind == "full" else {})
+        rhs = ({a: draw(COEFFS) for a in "ab"}
+               if kind in ("full", "rhs-only") else {})
+        const = draw(COEFFS) if kind != "zero" else 0
+        row = LinIneq(lhs, draw(st.sampled_from(["<=", "<"])),
+                      InfoExpr(rhs, const))
+        rows.append(row)
+        if draw(st.booleans()):
+            k = draw(st.sampled_from([1, 2, Fraction(1, 3)]))
+            rows.append(LinIneq({v: c * k for v, c in row.lhs.items()},
+                                draw(st.sampled_from(["<=", "<"])),
+                                row.rhs * k))
+    masks = (draw(st.lists(st.integers(0, 15), min_size=len(rows),
+                           max_size=len(rows)))
+             if draw(st.booleans()) else None)
+    return rows, masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=fme_rows())
+def test_dedupe_is_the_fraction_keyed_oracle(case):
+    rows, masks = case
+    got_rows, got_masks = _dedupe(rows, masks)
+    want_rows, want_masks = dedupe_oracle(rows, masks)
+    assert [_row_parts(r) for r in got_rows] == [_row_parts(r)
+                                                for r in want_rows]
+    assert got_masks == want_masks
+    for iq in rows:
+        # a unit leading coefficient makes the row its own normal form
+        n = iq.normalized()
+        lead = next(iter(sorted(iq.lhs.items()) or sorted(iq.rhs.coeffs.items())
+                         or [(None, iq.rhs.const or 1)]))[1]
+        assert (n is iq) == (abs(lead) == 1)
+        k = 1 / abs(Fraction(lead))
+        assert _row_parts(n) == _row_parts(LinIneq(
+            {v: c * k for v, c in iq.lhs.items()}, iq.rel, iq.rhs * k))
+
+
+def _project_three_arv():
+    sys3 = fme_eliminate_all(three_arv_region(), ["T11", "T12", "T2"])
+    sys3 = fme_eliminate_all(bit_recombination(sys3), ["S01", "S02"])
+    sys3 = substitute_rates(sys3, {"S0": {}})
+    return substitute_rates(sys3, {"S1": {"R1": 1}, "S2": {"R2": 1}},
+                            new_vars=["R1", "R2"])
+
+
+def test_three_arv_projection_is_the_oracle_pipelines(monkeypatch):
+    got = json.dumps(_project_three_arv().to_json())
+    monkeypatch.setattr(polyhedra, "_dedupe", dedupe_oracle)
+    want = json.dumps(_project_three_arv().to_json())
+    assert got == want
+    assert len(json.loads(got)["ineqs"]) == 185
+
+
 def test_contains_reports_violation():
     outer = region2([[1, 1]], [2.0])
     inner = region2([[1, 0], [0, 1]], [1.0, 1.0], box=10)
@@ -524,12 +688,47 @@ def test_parse_atom():
         parse_atom("I(U)")
 
 
+# The per-draw body `sample_valuation` had before the draws were batched,
+# kept as a bit-exact reference oracle.
+
+def sample_valuation(atoms, rng, channels=None) -> dict:
+    channels = channels or {}
+    names = atom_variables(atoms)
+    src = [v for v in names if v not in channels]
+    if len(src) < len(names) and INPUT_VAR not in src:
+        src.append(INPUT_VAR)
+    table = rng.dirichlet(np.ones(2 ** len(src))).reshape((2,) * len(src))
+    return atom_values(atoms, table, src, channels=channels)
+
+
+def _bits(valuations):
+    """Atom names, value types and float bits of a list of valuations."""
+    return [(list(v), [type(x) for x in v.values()],
+             np.array(list(v.values()), dtype=float).tobytes())
+            for v in valuations]
+
+
+@pytest.mark.parametrize("n", [1, 2, 100])
+@pytest.mark.parametrize("with_channels", [False, True])
+def test_sample_valuations_are_the_sequential_draws(n, with_channels):
+    atoms = sorted(split_rate_example_system().atoms())
+    channels = example_channels() if with_channels else None
+    rng_batch, rng_seq = np.random.default_rng(9), np.random.default_rng(9)
+    got = sample_valuations(atoms, rng_batch, n, channels=channels)
+    want = [sample_valuation(atoms, rng_seq, channels=channels)
+            for _ in range(n)]
+    assert len(got) == n
+    assert _bits(got) == _bits(want)
+    assert all(t is float for _, types, _ in _bits(got) for t in types)
+    # both leave the generator in the same state
+    assert rng_batch.random() == rng_seq.random()
+
+
 def test_sample_valuation_consistency():
     rng = np.random.default_rng(41)
     atoms = ["I(Q;Y)", "I(X;Y|Q)", "I(Q,X;Y)", "I(Q;Y|X)", "H(X|Q)"]
     ch = {"Y": make_bsc(0.1)}
-    for _ in range(20):
-        vals = sample_valuation(atoms, rng, channels=ch)
+    for vals in sample_valuations(atoms, rng, 20, channels=ch):
         # chain rule and markov structure hold because the joint is real
         assert vals["I(Q,X;Y)"] == pytest.approx(
             vals["I(Q;Y)"] + vals["I(X;Y|Q)"], abs=1e-10)
