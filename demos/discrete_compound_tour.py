@@ -14,7 +14,6 @@ import numpy as np
 
 from compound_bc.becbsc import (
     BecBscParams,
-    alpha0_solve,
     c2_corner,
     capacity_c1,
     corner_E_dominance,
@@ -71,10 +70,9 @@ def main():
           " no slice corner escapes the fixed corner)")
 
     print("\n4. budget gap at decoding weight a = 0.92")
-    alpha0 = alpha0_solve(params)
-    r1_max = capacity_c1(params, alpha0)[0]
+    r1_max = capacity_c1(params, params.alpha0)[0]
     rates = np.linspace(0.1, 0.9, 9) * r1_max
-    gaps = d_a_curve(0.92, params, rates, alpha0)
+    gaps = d_a_curve(0.92, params, rates)
     for r, g in zip(rates, gaps):
         print(f"   R1 = {r:.4f}   d = {g:+.4f}")
     print(f"   min gap {gaps.min():.4f}; `compound-bc becbsc-da` writes the"

@@ -15,6 +15,7 @@ form for a batch of uniform-X auxiliary designs; the searches of `lines` run
 on its two pieces, `_conditional_entropies` and `_weighted_informations`.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,11 @@ class BecBscParams:
             raise ValueError(
                 f"requires e2 <= H2(p) (Y2 more capable than Z), "
                 f"got e2={e2} > {binary_entropy(p):.6g}")
+
+    @functools.cached_property
+    def alpha0(self):
+        """`alpha0_solve` of these parameters, solved once per object."""
+        return alpha0_solve(self)
 
 
 def _check_alpha(alpha):

@@ -26,7 +26,6 @@ import numpy as np
 from .becbsc import (
     DEFAULT_PARAMS,
     BecBscParams,
-    alpha0_solve,
     c2_corner,
     capacity_c1,
     id_curve,
@@ -258,10 +257,9 @@ def cmd_becbsc_da(args, cfg):
     out = Path(args.out)
 
     with _stage("budget-gap curve"):
-        alpha0 = alpha0_solve(params)  # d_a_curve reuses it
-        r1_max = capacity_c1(params, alpha0)[0]
+        r1_max = capacity_c1(params, params.alpha0)[0]  # d_a_curve reuses it
         rates = np.linspace(0.05, 0.95, cfg["rate_points"]) * r1_max
-        gaps = d_a_curve(a, params, rates, alpha0)
+        gaps = d_a_curve(a, params, rates)
 
     with _stage("supporting-line study"):
         x_max = 1.0 - binary_entropy(params.p)

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .becbsc import (BecBscParams, _conditional_entropies,
-                     _mutual_informations, _weighted_informations,
-                     alpha0_solve, capacity_c1)
+                     _mutual_informations, _weighted_informations, capacity_c1)
 from .info import _h2, binary_convolve, binary_entropy
 from .search import (SearchSpec, isotonic_project, maximize, mix64, sigmoid,
                      softmax)
@@ -392,7 +391,7 @@ def invert_decreasing(xs, t_values, rates):
     return np.interp(rates, t[::-1], xs[::-1])
 
 
-def d_a_curve(a, params: BecBscParams, R1_grid, alpha0=None):
+def d_a_curve(a, params: BecBscParams, R1_grid):
     """Normalized budget gap between the a = 1 curve and t_a at rates R1.
 
     d(R1) > 0 means the a = 1 curve still supports rate R1 at a private
@@ -400,11 +399,10 @@ def d_a_curve(a, params: BecBscParams, R1_grid, alpha0=None):
     already fallen below it.  Both inversions are exact: `t1_inverse`, and
     t_a's chord linearly and its curve in s = (1 - 2b)^2, where w is convex
     and increasing.  The rate grid must lie strictly inside
-    (0, 1 - H2(p1 * alpha0)), alpha0 from `becbsc.alpha0_solve` unless given.
+    (0, 1 - H2(p1 * alpha0)), alpha0 = `params.alpha0`.
     """
     rates = np.asarray(R1_grid, dtype=float)
-    alpha0 = alpha0_solve(params) if alpha0 is None else alpha0
-    r1_max = capacity_c1(params, alpha0)[0]
+    r1_max = capacity_c1(params, params.alpha0)[0]
     if rates.size == 0 or not np.all((rates > 0.0) & (rates < r1_max)):
         raise ValueError(
             f"R1 grid must lie strictly inside (0, {r1_max:.6g})")

@@ -400,8 +400,10 @@ class NumericRegion:
         subsets one at a time.  The stacked feasibility product, and the
         distances by which a kept point drops the later ones within 10 tol,
         may round differently in the last bit, which matters only for a
-        point that far from `tol`.  Working memory is O(VERTEX_CHUNK * m)
-        for m rows, box rows included.
+        point that far from `tol`.  A call works in O(VERTEX_CHUNK * m) floats
+        for m rows, box rows included; a miss builds all C(m, d) candidates
+        as int32, and the cache keeps up to 6 A and their bases while the
+        process lives.
         """
         d = self.dim
         if d > 3:
@@ -423,22 +425,19 @@ class NumericRegion:
         return np.array(keep)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=6)
 def _bases(key, shape):
     """Row indices of A's nonsingular d-subsets, A = frombuffer(key).
 
-    The (C(m, d), d) candidates are built as int32 (np.triu_indices gives
-    the 2-D ones in combinations order) and `det` drops the singular ones
-    VERTEX_CHUNK at a time; bases do not depend on the chunk size.
+    The (C(m, d), d) int32 candidates are built in combinations order and
+    `det` drops the singular ones VERTEX_CHUNK at a time; bases do not
+    depend on the chunk size.  A fme-project pass uses 6 distinct A.
     """
     A = np.frombuffer(key).reshape(shape)
     m, d = shape
-    if d == 2:
-        combos = np.column_stack(np.triu_indices(m, 1)).astype(np.int32)
-    else:
-        combos = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(m), d)),
-            dtype=np.int32, count=math.comb(m, d) * d).reshape(-1, d)
+    combos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(m), d)),
+        dtype=np.int32, count=math.comb(m, d) * d).reshape(-1, d)
     chunks = [combos[s:s + VERTEX_CHUNK] for s in range(0, len(combos), VERTEX_CHUNK)]
     bases = np.concatenate([c[~(np.abs(np.linalg.det(A[c])) < 1e-12)] for c in chunks])
     bases.flags.writeable = False  # shared by every call on this A

@@ -221,6 +221,27 @@ class TestBecbscDa:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    def test_one_alpha0_bisection_per_run(self, tmp_path, monkeypatch):
+        # the rate grid and d_a_curve's domain check read one params.alpha0
+        calls = []
+        real = becbsc.alpha0_solve
+        monkeypatch.setattr(becbsc, "alpha0_solve",
+                            lambda params: calls.append(params) or real(params))
+        params = write_params(tmp_path, "p.json",
+                              {"a": 0.92, "rate_points": 3, "x_points": 3})
+        assert cli.main(["becbsc-da", "--params", params,
+                         "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    def test_alpha0_is_solved_once_per_params_object(self, monkeypatch):
+        monkeypatch.setattr(becbsc, "ALPHA0_TOL", 1e-3)
+        coarse = BecBscParams()
+        assert coarse.alpha0 == becbsc.alpha0_solve(coarse)
+        monkeypatch.undo()
+        fresh = BecBscParams()
+        assert fresh.alpha0 == becbsc.alpha0_solve(fresh) != coarse.alpha0
+        assert coarse.alpha0 != becbsc.alpha0_solve(coarse)  # kept per object
+
     @pytest.mark.parametrize("flag", ["--seed", "--budget"])
     def test_search_flags_rejected(self, tmp_path, capsys, flag):
         # becbsc-da runs no search, so it has no seed and no budget

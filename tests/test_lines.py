@@ -638,15 +638,17 @@ def test_closed_form_checked_entropy_calls_do_not_grow_with_steps(
             steps.append(args)
             return real_g(*args)
 
+        # a fresh params object, so each pass solves its own alpha0
+        params = BecBscParams(PARAMS.p, PARAMS.p1, PARAMS.e2)
         with monkeypatch.context() as patch:
             patch.setattr(lines, "NEWTON_STEPS", cap)
             patch.setattr(lines, "_g", stepping)
             patch.setattr(lines, "binary_entropy", counting)
             patch.setattr(becbsc, "binary_entropy", counting)
-            t1_closed(PARAMS, [0.1, 0.2])
-            t1_inverse(PARAMS, [0.1, 0.2])
-            sample_t_a(0.92, PARAMS, [0.1, 0.4])
-            d_a_curve(0.92, PARAMS, [0.01, 0.03])
+            t1_closed(params, [0.1, 0.2])
+            t1_inverse(params, [0.1, 0.2])
+            sample_t_a(0.92, params, [0.1, 0.4])
+            d_a_curve(0.92, params, [0.01, 0.03])
         counts.append(len(calls))
         steps_run.append(len(steps))
     # the cap binds at 2 steps and not at the default, and range checks run
